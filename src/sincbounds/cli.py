@@ -116,6 +116,9 @@ def cmd_eval(cfg: RunConfig, fn: str, x: float, p: float | None) -> int:
     if needs_p and p is None:
         print(f"--p is required for {fn}", file=sys.stderr)
         return 2
+    if not math.isfinite(x):
+        print(f"--x must be finite, got {x!r}", file=sys.stderr)
+        return 2
     try:
         result = _EVAL_FNS[fn](p, x)
     except (ValueError, OverflowError, FloatingPointError) as exc:
@@ -225,8 +228,7 @@ def cmd_special(cfg: RunConfig, name: str, t: float | None, p: float | None,
         if a is None or b is None:
             print("--a and --b are required for sb", file=sys.stderr)
             return 2
-        m = means.MeanPoint(a, b)
-        bound, mean = means.sb_lower_bound(m), means.sb_mean(m)
+        bound, mean = means.sb_lower_bound((a, b)), means.sb_mean((a, b))
         ok = bound <= mean
         rows = [{"name": "sb", "a": a, "b": b, "lower_bound": bound,
                  "sb_mean": mean, "ok": ok}]

@@ -216,20 +216,15 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     out.append(_verdict_result("propositions", verify(rec_low, points), Verdict.HOLDS))
     out.append(_verdict_result("propositions", verify(rec_high, points), Verdict.HOLDS))
 
-    pairs = means.random_pairs(10_000, seed)
-    worst = math.inf
-    for m in pairs:
-        worst = min(worst, (means.sb_mean(m) - means.sb_lower_bound(m)) / m.b)
+    pair = means._random_pair_arrays(10_000, seed)
+    worst = float(np.min((means.sb_mean(pair) - means.sb_lower_bound(pair)) / pair[1]))
     out.append(_value_result("propositions", "sb_lower_bound <= sb_mean (1e4 pairs)",
                              worst >= 0.0, ">= 0", f"worst rel gap {worst:.3e}"))
-    miss = 0
-    for m in pairs:
-        if not means.log_mean_sandwich(m).contains(means.log_mean(m)):
-            miss += 1
+    miss = int(np.count_nonzero(~means.log_mean_sandwich(pair).contains(means.log_mean(pair))))
     out.append(_value_result("propositions", "log_mean_sandwich contains L (1e4 pairs)",
                              miss == 0, "0 misses", f"{miss} misses"))
     rep = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, np.linspace(0.0, 3.0, 21),
-                                pairs=means.random_pairs(1000, seed + 1))
+                                pairs=means._random_pair_arrays(1000, seed + 1))
     out.append(_verdict_result("propositions", rep, Verdict.HOLDS))
     return out
 
@@ -274,8 +269,7 @@ def _suite_remarks(points: int) -> list[CheckResult]:
                 _verdict_result("remarks", verify(b, points), Verdict.HOLDS)]
     # closing comparison: D(x) >= 0 and its odd-series coefficients
     grid = np.geomspace(1e-3, 30.0, 200)
-    dvals = [means.lower_bound_comparison(float(x)) for x in grid]
-    dmin = min(dvals)
+    dmin = float(np.min(means.lower_bound_comparison(grid)))
     out.append(_value_result("remarks", "lower_bound_comparison >= 0 on [1e-3, 30]",
                              dmin >= 0.0, ">= 0", f"min {dmin:.3e}"))
     coeffs = [means.comparison_coeff(n) for n in range(1, 51)]

@@ -31,17 +31,23 @@ class QuadratureBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Closed interval [lo, hi] certifying lo <= value <= hi."""
+    """Closed interval [lo, hi] certifying lo <= value <= hi.
+
+    lo and hi may also be equal-shape arrays, one interval per element (as
+    means.log_mean_sandwich returns for an array pair); contains then
+    returns a boolean array.
+    """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
+        ordered = self.lo <= self.hi
+        if not (ordered.all() if isinstance(ordered, np.ndarray) else ordered):
             raise ValueError(f"empty enclosure: [{self.lo!r}, {self.hi!r}]")
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= value <= self.hi + slack
+        return (self.lo - slack <= value) & (value <= self.hi + slack)
 
     @property
     def width(self) -> float:

@@ -8,20 +8,38 @@ Schwab-Borchardt) plus the one-parameter family
 which sandwiches the logarithmic mean between p = sqrt(15)/5 and p = 1.
 The family equals G * cosh_bound(p, x) at x = (1/2) ln(a/b), which is how
 it is evaluated here (stable at a ~ b, smooth at p = 0, even in p).
+
+The pair argument m is a MeanPoint, an (a, b) pair of numbers, or an
+(a, b) pair of equal-length 1-D float64 arrays.  For an array pair,
+half_log_ratio, log_mean, sb_mean, sb_lower_bound and mean_family return
+an array of the values, one per element pair, and log_mean_sandwich
+returns one Enclosure whose lo and hi are arrays.  The other means take
+one pair only.  Each call validates its input once (finite and positive;
+a >= 0, b > 0 for the Schwab-Borchardt pair) and then runs one kernel:
+the scalar kernel for numbers, the array kernel for arrays.  The two
+kernels take the same branches and give the same results bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .core import cosh_bound
+from .core import _LIMIT_FAMILY_CUTOFF
 from .integrals import Enclosure
 
 _SQRT15_5 = math.sqrt(15.0) / 5.0
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
+_SB_SCALE = 8.0 * math.sqrt(2.0) / 27.0
+
+
+def _check_positive(a: float, b: float) -> None:
+    for v in (a, b):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"mean arguments must be finite and positive, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -32,18 +50,81 @@ class MeanPoint:
     b: float
 
     def __post_init__(self):
-        for v in (self.a, self.b):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"mean arguments must be finite and positive, got {v!r}")
+        _check_positive(self.a, self.b)
 
 
-def _pair(m) -> tuple[float, float]:
+def _pair(m, sb: bool = False):
+    """Validated (a, b): two floats, or two float64 arrays for an array pair.
+
+    Finite and positive; with sb=True, a >= 0 and b > 0.
+    """
     if isinstance(m, MeanPoint):
         return m.a, m.b
     a, b = m
-    mp = MeanPoint(float(a), float(b))
-    return mp.a, mp.b
+    if (isinstance(a, np.ndarray) and a.ndim) or (isinstance(b, np.ndarray) and b.ndim):
+        return _array_pair(a, b, sb)
+    a, b = float(a), float(b)
+    if sb:
+        if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
+            raise ValueError(f"need a >= 0 and b > 0, got ({a!r}, {b!r})")
+    else:
+        _check_positive(a, b)
+    return a, b
 
+
+def _array_pair(a, b, sb: bool) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"an array pair needs two 1-D arrays of one length, "
+                         f"got shapes {a.shape} and {b.shape}")
+    ok_b = np.isfinite(b) & (b > 0.0)
+    ok_a = np.isfinite(a) & ((a >= 0.0) if sb else (a > 0.0))
+    if not (ok_a.all() and ok_b.all()):
+        i = int(np.argmin(ok_a & ok_b))
+        need = "a >= 0 and b > 0" if sb else "finite and positive arguments"
+        raise ValueError(f"need {need}, got ({a[i]!r}, {b[i]!r}) at index {i}")
+    return a, b
+
+
+def _apply(m, scalar_kernel, array_kernel, *args, sb: bool = False):
+    """Validate m once, then run the kernel that matches its form."""
+    if isinstance(m, MeanPoint):  # validated on construction
+        return scalar_kernel(m.a, m.b, *args)
+    a, b = _pair(m, sb)
+    if isinstance(a, np.ndarray):
+        # overflow, inf/inf and the like give the same inf or nan as in the
+        # scalar kernels; numpy would also warn about them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return array_kernel(a, b, *args)
+    return scalar_kernel(a, b, *args)
+
+
+def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn, a C-library routine from math (or pow), applied to each element.
+
+    The array kernels must match the scalar kernels bit for bit: the CLI
+    output of `verify --seed 3` includes monotone:means min_margin=1.622e-16,
+    the difference of two mean_family values, which moves with the last
+    bit.  numpy's vectorised sinh, log1p, arcsin, exp and power differ from
+    the C library in the last bit on a few percent of inputs, so every
+    transcendental function in an array kernel goes through here.  numpy
+    is used only for sqrt, + - * /, comparisons and masks, which IEEE 754
+    rounds correctly in both.
+    """
+    return np.fromiter(map(fn, x.tolist(), *args), float, x.size)
+
+
+def _ulps(x: np.ndarray) -> np.ndarray:
+    """math.ulp of each element."""
+    u = np.spacing(np.abs(x))
+    odd = ~np.isfinite(u)  # x = inf, nan, or the largest double
+    if odd.any():
+        u[odd] = _libm(math.ulp, x[odd])
+    return u
+
+
+# ------------------------------------------------------------- scalar kernels
 
 def _geo(a: float, b: float) -> float:
     ab = a * b
@@ -52,19 +133,175 @@ def _geo(a: float, b: float) -> float:
     return math.sqrt(a) * math.sqrt(b)  # a*b overflowed or underflowed
 
 
-def geometric_mean(m) -> float:
+def _half_log_ratio(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    if 0.5 < a / b < 2.0:
+        return 0.5 * math.log1p((a - b) / b)
+    return 0.5 * (math.log(a) - math.log(b))
+
+
+def _log_mean(a: float, b: float) -> float:
+    if a == b:
+        return a
+    r = (a - b) / b
+    if abs(r) < 1e-4:
+        # r/ln(1+r) = 1 + r/2 - r^2/12 + r^3/24 - O(r^4); next term ~19r^4/720
+        return b * (1.0 + r * (0.5 + r * (-1.0 / 12.0 + r / 24.0)))
+    if 0.5 < a / b < 2.0:
+        return (a - b) / math.log1p(r)
+    return (a - b) / (math.log(a) - math.log(b))
+
+
+def _sb_mean(a: float, b: float) -> float:
+    u = (b - a) / b
+    if abs(u) < 1e-4:
+        return b * (1.0 + u * (-1.0 / 3.0 + u * (-1.0 / 45.0 + u * (-1.0 / 189.0 - 23.0 * u / 14175.0))))
+    if u > 0.0:
+        # arccos(1-u) = 2 asin(sqrt(u/2)); libm acos itself drifts ~1e-13 near 1
+        return b * math.sqrt(u * (2.0 - u)) / (2.0 * math.asin(math.sqrt(0.5 * u)))
+    e = -u
+    # arccosh(1+e) = log1p(e + sqrt(e(2+e))), exact for small e
+    t = math.sqrt(e * (2.0 + e))
+    return b * t / math.log1p(e + t)
+
+
+def _sb_lower_bound(a: float, b: float) -> float:
+    inner = (2.0 * a - b) * math.sqrt(0.5 * (a + b)) + b * math.sqrt(b)
+    return _SB_SCALE * math.sqrt(inner) * b ** 0.25 + 11.0 * b / 27.0
+
+
+def _cosh_family(p: float, x: float) -> float:
+    # core.cosh_bound(p, x) for p >= 0, without its per-call validation
+    if p <= _LIMIT_FAMILY_CUTOFF:
+        return 1.0 + x * x / 6.0
+    w = 2.0 / (3.0 * p * p)
+    s = math.sinh(0.5 * p * x)
+    return 1.0 + w * s * s
+
+
+def _mean_family(a: float, b: float, p: float) -> float:
+    return _geo(a, b) * _cosh_family(p, abs(_half_log_ratio(a, b)))
+
+
+def _log_mean_sandwich(a: float, b: float) -> Enclosure:
+    if a == b:
+        return Enclosure(a, a)
+    g = _geo(a, b)
+    x = abs(_half_log_ratio(a, b))
+    lo = g * _cosh_family(_SQRT15_5, x)
+    hi = g * _cosh_family(1.0, x)
+    return Enclosure(lo - 16.0 * math.ulp(lo), hi + 16.0 * math.ulp(hi))
+
+
+# -------------------------------------------------------------- array kernels
+# Each mirrors the scalar kernel above: one mask per branch, tested in the
+# same order, and the same operations in the same order inside each branch.
+
+def _geo_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ab = a * b
+    out = np.sqrt(ab)
+    wide = ~(np.isfinite(ab) & (ab > 0.0))
+    out[wide] = np.sqrt(a[wide]) * np.sqrt(b[wide])
+    return out
+
+
+def _half_log_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(a)
+    q = a / b
+    ne = a != b
+    near = ne & (0.5 < q) & (q < 2.0)
+    far = ne & ~near
+    an, bn = a[near], b[near]
+    out[near] = 0.5 * _libm(math.log1p, (an - bn) / bn)
+    out[far] = 0.5 * (_libm(math.log, a[far]) - _libm(math.log, b[far]))
+    return out
+
+
+def _log_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = a.copy()
+    r = (a - b) / b
+    q = a / b
+    ne = a != b
+    series = ne & (np.abs(r) < 1e-4)
+    rest = ne & ~series
+    near = rest & (0.5 < q) & (q < 2.0)
+    far = rest & ~near
+    rs = r[series]
+    out[series] = b[series] * (1.0 + rs * (0.5 + rs * (-1.0 / 12.0 + rs / 24.0)))
+    out[near] = (a[near] - b[near]) / _libm(math.log1p, r[near])
+    out[far] = (a[far] - b[far]) / (_libm(math.log, a[far]) - _libm(math.log, b[far]))
+    return out
+
+
+def _sb_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty_like(a)
+    u = (b - a) / b
+    series = np.abs(u) < 1e-4
+    circ = ~series & (u > 0.0)
+    hyp = ~series & ~circ
+    us = u[series]
+    out[series] = b[series] * (1.0 + us * (-1.0 / 3.0 + us * (-1.0 / 45.0 + us * (
+        -1.0 / 189.0 - 23.0 * us / 14175.0))))
+    uc = u[circ]
+    out[circ] = b[circ] * np.sqrt(uc * (2.0 - uc)) / (2.0 * _libm(math.asin, np.sqrt(0.5 * uc)))
+    e = -u[hyp]
+    t = np.sqrt(e * (2.0 + e))
+    out[hyp] = b[hyp] * t / _libm(math.log1p, e + t)
+    return out
+
+
+def _sb_lower_bound_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    inner = (2.0 * a - b) * np.sqrt(0.5 * (a + b)) + b * np.sqrt(b)
+    return _SB_SCALE * np.sqrt(inner) * _libm(pow, b, repeat(0.25)) + 11.0 * b / 27.0
+
+
+def _cosh_family_arrays(p: float, x: np.ndarray) -> np.ndarray:
+    if p <= _LIMIT_FAMILY_CUTOFF:
+        return 1.0 + x * x / 6.0
+    w = 2.0 / (3.0 * p * p)
+    s = _libm(math.sinh, 0.5 * p * x)
+    return 1.0 + w * s * s
+
+
+def _mean_family_arrays(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    return _geo_arrays(a, b) * _cosh_family_arrays(p, np.abs(_half_log_ratio_arrays(a, b)))
+
+
+def _log_mean_sandwich_arrays(a: np.ndarray, b: np.ndarray) -> Enclosure:
+    g = _geo_arrays(a, b)
+    x = np.abs(_half_log_ratio_arrays(a, b))
+    lo = g * _cosh_family_arrays(_SQRT15_5, x)
+    hi = g * _cosh_family_arrays(1.0, x)
+    lo = lo - 16.0 * _ulps(lo)
+    hi = hi + 16.0 * _ulps(hi)
+    eq = a == b
+    lo[eq] = hi[eq] = a[eq]
+    return Enclosure(lo, hi)
+
+
+# -------------------------------------------------------------------- the API
+
+def _one_pair(m) -> tuple[float, float]:
     a, b = _pair(m)
+    if isinstance(a, np.ndarray):
+        raise ValueError("this mean takes one pair, not an array pair")
+    return a, b
+
+
+def geometric_mean(m) -> float:
+    a, b = _one_pair(m)
     return _geo(a, b)
 
 
 def arithmetic_mean(m) -> float:
-    a, b = _pair(m)
+    a, b = _one_pair(m)
     return 0.5 * (a + b)
 
 
 def power_mean(p: float, m) -> float:
     """((a^p + b^p)/2)^(1/p); the geometric mean at p = 0."""
-    a, b = _pair(m)
+    a, b = _one_pair(m)
     p = float(p)
     if p == 0.0:
         return _geo(a, b)
@@ -79,31 +316,17 @@ def power_mean(p: float, m) -> float:
     return hi * math.exp(math.log1p(s) / p)
 
 
-def half_log_ratio(m) -> float:
+def half_log_ratio(m):
     """0.5 * ln(a/b), via log1p when the pair is nearly equal."""
-    a, b = _pair(m)
-    if a == b:
-        return 0.0
-    if 0.5 < a / b < 2.0:
-        return 0.5 * math.log1p((a - b) / b)
-    return 0.5 * (math.log(a) - math.log(b))
+    return _apply(m, _half_log_ratio, _half_log_ratio_arrays)
 
 
-def log_mean(m) -> float:
+def log_mean(m):
     """(a - b)/(ln a - ln b), a at a = b; series branch when a ~ b."""
-    a, b = _pair(m)
-    if a == b:
-        return a
-    r = (a - b) / b
-    if abs(r) < 1e-4:
-        # r/ln(1+r) = 1 + r/2 - r^2/12 + r^3/24 - O(r^4); next term ~19r^4/720
-        return b * (1.0 + r * (0.5 + r * (-1.0 / 12.0 + r / 24.0)))
-    if 0.5 < a / b < 2.0:
-        return (a - b) / math.log1p(r)
-    return (a - b) / (math.log(a) - math.log(b))
+    return _apply(m, _log_mean, _log_mean_arrays)
 
 
-def sb_mean(m) -> float:
+def sb_mean(m):
     """Schwab-Borchardt mean: sqrt(b^2-a^2)/arccos(a/b) for a < b, a at a = b,
     sqrt(a^2-b^2)/arccosh(a/b) for a > b.  Not symmetric in (a, b); unlike
     the other means, a = 0 is admitted (value 2b/pi).
@@ -111,25 +334,12 @@ def sb_mean(m) -> float:
     Near a = b both branches share the series b(1 - u/3 - u^2/45 - ...) in
     u = 1 - a/b, which is used below the crossover.
     """
-    if isinstance(m, MeanPoint):
-        a, b = m.a, m.b
-    else:
-        a, b = float(m[0]), float(m[1])
-        if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
-            raise ValueError(f"need a >= 0 and b > 0, got ({a!r}, {b!r})")
-    u = (b - a) / b
-    if abs(u) < 1e-4:
-        return b * (1.0 + u * (-1.0 / 3.0 + u * (-1.0 / 45.0 + u * (-1.0 / 189.0 - 23.0 * u / 14175.0))))
-    if u > 0.0:
-        # arccos(1-u) = 2 asin(sqrt(u/2)); libm acos itself drifts ~1e-13 near 1
-        return b * math.sqrt(u * (2.0 - u)) / (2.0 * math.asin(math.sqrt(0.5 * u)))
-    e = -u
-    # arccosh(1+e) = log1p(e + sqrt(e(2+e))), exact for small e
-    return b * math.sqrt(e * (2.0 + e)) / math.log1p(e + math.sqrt(e * (2.0 + e)))
+    return _apply(m, _sb_mean, _sb_mean_arrays, sb=True)
 
 
-def sb_lower_bound(m) -> float:
-    """Closed-form lower bound for sb_mean, tight at a = b.
+def sb_lower_bound(m):
+    """Closed-form lower bound for sb_mean, tight at a = b; same domain as
+    sb_mean (a >= 0, b > 0).
 
     (8 sqrt2/27) ((2a-b) sqrt((a+b)/2) + b^{3/2})^{1/2} b^{1/4} + (11/27) b.
     The inner term is b^{3/2}(1 + cos(3x/2)) at x = arccos(a/b) (cosh for
@@ -137,22 +347,20 @@ def sb_lower_bound(m) -> float:
     half-angle reduction valid once b > 2a.  At b = 2a the bound collapses
     to (11 + 8 sqrt2)/27 * b.
     """
-    a, b = _pair(m)
-    inner = (2.0 * a - b) * math.sqrt(0.5 * (a + b)) + b * math.sqrt(b)
-    return (8.0 * math.sqrt(2.0) / 27.0) * math.sqrt(inner) * b ** 0.25 + 11.0 * b / 27.0
+    return _apply(m, _sb_lower_bound, _sb_lower_bound_arrays, sb=True)
 
 
-def mean_family(p: float, m) -> float:
+def mean_family(p: float, m):
     """(1/(3p^2)) A_p^p G^(1-p) + (1 - 1/(3p^2)) G; at p = 0 the limit
     G (1 + (ln b - ln a)^2 / 24).
 
     Evaluated as G * cosh_bound(p, half_log_ratio): even in p and increasing
     on p >= 0.
     """
-    a, b = _pair(m)
-    g = _geo(a, b)
-    x = abs(half_log_ratio((a, b)))
-    return g * cosh_bound(abs(float(p)), x)
+    p = abs(float(p))
+    if not math.isfinite(p):
+        raise ValueError(f"parameter must be finite and >= 0, got {p!r}")
+    return _apply(m, _mean_family, _mean_family_arrays, p)
 
 
 def log_mean_sandwich(m) -> Enclosure:
@@ -161,12 +369,7 @@ def log_mean_sandwich(m) -> Enclosure:
 
     Degenerate pairs give the point enclosure [a, a].
     """
-    a, b = _pair(m)
-    if a == b:
-        return Enclosure(a, a)
-    lo = mean_family(_SQRT15_5, (a, b))
-    hi = mean_family(1.0, (a, b))
-    return Enclosure(lo - 16.0 * math.ulp(lo), hi + 16.0 * math.ulp(hi))
+    return _apply(m, _log_mean_sandwich, _log_mean_sandwich_arrays)
 
 
 @dataclass(frozen=True)
@@ -218,16 +421,7 @@ def _comparison_series_coeffs(n_max: int = 16) -> list[float]:
 _COMPARISON_COEFFS = _comparison_series_coeffs()
 
 
-def lower_bound_comparison(x: float) -> float:
-    """D(x) = cosh_bound(sqrt(15)/5, x) - cosh(x/sqrt5)^{5/3}, nonnegative
-    for x >= 0.
-
-    Vanishes to sixth order at 0 (leading term x^6/40500), so small x goes
-    through the cancelled series; direct evaluation elsewhere.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
+def _lower_bound_comparison(x: float) -> float:
     if x <= 1.0:
         x2 = x * x
         xp = x2 ** 3
@@ -236,15 +430,57 @@ def lower_bound_comparison(x: float) -> float:
             total += c * xp
             xp *= x2
         return total
-    return cosh_bound(_SQRT15_5, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
+    return _cosh_family(_SQRT15_5, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
 
 
-def random_pairs(n: int, seed: int, ratio_span=(1e-6, 1e6), scale_span=(1e-3, 1e3)) -> list[MeanPoint]:
-    """Seeded pairs with log-uniform ratios; exercises near-equal and
-    extreme pairs alike."""
+def _lower_bound_comparison_arrays(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    series = x <= 1.0
+    x2 = x[series] * x[series]
+    xp = _libm(pow, x2, repeat(3))
+    total = np.zeros_like(x2)
+    for c in _COMPARISON_COEFFS:
+        total += c * xp
+        xp *= x2
+    out[series] = total
+    xd = x[~series]
+    out[~series] = _cosh_family_arrays(_SQRT15_5, xd) - _libm(
+        pow, _libm(math.cosh, xd * _INV_SQRT5), repeat(5.0 / 3.0))
+    return out
+
+
+def lower_bound_comparison(x):
+    """D(x) = cosh_bound(sqrt(15)/5, x) - cosh(x/sqrt5)^{5/3}, nonnegative
+    for x >= 0.  x is a number or a 1-D array (one value per element, equal
+    bit for bit to the scalar results).
+
+    Vanishes to sixth order at 0 (leading term x^6/40500), so small x goes
+    through the cancelled series; direct evaluation elsewhere.
+    """
+    if isinstance(x, np.ndarray) and x.ndim:
+        x = np.asarray(x, dtype=float)
+        if (x < 0.0).any():
+            raise ValueError(f"x must be >= 0, got {x.min()!r}")
+        return _lower_bound_comparison_arrays(x)
+    x = float(x)
+    if x < 0.0:
+        raise ValueError(f"x must be >= 0, got {x!r}")
+    return _lower_bound_comparison(x)
+
+
+def _random_pair_arrays(n: int, seed: int, ratio_span=(1e-6, 1e6),
+                        scale_span=(1e-3, 1e3)) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) arrays behind random_pairs, for the array kernels."""
     rng = np.random.default_rng(seed)
     lo_r, hi_r = math.log10(ratio_span[0]), math.log10(ratio_span[1])
     lo_s, hi_s = math.log10(scale_span[0]), math.log10(scale_span[1])
     ratios = 10.0 ** rng.uniform(lo_r, hi_r, n)
     scales = 10.0 ** rng.uniform(lo_s, hi_s, n)
-    return [MeanPoint(float(r * s), float(s)) for r, s in zip(ratios, scales)]
+    return ratios * scales, scales
+
+
+def random_pairs(n: int, seed: int, ratio_span=(1e-6, 1e6), scale_span=(1e-3, 1e3)) -> list[MeanPoint]:
+    """Seeded pairs with log-uniform ratios; exercises near-equal and
+    extreme pairs alike."""
+    a, b = _random_pair_arrays(n, seed, ratio_span, scale_span)
+    return [MeanPoint(x, y) for x, y in zip(a.tolist(), b.tolist())]

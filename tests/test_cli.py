@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,15 @@ def test_eval(capsys):
     assert code == 2  # domain error surfaces as usage-style failure
 
 
+@pytest.mark.parametrize("fn", ["sinc-gap", "cos-bound", "sinhc"])
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_x(capsys, fn, x):
+    code, out, err = run(capsys, "eval", "--fn", fn, "--p", "0.7", f"--x={x}")
+    assert code == 2
+    assert out == ""
+    assert "--x must be finite" in err
+
+
 def test_table_m1c(capsys):
     code, out, _ = run(capsys, "table", "--chain", "m1c", "--points", "64")
     assert code == 0
@@ -144,6 +154,27 @@ def test_special_commands(capsys):
     assert code == 0 and "ok" in out
     code, out, _ = run(capsys, "special", "--name", "log-mean", "--a", "1", "--b", "4")
     assert code == 0 and "contained" in out
+
+
+def test_special_sb_admits_a_zero(capsys):
+    code, out, _ = run(capsys, "special", "--name", "sb", "--a", "0", "--b", "1")
+    assert code == 0
+    assert out == "sb(0, 1): bound 0.63418277473486795 <= mean 0.63661977236758127 : ok\n"
+    code, _, err = run(capsys, "special", "--name", "sb", "--a", "-1", "--b", "1")
+    assert code == 2 and "a >= 0" in err
+    assert run(capsys, "special", "--name", "sb", "--a", "1", "--b", "0")[0] == 2
+
+
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
+
+
+def test_verify_matches_golden_bytes(capsys):
+    # the benchmark's recorded stdout of every `verify` variant, byte for byte
+    golden = json.loads(GOLDEN_CLI.read_text())["verify"]
+    assert len(golden) == 4 and ["--seed", "3"] in [g["args"][-2:] for g in golden]
+    for g in golden:
+        code, out, _ = run(capsys, *g["args"])
+        assert (code, out) == (g["exit"], g["stdout"]), g["args"]
 
 
 def test_special_json(capsys):

@@ -40,6 +40,18 @@ def test_enclosure_type():
         Enclosure(2.0, 1.0)
 
 
+def test_enclosure_contains_bool_types():
+    # a Python bool for scalars (the CLI's --format json cannot serialise
+    # np.bool_), one bool per element for array endpoints
+    e = Enclosure(1.0, 2.0)
+    assert type(e.contains(1.5)) is bool and type(e.contains(3.0)) is bool
+    ea = Enclosure(np.array([1.0, 0.0]), np.array([2.0, 0.5]))
+    got = ea.contains(np.array([1.5, 0.7]))
+    assert got.dtype == bool and got.tolist() == [True, False]
+    with pytest.raises(ValueError):
+        Enclosure(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+
+
 # ---------------------------------------------------------------- references
 
 def test_si_reference():

@@ -111,6 +111,19 @@ def test_sb_mean_series_crossover():
                 assert sb_mean(MeanPoint(a, b)) == pytest.approx(float(truth), rel=1e-14)
 
 
+def test_sb_domain_admits_a_zero():
+    # one domain, a >= 0 and b > 0, for the mean and its lower bound
+    assert sb_mean((0.0, 1.0)) == pytest.approx(2.0 / math.pi, rel=1e-14)
+    bound = sb_lower_bound((0.0, 1.0))
+    assert bound == pytest.approx(0.6342, abs=1e-4)
+    assert bound < 2.0 / math.pi
+    assert sb_lower_bound((0.0, 3.0)) == pytest.approx(3.0 * bound, rel=1e-14)
+    for bad in ((-1e-300, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
+        for fn in (sb_mean, sb_lower_bound):
+            with pytest.raises(ValueError):
+                fn(bad)
+
+
 def test_sb_lower_bound_at_double_point():
     for a in (0.5, 1.0, 7.0):
         b = 2.0 * a
@@ -326,3 +339,138 @@ def test_random_pairs_deterministic():
     b = random_pairs(50, seed=3)
     assert a == b
     assert any(m.a > m.b for m in a) and any(m.a < m.b for m in a)
+
+
+def test_random_pairs_values_unchanged():
+    # the list-building reference random_pairs had before it was built
+    # from an array generator
+    for seed, spans in ((3, ((1e-6, 1e6), (1e-3, 1e3))), (8, ((1e-3, 1e3), (0.5, 2.0)))):
+        rng = np.random.default_rng(seed)
+        ratios = 10.0 ** rng.uniform(math.log10(spans[0][0]), math.log10(spans[0][1]), 40)
+        scales = 10.0 ** rng.uniform(math.log10(spans[1][0]), math.log10(spans[1][1]), 40)
+        want = [MeanPoint(float(r * s), float(s)) for r, s in zip(ratios, scales)]
+        got = random_pairs(40, seed, ratio_span=spans[0], scale_span=spans[1])
+        assert all(type(m) is MeanPoint for m in got)
+        assert got == want
+
+
+# ------------------------------------------------------------ array pairs
+
+ARRAY_FUNCTIONS = ("half_log_ratio", "log_mean", "sb_mean", "sb_lower_bound")
+FAMILY_PARAMS = (0.0, 1e-9, 1e-8, 2e-8, 0.3, UPPER_EDGE, 1.0, 3.0, -0.7, -3.0)
+
+
+def _branch_edge_pairs():
+    """Pairs on both sides of every branch switch of the scalar kernels."""
+    out = []
+    for b in (1.0, 37.5, 3e-7):
+        for r in (0.0, 1e-12, -1e-12, 9.99e-5, 1.001e-4, -9.99e-5, -1.001e-4,   # |r| vs 1e-4
+                  -0.5 + 1e-9, -0.5, -0.5 - 1e-9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,  # a/b vs 0.5, 2
+                  1e6, -1.0 + 1e-6):
+            out.append((b * (1.0 + r), b))
+            out.append((b, b * (1.0 + r)))
+    out += [(1e200, 1e200), (1e200, 1e150), (1e300, 1e10),     # a*b overflows in _geo
+            (1e-200, 1e-150), (1e-310, 1e-300), (5e-324, 1.0)]  # a*b underflows
+    return out
+
+
+def _scalar_results(m):
+    a, b = m
+    out = {name: [globals()[name]((x, y)) for x, y in zip(a.tolist(), b.tolist())]
+           for name in ARRAY_FUNCTIONS}
+    for p in FAMILY_PARAMS:
+        out[p] = [mean_family(p, (x, y)) for x, y in zip(a.tolist(), b.tolist())]
+    encs = [log_mean_sandwich((x, y)) for x, y in zip(a.tolist(), b.tolist())]
+    out["lo"] = [e.lo for e in encs]
+    out["hi"] = [e.hi for e in encs]
+    return out
+
+
+def _same_bits(got, want) -> bool:
+    # exact equality of every bit, so nan matches nan and -0.0 only -0.0
+    want = np.array(want, dtype=float)
+    return got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+def _assert_arrays_match_scalar(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    want = _scalar_results((a, b))
+    for name in ARRAY_FUNCTIONS:
+        assert _same_bits(globals()[name]((a, b)), want[name]), name
+    for p in FAMILY_PARAMS:
+        assert _same_bits(mean_family(p, (a, b)), want[p]), p
+    enc = log_mean_sandwich((a, b))
+    assert _same_bits(enc.lo, want["lo"]) and _same_bits(enc.hi, want["hi"])
+
+
+@pytest.mark.parametrize("seed", [20250810, 1, 2, 3, 7])
+def test_array_kernels_match_scalar_on_random_pairs(seed):
+    pairs = random_pairs(2000, seed)
+    _assert_arrays_match_scalar([m.a for m in pairs], [m.b for m in pairs])
+
+
+def test_array_kernels_match_scalar_on_branch_edges():
+    pairs = _branch_edge_pairs()
+    _assert_arrays_match_scalar([a for a, _ in pairs], [b for _, b in pairs])
+
+
+def test_array_results_follow_scalar_exceptions():
+    # an overflow the scalar kernel raises is raised for the array too
+    big = (np.array([1.0, 1.7e308]), np.array([1.0, 1e-300]))
+    with pytest.raises(OverflowError):
+        mean_family(3.0, (1.7e308, 1e-300))
+    with pytest.raises(OverflowError):
+        mean_family(3.0, big)
+
+
+def test_sb_array_pairs_admit_a_zero():
+    a, b = np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 4.0])
+    for fn in (sb_mean, sb_lower_bound):
+        assert _same_bits(fn((a, b)), [fn((x, y)) for x, y in zip(a.tolist(), b.tolist())])
+
+
+@pytest.mark.parametrize("bad_a, bad_b", [
+    ([1.0, math.nan], [1.0, 2.0]),
+    ([1.0, 2.0], [math.inf, 2.0]),
+    ([1.0, -math.inf], [1.0, 2.0]),
+    ([1.0, 0.0], [1.0, 2.0]),
+    ([1.0, -1.0], [1.0, 2.0]),
+    ([1.0, 2.0], [1.0, 0.0]),
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([[1.0, 2.0]], [[1.0, 2.0]]),
+])
+def test_array_pair_validation(bad_a, bad_b):
+    m = (np.array(bad_a), np.array(bad_b))
+    sb_ok = np.shape(bad_a) == np.shape(bad_b) == (2,) and bad_b[1] > 0.0 and bad_a[1] == 0.0
+    for name in ARRAY_FUNCTIONS:
+        if name.startswith("sb") and sb_ok:
+            globals()[name](m)  # a = 0 is in the Schwab-Borchardt domain
+            continue
+        with pytest.raises(ValueError):
+            globals()[name](m)
+    with pytest.raises(ValueError):
+        mean_family(0.5, m)
+    with pytest.raises(ValueError):
+        log_mean_sandwich(m)
+
+
+def test_array_sandwich_contains_is_elementwise():
+    pairs = random_pairs(500, seed=21)
+    m = (np.array([p.a for p in pairs]), np.array([p.b for p in pairs]))
+    hits = log_mean_sandwich(m).contains(log_mean(m))
+    assert hits.dtype == bool and hits.all()
+    assert type(log_mean_sandwich(pairs[0]).contains(log_mean(pairs[0]))) is bool
+
+
+def test_lower_bound_comparison_array_matches_scalar():
+    xs = np.concatenate([np.geomspace(1e-3, 30.0, 200), [0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 40.0]])
+    assert _same_bits(lower_bound_comparison(xs), [lower_bound_comparison(float(x)) for x in xs])
+    with pytest.raises(ValueError):
+        lower_bound_comparison(np.array([1.0, -1.0]))
+
+
+def test_scalar_means_reject_array_pairs():
+    m = (np.array([1.0, 2.0]), np.array([2.0, 3.0]))
+    for fn in (geometric_mean, arithmetic_mean, lambda m: power_mean(0.5, m)):
+        with pytest.raises(ValueError):
+            fn(m)
