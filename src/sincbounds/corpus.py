@@ -223,8 +223,9 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     miss = int(np.count_nonzero(~means.log_mean_sandwich(pair).contains(means.log_mean(pair))))
     out.append(_value_result("propositions", "log_mean_sandwich contains L (1e4 pairs)",
                              miss == 0, "0 misses", f"{miss} misses"))
+    a, b = means._random_pair_arrays(1000, seed + 1)
     rep = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, np.linspace(0.0, 3.0, 21),
-                                pairs=means._random_pair_arrays(1000, seed + 1))
+                                pairs=list(zip(a.tolist(), b.tolist())))
     out.append(_verdict_result("propositions", rep, Verdict.HOLDS))
     return out
 
@@ -269,7 +270,8 @@ def _suite_remarks(points: int) -> list[CheckResult]:
                 _verdict_result("remarks", verify(b, points), Verdict.HOLDS)]
     # closing comparison: D(x) >= 0 and its odd-series coefficients
     grid = np.geomspace(1e-3, 30.0, 200)
-    dmin = float(np.min(means.lower_bound_comparison(grid)))
+    dvals = [means.lower_bound_comparison(float(x)) for x in grid]
+    dmin = min(dvals)
     out.append(_value_result("remarks", "lower_bound_comparison >= 0 on [1e-3, 30]",
                              dmin >= 0.0, ">= 0", f"min {dmin:.3e}"))
     coeffs = [means.comparison_coeff(n) for n in range(1, 51)]

@@ -28,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import _LIMIT_FAMILY_CUTOFF
+from .core import _LIMIT_FAMILY_CUTOFF, cosh_bound
 from .integrals import Enclosure
 
 _SQRT15_5 = math.sqrt(15.0) / 5.0
@@ -181,7 +181,7 @@ def _cosh_family(p: float, x: float) -> float:
 
 
 def _mean_family(a: float, b: float, p: float) -> float:
-    return _geo(a, b) * _cosh_family(p, abs(_half_log_ratio(a, b)))
+    return _geo(a, b) * cosh_bound(p, abs(_half_log_ratio(a, b)))
 
 
 def _log_mean_sandwich(a: float, b: float) -> Enclosure:
@@ -421,7 +421,16 @@ def _comparison_series_coeffs(n_max: int = 16) -> list[float]:
 _COMPARISON_COEFFS = _comparison_series_coeffs()
 
 
-def _lower_bound_comparison(x: float) -> float:
+def lower_bound_comparison(x: float) -> float:
+    """D(x) = cosh_bound(sqrt(15)/5, x) - cosh(x/sqrt5)^{5/3}, nonnegative
+    for x >= 0.
+
+    Vanishes to sixth order at 0 (leading term x^6/40500), so small x goes
+    through the cancelled series; direct evaluation elsewhere.
+    """
+    x = float(x)
+    if x < 0.0:
+        raise ValueError(f"x must be >= 0, got {x!r}")
     if x <= 1.0:
         x2 = x * x
         xp = x2 ** 3
@@ -430,42 +439,7 @@ def _lower_bound_comparison(x: float) -> float:
             total += c * xp
             xp *= x2
         return total
-    return _cosh_family(_SQRT15_5, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
-
-
-def _lower_bound_comparison_arrays(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    series = x <= 1.0
-    x2 = x[series] * x[series]
-    xp = _libm(pow, x2, repeat(3))
-    total = np.zeros_like(x2)
-    for c in _COMPARISON_COEFFS:
-        total += c * xp
-        xp *= x2
-    out[series] = total
-    xd = x[~series]
-    out[~series] = _cosh_family_arrays(_SQRT15_5, xd) - _libm(
-        pow, _libm(math.cosh, xd * _INV_SQRT5), repeat(5.0 / 3.0))
-    return out
-
-
-def lower_bound_comparison(x):
-    """D(x) = cosh_bound(sqrt(15)/5, x) - cosh(x/sqrt5)^{5/3}, nonnegative
-    for x >= 0.  x is a number or a 1-D array (one value per element, equal
-    bit for bit to the scalar results).
-
-    Vanishes to sixth order at 0 (leading term x^6/40500), so small x goes
-    through the cancelled series; direct evaluation elsewhere.
-    """
-    if isinstance(x, np.ndarray) and x.ndim:
-        x = np.asarray(x, dtype=float)
-        if (x < 0.0).any():
-            raise ValueError(f"x must be >= 0, got {x.min()!r}")
-        return _lower_bound_comparison_arrays(x)
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    return _lower_bound_comparison(x)
+    return cosh_bound(_SQRT15_5, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
 
 
 def _random_pair_arrays(n: int, seed: int, ratio_span=(1e-6, 1e6),

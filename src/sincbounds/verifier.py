@@ -178,9 +178,9 @@ def verify_param_monotone(family: MonotoneFamily, p_grid: Sequence[float],
                           pairs: Sequence | None = None) -> VerificationReport:
     """Strict increase along p_grid at every x (or pair); one merged report.
 
-    For MEAN_FAMILY, pairs is a sequence of MeanPoints or (a, b) tuples, or
-    an (a, b) tuple of two arrays; the witness coordinate is the pair's
-    half log ratio.
+    For MEAN_FAMILY, pairs is a sequence of pairs (MeanPoints or (a, b));
+    they are evaluated together as one array pair, and the witness
+    coordinate is the pair's half log ratio.
     """
     p_grid = [float(p) for p in p_grid]
     if any(q <= p for p, q in zip(p_grid, p_grid[1:])):
@@ -189,12 +189,13 @@ def verify_param_monotone(family: MonotoneFamily, p_grid: Sequence[float],
     if family is MonotoneFamily.MEAN_FAMILY:
         if pairs is None:
             raise ValueError("MEAN_FAMILY needs pairs")
-        if not (isinstance(pairs, tuple) and len(pairs) == 2
-                and all(isinstance(v, np.ndarray) for v in pairs)):
-            pairs = tuple(np.array([(m.a, m.b) if isinstance(m, _means.MeanPoint) else m
-                                    for m in pairs], dtype=float).reshape(-1, 2).T)
-        coords = _means.half_log_ratio(pairs)
-        values = np.array([_means.mean_family(p, pairs) for p in p_grid])
+        ab = np.array([(m.a, m.b) if isinstance(m, _means.MeanPoint) else m for m in pairs],
+                      dtype=float)
+        if ab.ndim != 2 or ab.shape[1] != 2:
+            raise ValueError("pairs must be a sequence of (a, b) pairs")
+        pair = (ab[:, 0], ab[:, 1])
+        coords = _means.half_log_ratio(pair)
+        values = np.array([_means.mean_family(p, pair) for p in p_grid])
     else:
         if x_grid is None:
             raise ValueError("x_grid required for bound families")

@@ -462,13 +462,6 @@ def test_array_sandwich_contains_is_elementwise():
     assert type(log_mean_sandwich(pairs[0]).contains(log_mean(pairs[0]))) is bool
 
 
-def test_lower_bound_comparison_array_matches_scalar():
-    xs = np.concatenate([np.geomspace(1e-3, 30.0, 200), [0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 40.0]])
-    assert _same_bits(lower_bound_comparison(xs), [lower_bound_comparison(float(x)) for x in xs])
-    with pytest.raises(ValueError):
-        lower_bound_comparison(np.array([1.0, -1.0]))
-
-
 def test_scalar_means_reject_array_pairs():
     m = (np.array([1.0, 2.0]), np.array([2.0, 3.0]))
     for fn in (geometric_mean, arithmetic_mean, lambda m: power_mean(0.5, m)):

@@ -6,7 +6,7 @@ import pytest
 from sincbounds.constants import solve_sinc_lower_edge
 from sincbounds.core import cos_bound, cos_power_bound, sinc
 from sincbounds.corpus import cos_chain_members, cosh_chain_members
-from sincbounds.means import random_pairs
+from sincbounds.means import mean_family, random_pairs
 from sincbounds.verifier import (
     InequalityCase,
     MonotoneFamily,
@@ -138,6 +138,20 @@ def test_param_monotone_detects_decrease():
     assert rep.verdict is Verdict.FAILS
     with pytest.raises(ValueError):
         verify_param_monotone(MonotoneFamily.COS_FAMILY, [0.5, 0.5], x_grid=[0.3])
+
+
+def test_param_monotone_mean_pairs_are_read_one_by_one():
+    # every element of pairs is one (a, b) pair, whatever its type; two arrays
+    # are two pairs, not an (a-array, b-array) pair
+    grid = np.linspace(0.0, 3.0, 7)
+    ref = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, grid, pairs=[(1.0, 2.0), (3.0, 4.0)])
+    arrays = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, grid,
+                                   pairs=(np.array([1.0, 2.0]), np.array([3.0, 4.0])))
+    assert arrays == ref
+    scalar = [[mean_family(p, m) for m in [(1.0, 2.0), (3.0, 4.0)]] for p in grid]
+    assert ref.min_margin == float(np.min(np.diff(scalar, axis=0)))
+    with pytest.raises(ValueError):
+        verify_param_monotone(MonotoneFamily.MEAN_FAMILY, grid, pairs=[(1.0, 2.0, 3.0)])
 
 
 def test_expected_sharpness_matrix():
