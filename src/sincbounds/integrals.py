@@ -5,6 +5,10 @@ quadrature or series oracle.
 Every enclosure comes from integrating a two-sided family bound, so the
 endpoints are elementary closed forms; the oracles are adaptive quadrature
 (Gauss-Kronrod via scipy) or an accelerated alternating series.
+
+scipy is imported only when a quadrature oracle runs: si_reference,
+sh_reference, the propositions suite of the corpus, and the CLI's
+`special --name si|sh`. Every other entry point leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import quartic_constants
 
@@ -66,6 +69,11 @@ class QuadratureResult:
 
 
 def _quad(f, a: float, b: float) -> QuadratureResult:
+    # Imported per call (a sys.modules lookup once loaded), so scipy costs
+    # nothing to processes that never integrate, and a quad patched onto
+    # scipy.integrate after this module loaded is still the one called.
+    from scipy.integrate import quad
+
     out = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     if len(out) > 3 or abserr > ERROR_BUDGET:
@@ -188,6 +196,19 @@ def bound_reciprocal_integrals() -> tuple[float, float]:
     return 2.0 * e.lo, 2.0 * e.hi
 
 
+def _alternating_terms(start: int, stop: int) -> np.ndarray:
+    """(-1)^k / (2k+1)^2 for start <= k < stop.
+
+    Negating every odd term after the division equals dividing -1 by the
+    square bit for bit, since rounding is symmetric in sign; it avoids an
+    elementwise float pow.
+    """
+    k = np.arange(start, stop, dtype=float)
+    t = 1.0 / (2.0 * k + 1.0) ** 2
+    t[(start + 1) % 2::2] *= -1.0  # the odd k
+    return t
+
+
 def catalan_reference(terms: int) -> float:
     """Partial sum of sum (-1)^n / (2n+1)^2 with iterated averaging.
 
@@ -202,10 +223,8 @@ def catalan_reference(terms: int) -> float:
         return sum((-1.0) ** k / (2 * k + 1) ** 2 for k in range(terms))
     window = min(terms, 48)
     base = terms - window
-    k = np.arange(base, dtype=float)
-    head = float(np.sum((-1.0) ** (k % 2) / (2.0 * k + 1.0) ** 2))
-    kw = np.arange(base, terms, dtype=float)
-    tail_terms = (-1.0) ** (kw % 2) / (2.0 * kw + 1.0) ** 2
+    head = float(np.sum(_alternating_terms(0, base)))
+    tail_terms = _alternating_terms(base, terms)
     partials = head + np.cumsum(tail_terms)
     while partials.size > 1:
         partials = 0.5 * (partials[:-1] + partials[1:])

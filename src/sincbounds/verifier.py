@@ -111,7 +111,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             xs = _refine_points(all_x, all_m, lo, hi, spacing)
             if xs.size == 0:
                 break
-    except Exception as exc:  # evaluation failure -> inconclusive with diagnostic
+    except (ArithmeticError, ValueError) as exc:  # evaluation failure -> inconclusive
         return VerificationReport(
             case_id=case.id,
             grid_points=sum(g.size for g in got_x),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from scipy.integrate import quad
 from sincbounds.core import cos_bound, sinc_gap
 from sincbounds.integrals import (
     Enclosure,
+    _quad,
     bound_reciprocal_integrals,
     catalan_enclosure,
     catalan_reference,
@@ -25,6 +30,7 @@ UPPER_EDGE = math.sqrt(15.0) / 5.0
 # frozen 40-digit references
 SI_HALF_PI = 1.3707621681544884801
 CATALAN = 0.9159655941772190150
+SI_ONE = 0.9460830703671830149
 SH_ONE = 0.948061983614686
 
 
@@ -67,6 +73,49 @@ def test_si_reference():
 def test_sh_reference():
     assert sh_reference(1.0).value == pytest.approx(SH_ONE, abs=1e-12)
     assert sh_reference(0.0).value == 0.0
+
+
+def test_scipy_is_imported_only_by_quadrature():
+    code = """if True:
+        import contextlib, io, math, sys
+        import sincbounds, sincbounds.cli
+        from sincbounds import cli, integrals
+        for argv in (["constants"], ["eval", "--fn", "sinc-gap", "--p", "0.7", "--x", "0.3"],
+                     ["table", "--chain", "m1c", "--points", "64"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        assert "scipy" not in sys.modules
+        got = integrals.si_reference(1.0)
+        assert "scipy" in sys.modules
+        from scipy.integrate import quad
+        value, err, info = quad(lambda x: math.sin(x) / x, 0.0, 1.0,
+                                epsabs=1e-13, epsrel=1e-13, full_output=1)
+        assert (got.value, got.error_estimate, got.evaluations) == (value, err, info["neval"])
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_quadrature_calls_quad_through_scipy_integrate(monkeypatch):
+    # a quad patched onto scipy.integrate after import (as a tracer does)
+    # must be the one every oracle calls
+    import scipy.integrate
+
+    real = scipy.integrate.quad
+    calls = []
+
+    def recorder(f, a, b, **kwargs):
+        calls.append((a, b))
+        return real(f, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recorder)
+    assert si_reference(1.0).value == pytest.approx(SI_ONE, abs=1e-12)
+    assert sh_reference(1.0).value == pytest.approx(SH_ONE, abs=1e-12)
+    assert _quad(math.cos, 0.0, 1.0).value == pytest.approx(math.sin(1.0), abs=1e-12)
+    assert calls == [(0.0, 1.0)] * 3
 
 
 # ---------------------------------------------------------------- enclosures
@@ -147,6 +196,23 @@ def test_catalan_reference():
     assert catalan_reference(1_000_000) == pytest.approx(CATALAN, abs=1e-10)
     with pytest.raises(ValueError):
         catalan_reference(0)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 47, 48, 49, 50, 1000, 200_000, 1_000_000])
+def test_catalan_reference_bit_identical_to_pow_form(terms):
+    # the (-1)^k float-pow form catalan_reference used before sign flipping
+    if terms <= 2:
+        expected = sum((-1.0) ** k / (2 * k + 1) ** 2 for k in range(terms))
+    else:
+        base = terms - min(terms, 48)
+        k = np.arange(base, dtype=float)
+        head = float(np.sum((-1.0) ** (k % 2) / (2.0 * k + 1.0) ** 2))
+        kw = np.arange(base, terms, dtype=float)
+        partials = head + np.cumsum((-1.0) ** (kw % 2) / (2.0 * kw + 1.0) ** 2)
+        while partials.size > 1:
+            partials = 0.5 * (partials[:-1] + partials[1:])
+        expected = float(partials[0])
+    assert catalan_reference(terms) == expected
 
 
 def test_catalan_cross_oracle_quadrature():

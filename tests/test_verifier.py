@@ -92,6 +92,13 @@ def test_verify_inconclusive_on_evaluation_failure():
     assert "evaluation failed" in rep.diagnostic
 
 
+def test_verify_propagates_programming_errors():
+    # a TypeError is a bug in the case, not an evaluation failure
+    case = InequalityCase("missing argument", lambda x: cos_bound(x), sinc, (0.0, 1.0))
+    with pytest.raises(TypeError):
+        verify(case, points=64)
+
+
 def test_verify_inconclusive_without_positive_evidence():
     case = InequalityCase("self", sinc, sinc, (0.1, 1.0))
     rep = verify(case, points=128)
