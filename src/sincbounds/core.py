@@ -86,10 +86,7 @@ def sinc(x):
         x = float(x)
         return math.sin(x) / x if x != 0.0 else 1.0
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0.0
-    out[nz] = np.sin(x[nz]) / x[nz]
-    return out
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def sinhc(x):
@@ -98,11 +95,8 @@ def sinhc(x):
         x = float(x)
         return math.sinh(x) / x if x != 0.0 else 1.0
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0.0
     with np.errstate(over="raise"):
-        out[nz] = np.sinh(x[nz]) / x[nz]
-    return out
+        return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 # below this the family is indistinguishable from its quadratic limit in

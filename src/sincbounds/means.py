@@ -357,10 +357,26 @@ def mean_family(p: float, m):
     Evaluated as G * cosh_bound(p, half_log_ratio): even in p and increasing
     on p >= 0.
     """
+    return _apply(m, _mean_family, _mean_family_arrays, _family_order(p))
+
+
+def _family_order(p) -> float:
     p = abs(float(p))
     if not math.isfinite(p):
         raise ValueError(f"parameter must be finite and >= 0, got {p!r}")
-    return _apply(m, _mean_family, _mean_family_arrays, p)
+    return p
+
+
+def _mean_family_rows(p_grid, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """half_log_ratio((a, b)) and the rows mean_family(p, (a, b)), p in
+    p_grid, of an array pair: validated once, G and the half log ratio
+    computed once."""
+    a, b = _array_pair(a, b, sb=False)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = _geo_arrays(a, b)
+        h = _half_log_ratio_arrays(a, b)
+        x = np.abs(h)
+        return h, np.array([g * _cosh_family_arrays(_family_order(p), x) for p in p_grid])
 
 
 def log_mean_sandwich(m) -> Enclosure:

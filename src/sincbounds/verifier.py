@@ -7,12 +7,21 @@ true inequality in this corpus has margin -> 0 at a domain endpoint.  A
 HOLDS verdict therefore means "no violation found and positive evidence
 exists somewhere"; it is evidence, not proof.  FAILS always carries a
 concrete witness.
+
+A report does not depend on the order in which points were evaluated.
+min_margin and argmin_x come from the first minimum in x order, where a NaN
+margin counts as the minimum, as np.argmin has it; violations are the first
+50 in x order.  Points with equal x keep the order of their rounds (the base
+grid, then each refinement round) and, within a round, the order in which
+they were evaluated.  verify reduces each round on its own and merges the
+few points each round keeps, so it never sorts all the points.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,6 +33,7 @@ from . import means as _means
 
 _EPS = math.ulp(1.0)
 FLOOR_ULPS = 64.0
+_MAX_DOUBLE = sys.float_info.max
 
 
 class Verdict(enum.Enum):
@@ -74,16 +84,37 @@ def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points + 2)[1:-1]
 
 
-def _refine_points(xs: np.ndarray, margins: np.ndarray, lo: float, hi: float,
-                   spacing: float) -> np.ndarray:
-    # triple the density around the 5 smallest margins
-    order = np.argsort(margins, kind="stable")[:5]
-    windows = []
-    for xi in xs[order]:
-        windows.append(np.linspace(xi - spacing, xi + spacing, 13))
-    fresh = np.concatenate(windows)
-    fresh = fresh[(fresh > lo) & (fresh < hi)]
-    return fresh
+def _refine_windows(centres: np.ndarray, spacing: float, lo: float, hi: float) -> np.ndarray:
+    """13-point windows of half-width spacing around the centres, inside (lo, hi).
+
+    Row k is np.linspace(centres[k] - spacing, centres[k] + spacing, 13),
+    built with linspace's own operations, broadcast over the rows.
+    """
+    start = centres - spacing
+    stop = centres + spacing
+    delta = (stop - start)[:, None]
+    step = delta / 12.0
+    ramp = np.arange(13.0)
+    # linspace's path for a step that underflows to zero
+    fresh = np.where(step == 0.0, ramp / 12.0 * delta, ramp * step)
+    fresh += start[:, None]
+    fresh[:, -1] = stop
+    fresh = fresh.ravel()
+    return fresh[(fresh > lo) & (fresh < hi)]
+
+
+def _definite(margin: np.ndarray, lv: np.ndarray, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the definite violations (margin < -floor) and holds
+    (margin > floor), floor = 64 ulps of max(1, |lhs|, |rhs|)."""
+    floor = np.abs(lv)
+    scratch = np.abs(rv)
+    np.maximum(floor, scratch, out=floor)
+    # capped at the largest double, the floor keeps infinite margins definite
+    # (inf < inf is false); a finite margin never meets an infinite floor
+    np.clip(floor, 1.0, _MAX_DOUBLE, out=floor)
+    floor *= FLOOR_ULPS * _EPS
+    np.negative(floor, out=scratch)
+    return margin < scratch, margin > floor
 
 
 def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
@@ -93,28 +124,30 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     lo, hi = case.domain
     xs = _interior_grid(lo, hi, points)
     spacing = (hi - lo) / (points + 1)
-    got_x: list[np.ndarray] = []
-    got_l: list[np.ndarray] = []
-    got_r: list[np.ndarray] = []
+    rounds: list[tuple[np.ndarray, ...]] = []  # (x, lhs, rhs, margin) in evaluation order
     try:
         for round_no in range(refine_rounds + 1):
             lv = np.broadcast_to(np.asarray(case.lhs(xs), dtype=float), xs.shape).copy()
             rv = np.broadcast_to(np.asarray(case.rhs(xs), dtype=float), xs.shape).copy()
-            got_x.append(xs)
-            got_l.append(lv)
-            got_r.append(rv)
+            margin = rv - lv
+            rounds.append((xs, lv, rv, margin))
             if round_no == refine_rounds:
                 break
-            all_x = np.concatenate(got_x)
-            all_m = np.concatenate(got_r) - np.concatenate(got_l)
+            # triple the density around the 5 smallest margins of all rounds
+            # so far (ties in evaluation order); they are among the last 5
+            # picked and this round's points
+            if round_no:
+                xs, margin = np.concatenate((cx, xs)), np.concatenate((cm, margin))
+            keep = np.argsort(margin, kind="stable")[:5]
+            cx, cm = xs[keep], margin[keep]
             spacing /= 3.0
-            xs = _refine_points(all_x, all_m, lo, hi, spacing)
+            xs = _refine_windows(cx, spacing, lo, hi)
             if xs.size == 0:
                 break
     except (ArithmeticError, ValueError) as exc:  # evaluation failure -> inconclusive
         return VerificationReport(
             case_id=case.id,
-            grid_points=sum(g.size for g in got_x),
+            grid_points=sum(r[0].size for r in rounds),
             min_margin=math.nan,
             argmin_x=math.nan,
             violations=[],
@@ -122,36 +155,44 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             diagnostic=f"evaluation failed: {exc!r}",
         )
 
-    x = np.concatenate(got_x)
-    lv = np.concatenate(got_l)
-    rv = np.concatenate(got_r)
-    order = np.argsort(x, kind="stable")  # reduce in x order, independent of rounds
+    # Each round, in x order, keeps the points that can decide the report:
+    # its first minimum and its first violations.  The report is read off
+    # those points in x order.
+    n_bad = 0
+    any_good = False
+    picks = []
+    for round_no, (x, lv, rv, margin) in enumerate(rounds):
+        if round_no:  # the base grid is in x order already
+            order = np.argsort(x, kind="stable")
+            x, lv, rv, margin = x[order], lv[order], rv[order], margin[order]
+        bad, good = _definite(margin, lv, rv)
+        idx = np.flatnonzero(bad)
+        n_bad += idx.size
+        any_good = any_good or bool(good.any())
+        keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], np.argmin(margin))
+        picks.append((x[keep], lv[keep], rv[keep]))
+    x, lv, rv = (np.concatenate(col) for col in zip(*picks))
+    order = np.argsort(x, kind="stable")  # equal x keeps round order
     x, lv, rv = x[order], lv[order], rv[order]
     margin = rv - lv
-    floor = FLOOR_ULPS * _EPS * np.maximum(1.0, np.maximum(np.abs(lv), np.abs(rv)))
-
-    # infinite margins are definite: the floor comparison would turn them
-    # into deadband (inf < inf is false)
-    bad = (margin < -floor) | np.isneginf(margin)
-    good = (margin > floor) | np.isposinf(margin)
+    bad, _ = _definite(margin, lv, rv)
     imin = int(np.argmin(margin))
-    idx = np.nonzero(bad)[0]
     violations = [Violation(float(x[i]), float(lv[i]), float(rv[i]))
-                  for i in idx[:_MAX_STORED_VIOLATIONS]]
-    if bad.any():
+                  for i in np.flatnonzero(bad)[:_MAX_STORED_VIOLATIONS]]
+    if n_bad:
         verdict = Verdict.FAILS
-    elif good.any() or (not case.strict and not bad.any()):
+    elif any_good or not case.strict:
         verdict = Verdict.HOLDS
     else:
         verdict = Verdict.INCONCLUSIVE
     return VerificationReport(
         case_id=case.id,
-        grid_points=int(x.size),
+        grid_points=sum(r[0].size for r in rounds),
         min_margin=float(margin[imin]),
         argmin_x=float(x[imin]),
         violations=violations,
         verdict=verdict,
-        n_violations=int(bad.sum()),
+        n_violations=n_bad,
     )
 
 
@@ -193,9 +234,7 @@ def verify_param_monotone(family: MonotoneFamily, p_grid: Sequence[float],
                       dtype=float)
         if ab.ndim != 2 or ab.shape[1] != 2:
             raise ValueError("pairs must be a sequence of (a, b) pairs")
-        pair = (ab[:, 0], ab[:, 1])
-        coords = _means.half_log_ratio(pair)
-        values = np.array([_means.mean_family(p, pair) for p in p_grid])
+        coords, values = _means._mean_family_rows(p_grid, ab[:, 0], ab[:, 1])
     else:
         if x_grid is None:
             raise ValueError("x_grid required for bound families")

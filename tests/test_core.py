@@ -64,6 +64,18 @@ def test_sinhc_overflow_signalled():
         sinhc(np.array([1.0, 1e4]))
 
 
+def test_sinc_sinhc_arrays_match_gather_form():
+    # the masked divide gives what dividing only at x != 0 gave, bit for bit
+    grids = (np.linspace(0.0, math.pi / 2.0, 65538)[1:-1], np.linspace(-50.0, 50.0, 65537),
+             np.array([0.0, -0.0, 5e-324, -1e-300, 1e-8, 700.0]))
+    for x in grids:
+        nz = x != 0.0
+        for fn, ufunc in ((sinc, np.sin), (sinhc, np.sinh)):
+            want = np.ones_like(x)
+            want[nz] = ufunc(x[nz]) / x[nz]
+            assert np.array_equal(fn(x), want)
+
+
 def test_array_paths_match_scalar():
     xs = np.linspace(0.01, 1.5, 13)
     np.testing.assert_allclose(sinc(xs), [sinc(float(x)) for x in xs], rtol=1e-15)

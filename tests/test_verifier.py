@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from sincbounds import corpus, means, verifier
 from sincbounds.constants import solve_sinc_lower_edge
-from sincbounds.core import cos_bound, cos_power_bound, sinc
+from sincbounds.core import cos_bound, cos_power_bound, sinc, sinhc
 from sincbounds.corpus import cos_chain_members, cosh_chain_members
-from sincbounds.means import mean_family, random_pairs
+from sincbounds.means import _random_pair_arrays, half_log_ratio, mean_family, random_pairs
 from sincbounds.verifier import (
+    FLOOR_ULPS,
     InequalityCase,
     MonotoneFamily,
     SharpnessFamily,
     ThresholdSide,
     Verdict,
+    VerificationReport,
+    Violation,
+    _EPS,
+    _interior_grid,
+    _refine_windows,
     expected_sharpness_verdict,
     verify,
     verify_chain,
@@ -208,3 +215,216 @@ def test_leibniz_ratio():
         verify_leibniz_ratio(0.9, 10)  # p^2 beyond 3/5
     with pytest.raises(ValueError):
         verify_leibniz_ratio(0.5, 3)
+
+
+# ------------------------------------------- verify against its sorting form
+
+def _reference_verify(case, points=4096, refine_rounds=2):
+    """verify as it was written before it reduced each round on its own:
+    every round concatenated, refinement centres from a stable sort of all
+    margins, and the report read off all points in stable x order."""
+    if points < 64:
+        raise ValueError("points must be >= 64")
+    lo, hi = case.domain
+    xs = _interior_grid(lo, hi, points)
+    spacing = (hi - lo) / (points + 1)
+    got_x, got_l, got_r = [], [], []
+    try:
+        for round_no in range(refine_rounds + 1):
+            lv = np.broadcast_to(np.asarray(case.lhs(xs), dtype=float), xs.shape).copy()
+            rv = np.broadcast_to(np.asarray(case.rhs(xs), dtype=float), xs.shape).copy()
+            got_x.append(xs)
+            got_l.append(lv)
+            got_r.append(rv)
+            if round_no == refine_rounds:
+                break
+            all_x = np.concatenate(got_x)
+            all_m = np.concatenate(got_r) - np.concatenate(got_l)
+            spacing /= 3.0
+            centres = all_x[np.argsort(all_m, kind="stable")[:5]]
+            fresh = np.concatenate([np.linspace(c - spacing, c + spacing, 13) for c in centres])
+            xs = fresh[(fresh > lo) & (fresh < hi)]
+            if xs.size == 0:
+                break
+    except (ArithmeticError, ValueError) as exc:
+        return VerificationReport(case.id, sum(g.size for g in got_x), math.nan, math.nan, [],
+                                  Verdict.INCONCLUSIVE, diagnostic=f"evaluation failed: {exc!r}")
+    x = np.concatenate(got_x)
+    lv = np.concatenate(got_l)
+    rv = np.concatenate(got_r)
+    order = np.argsort(x, kind="stable")
+    x, lv, rv = x[order], lv[order], rv[order]
+    margin = rv - lv
+    floor = FLOOR_ULPS * _EPS * np.maximum(1.0, np.maximum(np.abs(lv), np.abs(rv)))
+    bad = (margin < -floor) | np.isneginf(margin)
+    good = (margin > floor) | np.isposinf(margin)
+    imin = int(np.argmin(margin))
+    violations = [Violation(float(x[i]), float(lv[i]), float(rv[i]))
+                  for i in np.nonzero(bad)[0][:50]]
+    if bad.any():
+        verdict = Verdict.FAILS
+    elif good.any() or not case.strict:
+        verdict = Verdict.HOLDS
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return VerificationReport(case.id, int(x.size), float(margin[imin]), float(x[imin]),
+                              violations, verdict, n_violations=int(bad.sum()))
+
+
+def _same_float(a, b):
+    # NaN equals NaN; a zero keeps its sign
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _assert_same_report(got, want):
+    assert (got.case_id, got.grid_points, got.verdict, got.n_violations, got.diagnostic) == \
+        (want.case_id, want.grid_points, want.verdict, want.n_violations, want.diagnostic)
+    assert _same_float(got.min_margin, want.min_margin), (got.min_margin, want.min_margin)
+    assert _same_float(got.argmin_x, want.argmin_x), (got.argmin_x, want.argmin_x)
+    assert len(got.violations) == len(want.violations)
+    for u, v in zip(got.violations, want.violations):
+        assert all(_same_float(a, b) for a, b in zip((u.x, u.lhs, u.rhs), (v.x, v.lhs, v.rhs)))
+
+
+@pytest.mark.parametrize("points", [64, 256, 4096])
+def test_verify_matches_reference_on_corpus_and_sharpness(points, monkeypatch):
+    real = verifier.verify
+    seen = []
+
+    def checked(case, points=4096, refine_rounds=2):
+        got = real(case, points, refine_rounds)
+        _assert_same_report(got, _reference_verify(case, points, refine_rounds))
+        seen.append(case.id)
+        return got
+
+    monkeypatch.setattr(verifier, "verify", checked)
+    monkeypatch.setattr(corpus, "verify", checked)
+    corpus.run_suite("all", points=points)
+    for fam in SharpnessFamily:
+        for side in ThresholdSide:
+            for offset in (1e-3, 1e-5, 1e-7, 1e-9):
+                verify_sharpness(fam, side, offset, points=points)
+    assert len(seen) == 99  # 55 corpus cases, 32 cells and 12 scaled-gap scans
+
+
+def _masked(values, where, fill):
+    return lambda x: np.where(where(x), fill, values(x))
+
+
+_ZERO = np.zeros_like
+_EDGE_CASES = [
+    # tied margins: all zero, and steps of a few levels
+    ("all zero", _ZERO, _ZERO, (0.0, 1.0), True),
+    ("all zero, not strict", _ZERO, _ZERO, (0.0, 1.0), False),
+    ("steps", lambda x: np.floor(8.0 * x) / 8.0, lambda x: np.floor(8.0 * x + 0.5) / 8.0,
+     (0.0, 1.0), True),
+    ("falling steps", _ZERO, lambda x: np.floor(4.0 * (1.0 - x)) - 1.0, (0.0, 1.0), True),
+    # a negative zero margin ahead of or behind positive zeros
+    ("signed zeros", _ZERO, lambda x: np.where(x > 0.5, -0.0, 0.0), (0.0, 1.0), True),
+    ("signed zeros first", _ZERO, lambda x: np.where(x < 0.5, -0.0, 0.0), (0.0, 1.0), True),
+    # NaN at some points and at every point
+    ("some NaN", sinc, _masked(lambda x: 1.0 + x, lambda x: (x > 0.3) & (x < 0.35), np.nan),
+     (0.0, 1.0), True),
+    ("NaN with violations", _masked(sinc, lambda x: x > 0.9, np.nan), lambda x: 0.9 + 0 * x,
+     (0.0, 1.0), True),
+    ("all NaN", lambda x: np.full_like(x, np.nan), sinc, (0.0, 1.0), True),
+    # infinite margins of both signs
+    ("+inf margins", _ZERO, _masked(lambda x: x, lambda x: x > 0.7, np.inf), (0.0, 1.0), True),
+    ("-inf margins", _masked(_ZERO, lambda x: x < 0.2, np.inf), lambda x: 1.0 + x,
+     (0.0, 1.0), True),
+    ("inf - inf", lambda x: np.full_like(x, np.inf), lambda x: np.full_like(x, np.inf),
+     (0.0, 1.0), True),
+    # values that depend on the position in the array, not on x alone, so
+    # that the order of points with equal x shows in the report
+    ("by position", _ZERO, lambda x: (np.arange(x.size) % 5) - 2.0, (0.0, 1.0), True),
+    ("by position, ulp domain", lambda x: np.arange(x.size) % 3 - 1.0, _ZERO,
+     (1.0, 1.0 + 8 * _EPS), True),
+    ("by position, falling centres", lambda x: np.arange(x.size) % 40.0, _ZERO,
+     (1.0, 1.0 + 8 * _EPS), True),
+    # a scalar-returning side
+    ("scalar lhs", lambda x: 0.5, sinc, (0.0, 2.0), True),
+    # smallest margins at both domain ends; on a domain a few ulps wide grid
+    # points fall on its ends, and the windows around them are clipped
+    ("both ends", _ZERO, lambda x: x * (1.0 - x), (0.0, 1.0), True),
+    ("both ends, failing", lambda x: 1e-3 + 0 * x, lambda x: x * (1.0 - x), (0.0, 1.0), True),
+    ("clipped at lo", _ZERO, lambda x: x - 1.0, (1.0, 1.0 + 8 * _EPS), True),
+    ("clipped at hi", _ZERO, lambda x: (1.0 + 8 * _EPS) - x, (1.0, 1.0 + 8 * _EPS), True),
+    # windows whose linspace step underflows to zero
+    ("subnormal domain", _ZERO, lambda x: x * 1e300, (0.0, 1e-320), True),
+    # more than 50 violations on the base grid and among the refinement points
+    ("many violations", lambda x: np.cos(3.0 * x), sinc, (0.0, 3.0), True),
+    ("everywhere violated", lambda x: 2.0 + x, sinc, (0.0, 1.0), True),
+    ("lower edge", lambda x: cos_bound(LOWER_EDGE + 1e-3, x), sinc, (0.0, HALF_PI), True),
+    ("upper edge", sinc, lambda x: cos_bound(UPPER_EDGE - 1e-3, x), (0.0, HALF_PI), False),
+    ("sinhc overflow", lambda x: 1.0 + 0 * x, sinhc, (0.0, 1000.0), True),
+]
+
+
+@pytest.mark.parametrize("refine_rounds", [0, 1, 2, 3])
+@pytest.mark.parametrize("points", [64, 1000])
+@pytest.mark.parametrize("name,lhs,rhs,domain,strict", _EDGE_CASES, ids=[c[0] for c in _EDGE_CASES])
+def test_verify_matches_reference_on_edge_cases(name, lhs, rhs, domain, strict, points,
+                                                refine_rounds):
+    case = InequalityCase(name, lhs, rhs, domain, strict=strict)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = verify(case, points=points, refine_rounds=refine_rounds)
+        want = _reference_verify(case, points=points, refine_rounds=refine_rounds)
+    _assert_same_report(got, want)
+
+
+def test_verify_edge_cases_reach_their_conditions():
+    # the cases above do what their names say
+    def report(name, points=1000, refine_rounds=2):
+        case = InequalityCase(*next(c for c in _EDGE_CASES if c[0] == name))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return verify(case, points=points, refine_rounds=refine_rounds)
+
+    assert math.copysign(1.0, report("signed zeros").min_margin) == 1.0
+    assert math.copysign(1.0, report("signed zeros first").min_margin) == -1.0
+    assert math.isnan(report("some NaN").min_margin)
+    assert report("all NaN").verdict is Verdict.INCONCLUSIVE
+    assert report("-inf margins").min_margin == -math.inf
+    assert report("+inf margins").verdict is Verdict.HOLDS
+    for name in ("clipped at lo", "clipped at hi"):
+        assert report(name, refine_rounds=1).grid_points < 1000 + 5 * 13
+    every = report("everywhere violated")
+    assert every.n_violations == every.grid_points > 1000 + 50
+    assert len(every.violations) == len(report("many violations").violations) == 50
+    assert report("sinhc overflow").verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("centre,spacing", [
+    (0.7853981633974483, 1e-3), (1.0, 1e-20), (0.0, 1e-320), (1e-310, 3e-310),
+    (-2.5, 0.1), (1e300, 1e290), (3.0, 5e-324), (0.0, 1e-323),
+])
+def test_refine_windows_equal_linspace(centre, spacing):
+    centres = np.array([centre, -centre, centre + spacing, centre, 2.0 * centre])
+    want = np.concatenate([np.linspace(c - spacing, c + spacing, 13) for c in centres])
+    assert np.array_equal(_refine_windows(centres, spacing, -math.inf, math.inf), want)
+    lo, hi = centre - spacing / 2.0, centre + spacing
+    assert np.array_equal(_refine_windows(centres, spacing, lo, hi),
+                          want[(want > lo) & (want < hi)])
+
+
+# ------------------------------------------------- monotone mean family rows
+
+def _stacked_rows(p_grid, a, b):
+    """mean_family evaluated once per p, as verify_param_monotone once did."""
+    return half_log_ratio((a, b)), np.array([mean_family(p, (a, b)) for p in p_grid])
+
+
+@pytest.mark.parametrize("p_grid", [np.linspace(0.0, 3.0, 21), [0.0, 1e-9, 0.5],
+                                    np.linspace(-2.0, -0.5, 5)])
+@pytest.mark.parametrize("seed", [0, 5, 20250810])
+def test_param_monotone_mean_rows_match_per_p_stack(p_grid, seed, monkeypatch):
+    a, b = _random_pair_arrays(1000, seed)
+    b[::9] = a[::9]  # equal pairs
+    pairs = np.column_stack((a, b))
+    got_h, got_rows = means._mean_family_rows(p_grid, a, b)
+    want_h, want_rows = _stacked_rows(p_grid, a, b)
+    assert np.array_equal(got_h, want_h) and np.array_equal(got_rows, want_rows)
+    got = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, p_grid, pairs=pairs)
+    monkeypatch.setattr(means, "_mean_family_rows", _stacked_rows)
+    assert got == verify_param_monotone(MonotoneFamily.MEAN_FAMILY, p_grid, pairs=pairs)
