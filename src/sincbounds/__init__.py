@@ -37,7 +37,6 @@ from .constants import (
 )
 from .integrals import (
     Enclosure,
-    QuadratureBudgetError,
     QuadratureResult,
     bound_reciprocal_integrals,
     catalan_enclosure,
@@ -49,7 +48,6 @@ from .integrals import (
     trigamma_half_enclosure,
 )
 from .means import (
-    ComparisonCoefficients,
     MeanPoint,
     arithmetic_mean,
     comparison_coeff,
@@ -80,5 +78,3 @@ from .verifier import (
     verify_sharpness,
 )
 from .corpus import CheckResult, run_suite
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,11 +15,9 @@ Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,43 +26,14 @@ from . import __version__, constants, core, corpus, integrals, means
 _HALF_PI = math.pi / 2.0
 
 
-class Command(enum.Enum):
-    CONSTANTS = "constants"
-    EVAL = "eval"
-    VERIFY = "verify"
-    TABLE = "table"
-    SPECIAL = "special"
-
-
-class OutputFormat(enum.Enum):
-    TEXT = "text"
-    JSON = "json"
-    CSV = "csv"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: Command
-    output_format: OutputFormat = OutputFormat.TEXT
-    points: int = 4096
-    seed: int = 20250810
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.points < 64:
-            raise ValueError("--points must be >= 64")
-        if not 1e-15 <= self.tolerance <= 1e-3:
-            raise ValueError("--tol must lie in [1e-15, 1e-3]")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _emit_rows(rows: list[dict], cfg: RunConfig, text_line) -> None:
-    if cfg.output_format is OutputFormat.JSON:
+def _emit_rows(rows: list[dict], args: argparse.Namespace, text_line) -> None:
+    if args.format == "json":
         print(json.dumps(rows))
-    elif cfg.output_format is OutputFormat.CSV:
+    elif args.format == "csv":
         keys = list(rows[0].keys()) if rows else []
         print(",".join(keys))
         for r in rows:
@@ -74,8 +43,8 @@ def _emit_rows(rows: list[dict], cfg: RunConfig, text_line) -> None:
             print(text_line(r))
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    edge = constants.solve_sinc_lower_edge(cfg.tolerance)
+def cmd_constants(args: argparse.Namespace) -> int:
+    edge = constants.solve_sinc_lower_edge(args.tol)
     upper = constants.sinc_upper_edge()
     q_upper = constants.quartic_constants(upper.value)
     q_lower = constants.quartic_constants(edge.value)
@@ -93,7 +62,7 @@ def cmd_constants(cfg: RunConfig) -> int:
         {"name": "trigamma_half_lo", "value": trigamma.lo, "note": "encloses trigamma(1/2) = pi^2/2"},
         {"name": "trigamma_half_hi", "value": trigamma.hi, "note": ""},
     ]
-    _emit_rows(rows, cfg, lambda r: f"{r['name']:<30} = {_fmt(r['value'])}"
+    _emit_rows(rows, args, lambda r: f"{r['name']:<30} = {_fmt(r['value'])}"
                + (f"   ({r['note']})" if r["note"] else ""))
     return 0
 
@@ -111,7 +80,8 @@ _EVAL_FNS = {
 }
 
 
-def cmd_eval(cfg: RunConfig, fn: str, x: float, p: float | None) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
+    fn, x, p = args.fn, args.x, args.p
     needs_p = fn not in ("sinc", "sinhc")
     if needs_p and p is None:
         print(f"--p is required for {fn}", file=sys.stderr)
@@ -127,25 +97,25 @@ def cmd_eval(cfg: RunConfig, fn: str, x: float, p: float | None) -> int:
     if isinstance(result, core.GapEvaluation):
         rows = [{"fn": fn, "x": x, "value": result.value,
                  "method": result.method.value, "tail_bound": result.tail_bound}]
-        _emit_rows(rows, cfg, lambda r: f"{fn}({_fmt(x)}) = {_fmt(r['value'])} "
+        _emit_rows(rows, args, lambda r: f"{fn}({_fmt(x)}) = {_fmt(r['value'])} "
                    f"[{r['method']}, tail<={r['tail_bound']:.2e}]")
     else:
         rows = [{"fn": fn, "x": x, "value": float(result)}]
-        _emit_rows(rows, cfg, lambda r: f"{fn}({_fmt(x)}) = {_fmt(r['value'])}")
+        _emit_rows(rows, args, lambda r: f"{fn}({_fmt(x)}) = {_fmt(r['value'])}")
     return 0
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    results = corpus.run_suite(suite, points=cfg.points, seed=cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = corpus.run_suite(args.suite, points=args.points, seed=args.seed)
     rows = [
         {"suite": r.suite, "id": r.id, "kind": r.kind, "ok": r.ok,
          "expected": r.expected, "observed": r.observed, "detail": r.detail}
         for r in results
     ]
-    _emit_rows(rows, cfg, lambda r: f"[{'ok' if r['ok'] else 'FAIL':>4}] {r['suite']:<12} "
+    _emit_rows(rows, args, lambda r: f"[{'ok' if r['ok'] else 'FAIL':>4}] {r['suite']:<12} "
                f"{r['id']}  ({r['observed']}; {r['detail']})")
     n_bad = sum(not r.ok for r in results)
-    if cfg.output_format is OutputFormat.TEXT:
+    if args.format == "text":
         print(f"{len(results) - n_bad}/{len(results)} checks ok")
     return 0 if n_bad == 0 else 1
 
@@ -187,17 +157,17 @@ def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
-def cmd_table(cfg: RunConfig, chain: str, pair: list[float] | None) -> int:
-    chain = chain.lower()
+def cmd_table(args: argparse.Namespace) -> int:
+    chain = args.chain.lower()
     if chain in _CHAIN_DOMAINS:
         lo, hi = _CHAIN_DOMAINS[chain]
-        xs = np.linspace(lo, hi, cfg.points)
+        xs = np.linspace(lo, hi, args.points)
         header, rows = chain_table(chain, xs)
     else:
-        if pair is not None:
-            pts = [means.MeanPoint(pair[0], pair[1])]
+        if args.pair is not None:
+            pts = [means.MeanPoint(*args.pair)]
         else:
-            pts = means.random_pairs(cfg.points, cfg.seed, ratio_span=(1e-3, 1e3),
+            pts = means.random_pairs(args.points, args.seed, ratio_span=(1e-3, 1e3),
                                      scale_span=(0.5, 2.0))
         header, rows = chain_table(chain, pts)
     print(",".join(header))
@@ -206,12 +176,11 @@ def cmd_table(cfg: RunConfig, chain: str, pair: list[float] | None) -> int:
     return 0
 
 
-def cmd_special(cfg: RunConfig, name: str, t: float | None, p: float | None,
-                a: float | None, b: float | None, terms: int) -> int:
-    name = name.lower()
+def cmd_special(args: argparse.Namespace) -> int:
+    name, t, a, b = args.name.lower(), args.t, args.a, args.b
     if name == "si":
         t = _HALF_PI if t is None else t
-        p = 2.0 / 3.0 if p is None else p
+        p = 2.0 / 3.0 if args.p is None else args.p
         enc = integrals.si_enclosure(t, p)
         oracle = integrals.si_reference(t).value
     elif name == "sh":
@@ -223,7 +192,7 @@ def cmd_special(cfg: RunConfig, name: str, t: float | None, p: float | None,
         oracle = math.pi ** 2 / 2.0
     elif name == "catalan":
         enc = integrals.catalan_enclosure()
-        oracle = integrals.catalan_reference(terms)
+        oracle = integrals.catalan_reference(args.terms)
     elif name == "sb":
         if a is None or b is None:
             print("--a and --b are required for sb", file=sys.stderr)
@@ -232,7 +201,7 @@ def cmd_special(cfg: RunConfig, name: str, t: float | None, p: float | None,
         ok = bound <= mean
         rows = [{"name": "sb", "a": a, "b": b, "lower_bound": bound,
                  "sb_mean": mean, "ok": ok}]
-        _emit_rows(rows, cfg, lambda r: f"sb({_fmt(a)}, {_fmt(b)}): bound {_fmt(bound)} "
+        _emit_rows(rows, args, lambda r: f"sb({_fmt(a)}, {_fmt(b)}): bound {_fmt(bound)} "
                    f"<= mean {_fmt(mean)} : {'ok' if ok else 'VIOLATION'}")
         return 0 if ok else 1
     elif name == "log-mean":
@@ -247,7 +216,7 @@ def cmd_special(cfg: RunConfig, name: str, t: float | None, p: float | None,
         return 2
     ok = enc.contains(oracle)
     rows = [{"name": name, "lo": enc.lo, "hi": enc.hi, "oracle": oracle, "contained": ok}]
-    _emit_rows(rows, cfg, lambda r: f"{name}: enclosure [{_fmt(enc.lo)}, {_fmt(enc.hi)}] "
+    _emit_rows(rows, args, lambda r: f"{name}: enclosure [{_fmt(enc.lo)}, {_fmt(enc.hi)}] "
                f"oracle {_fmt(oracle)} : {'contained' if ok else 'NOT CONTAINED'}")
     return 0 if ok else 1
 
@@ -260,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=[f.value for f in OutputFormat],
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default text)")
         sp.add_argument("--points", type=int, default=4096,
                         help="grid size / row count (default 4096, min 64)")
@@ -269,27 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomised pair checks")
         sp.add_argument("--tol", type=float, default=1e-12,
                         help="root-solver tolerance in [1e-15, 1e-3]")
+        return sp
 
-    common(sub.add_parser("constants", help="print the sharp constants"))
+    command("constants", cmd_constants, help="print the sharp constants")
 
-    sp = sub.add_parser("eval", help="evaluate one function at a point")
-    common(sp)
+    sp = command("eval", cmd_eval, help="evaluate one function at a point")
     sp.add_argument("--fn", choices=sorted(_EVAL_FNS), required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--p", type=float, default=None)
 
-    sp = sub.add_parser("verify", help="run a registered check suite")
-    common(sp)
+    sp = command("verify", cmd_verify, help="run a registered check suite")
     sp.add_argument("--suite", choices=("all",) + corpus.SUITES, default="all")
 
-    sp = sub.add_parser("table", help="emit a CSV chain table")
-    common(sp)
+    sp = command("table", cmd_table, help="emit a CSV chain table")
     sp.add_argument("--chain", choices=("m1c", "m2c", "meanchain"), required=True)
     sp.add_argument("--pair", type=float, nargs=2, metavar=("A", "B"), default=None,
                     help="explicit pair for the mean chain")
 
-    sp = sub.add_parser("special", help="enclosure vs oracle for one quantity")
-    common(sp)
+    sp = command("special", cmd_special, help="enclosure vs oracle for one quantity")
     sp.add_argument("--name", choices=("si", "sh", "trigamma-half", "catalan", "sb", "log-mean"),
                     required=True)
     sp.add_argument("--t", type=float, default=None)
@@ -301,32 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            command=Command(args.command),
-            output_format=OutputFormat(args.format),
-            points=args.points,
-            seed=args.seed,
-            tolerance=args.tol,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        if cfg.command is Command.CONSTANTS:
-            return cmd_constants(cfg)
-        if cfg.command is Command.EVAL:
-            return cmd_eval(cfg, args.fn, args.x, args.p)
-        if cfg.command is Command.VERIFY:
-            return cmd_verify(cfg, args.suite)
-        if cfg.command is Command.TABLE:
-            return cmd_table(cfg, args.chain, args.pair)
-        return cmd_special(cfg, args.name, args.t, args.p, args.a, args.b, args.terms)
+        if args.points < 64:
+            raise ValueError("--points must be >= 64")
+        if not 1e-15 <= args.tol <= 1e-3:
+            raise ValueError("--tol must lie in [1e-15, 1e-3]")
+        return args.run(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .verifier import (
 )
 
 _HALF_PI = math.pi / 2.0
+_TRIG = (0.0, _HALF_PI)
+_HYP = (0.0, 50.0)
 _UPPER_EDGE = math.sqrt(15.0) / 5.0
 _SQRT23 = math.sqrt(2.0 / 3.0)
 
@@ -117,48 +120,51 @@ def _verdict_result(suite: str, report: VerificationReport, expected: Verdict) -
     )
 
 
-def _suite_theorem1(points: int) -> list[CheckResult]:
-    out = []
-    edge = constants.solve_sinc_lower_edge(1e-12)
-    for p in (0.1, 0.5, 0.7, edge.value - 1e-6):
-        case = InequalityCase(f"cos_bound({p:.9g}) < sinc", lambda x, p=p: core.cos_bound(p, x),
-                              core.sinc, (0.0, _HALF_PI))
-        out.append(_verdict_result("theorem1", verify(case, points), Verdict.HOLDS))
-    for q in (_UPPER_EDGE, 0.9, 1.0):
-        case = InequalityCase(f"sinc < cos_bound({q:.9g})", core.sinc,
-                              lambda x, q=q: core.cos_bound(q, x), (0.0, _HALF_PI))
-        out.append(_verdict_result("theorem1", verify(case, points), Verdict.HOLDS))
-    for fam, side in ((SharpnessFamily.SINC_LOWER, ThresholdSide.ABOVE),
-                      (SharpnessFamily.SINC_UPPER, ThresholdSide.BELOW)):
+def _case(lhs: str, p: float | None, rhs: str, q: float | None, domain) -> InequalityCase:
+    """lhs < rhs on domain.  A side with a parameter is the family member
+    partial(core.<name>, p); cos_power and cosh_power name the power forms."""
+    def side(name, p):
+        fn = getattr(core, name + "_bound" if name.endswith("_power") else name)
+        return (name, fn) if p is None else (f"{name}({p:.9g})", partial(fn, p))
+
+    (a, f), (b, g) = side(lhs, p), side(rhs, q)
+    return InequalityCase(f"{a} < {b}", f, g, domain)
+
+
+def _holds(suite: str, cases: list[InequalityCase], points: int) -> list[CheckResult]:
+    return [_verdict_result(suite, verify(case, points), Verdict.HOLDS) for case in cases]
+
+
+def _theorem(suite: str, family: str, target: str, domain, lower, upper,
+             lower_edge: SharpnessFamily, upper_edge: SharpnessFamily,
+             points: int) -> list[CheckResult]:
+    """family(p) < target for p in lower, target < family(q) for q in upper,
+    and each sharp edge failing just past it."""
+    out = _holds(suite, [_case(family, p, target, None, domain) for p in lower]
+                 + [_case(target, None, family, q, domain) for q in upper], points)
+    for fam, side in ((lower_edge, ThresholdSide.ABOVE), (upper_edge, ThresholdSide.BELOW)):
         rep = verify_sharpness(fam, side, 1e-3, points=points)
-        out.append(_verdict_result("theorem1", rep, expected_sharpness_verdict(fam, side)))
+        out.append(_verdict_result(suite, rep, expected_sharpness_verdict(fam, side)))
     return out
 
 
-def _suite_theorem2(points: int) -> list[CheckResult]:
-    out = []
-    for p in (0.3, 0.6, _UPPER_EDGE):
-        case = InequalityCase(f"cosh_bound({p:.9g}) < sinhc",
-                              lambda x, p=p: core.cosh_bound(p, x), core.sinhc, (0.0, 50.0))
-        out.append(_verdict_result("theorem2", verify(case, points), Verdict.HOLDS))
-    for q in (1.0, 1.2, 2.0):
-        case = InequalityCase(f"sinhc < cosh_bound({q:.9g})", core.sinhc,
-                              lambda x, q=q: core.cosh_bound(q, x), (0.0, 50.0))
-        out.append(_verdict_result("theorem2", verify(case, points), Verdict.HOLDS))
-    for fam, side in ((SharpnessFamily.SINHC_LOWER, ThresholdSide.ABOVE),
-                      (SharpnessFamily.SINHC_UPPER, ThresholdSide.BELOW)):
-        rep = verify_sharpness(fam, side, 1e-3, points=points)
-        out.append(_verdict_result("theorem2", rep, expected_sharpness_verdict(fam, side)))
-    return out
+def _suite_theorem1(points: int, seed: int) -> list[CheckResult]:
+    edge = constants.solve_sinc_lower_edge(1e-12).value
+    return _theorem("theorem1", "cos_bound", "sinc", _TRIG, (0.1, 0.5, 0.7, edge - 1e-6),
+                    (_UPPER_EDGE, 0.9, 1.0), SharpnessFamily.SINC_LOWER,
+                    SharpnessFamily.SINC_UPPER, points)
 
 
-def _suite_chains(points: int) -> list[CheckResult]:
-    out = []
-    for rep in verify_chain(cos_chain_members(), (0.0, _HALF_PI), points):
-        out.append(_verdict_result("chains", rep, Verdict.HOLDS))
-    for rep in verify_chain(cosh_chain_members(), (0.0, 20.0), points):
-        out.append(_verdict_result("chains", rep, Verdict.HOLDS))
-    return out
+def _suite_theorem2(points: int, seed: int) -> list[CheckResult]:
+    return _theorem("theorem2", "cosh_bound", "sinhc", _HYP, (0.3, 0.6, _UPPER_EDGE),
+                    (1.0, 1.2, 2.0), SharpnessFamily.SINHC_LOWER,
+                    SharpnessFamily.SINHC_UPPER, points)
+
+
+def _suite_chains(points: int, seed: int) -> list[CheckResult]:
+    chains = ((cos_chain_members(), _TRIG), (cosh_chain_members(), (0.0, 20.0)))
+    return [_verdict_result("chains", rep, Verdict.HOLDS)
+            for members, domain in chains for rep in verify_chain(members, domain, points)]
 
 
 def _enclosure_result(suite: str, name: str, enc: integrals.Enclosure, value: float,
@@ -207,14 +213,12 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
         out.append(_value_result("propositions", name, ok,
                                  f"{closed:.10g}", f"{quad_val.value:.10g}"))
     # x/sin x sandwiched between reciprocals of the 4th/5th chain members
-    rec_low = InequalityCase("1/cos_bound(sqrt15/5) < x/sin(x)",
-                             lambda x: 1.0 / core.cos_bound(_UPPER_EDGE, x),
-                             lambda x: 1.0 / core.sinc(x), (0.0, _HALF_PI))
-    rec_high = InequalityCase("x/sin(x) < 1/cos_bound(3/4)",
-                              lambda x: 1.0 / core.sinc(x),
-                              lambda x: 1.0 / core.cos_bound(0.75, x), (0.0, _HALF_PI))
-    out.append(_verdict_result("propositions", verify(rec_low, points), Verdict.HOLDS))
-    out.append(_verdict_result("propositions", verify(rec_high, points), Verdict.HOLDS))
+    out += _holds("propositions", [
+        InequalityCase("1/cos_bound(sqrt15/5) < x/sin(x)",
+                       lambda x: 1.0 / core.cos_bound(_UPPER_EDGE, x),
+                       lambda x: 1.0 / core.sinc(x), _TRIG),
+        InequalityCase("x/sin(x) < 1/cos_bound(3/4)", lambda x: 1.0 / core.sinc(x),
+                       lambda x: 1.0 / core.cos_bound(0.75, x), _TRIG)], points)
 
     pair = means._random_pair_arrays(10_000, seed)
     worst = float(np.min((means.sb_mean(pair) - means.sb_lower_bound(pair)) / pair[1]))
@@ -230,44 +234,22 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     return out
 
 
-def _suite_remarks(points: int) -> list[CheckResult]:
-    out = []
-    trig_dom = (0.0, _HALF_PI)
-    hyp_dom = (0.0, 50.0)
-    # additive family vs power form: the power form wins below 1/sqrt3,
-    # the additive form wins above it, on both sides
-    for p in (0.46, 0.5, 0.55):
-        a = InequalityCase(f"cos_power({p}) < sinc", lambda x, p=p: core.cos_power_bound(p, x),
-                           core.sinc, trig_dom)
-        b = InequalityCase(f"cos_bound({p}) < cos_power({p})",
-                           lambda x, p=p: core.cos_bound(p, x),
-                           lambda x, p=p: core.cos_power_bound(p, x), trig_dom)
-        out += [_verdict_result("remarks", verify(a, points), Verdict.HOLDS),
-                _verdict_result("remarks", verify(b, points), Verdict.HOLDS)]
-    for p in (0.6, 0.7, 0.77):
-        a = InequalityCase(f"cos_bound({p}) < sinc", lambda x, p=p: core.cos_bound(p, x),
-                           core.sinc, trig_dom)
-        b = InequalityCase(f"cos_power({p}) < cos_bound({p})",
-                           lambda x, p=p: core.cos_power_bound(p, x),
-                           lambda x, p=p: core.cos_bound(p, x), trig_dom)
-        out += [_verdict_result("remarks", verify(a, points), Verdict.HOLDS),
-                _verdict_result("remarks", verify(b, points), Verdict.HOLDS)]
-    for p in (0.45, 0.5, 0.55):
-        a = InequalityCase(f"cosh_power({p}) < sinhc", lambda x, p=p: core.cosh_power_bound(p, x),
-                           core.sinhc, hyp_dom)
-        b = InequalityCase(f"cosh_bound({p}) < cosh_power({p})",
-                           lambda x, p=p: core.cosh_bound(p, x),
-                           lambda x, p=p: core.cosh_power_bound(p, x), hyp_dom)
-        out += [_verdict_result("remarks", verify(a, points), Verdict.HOLDS),
-                _verdict_result("remarks", verify(b, points), Verdict.HOLDS)]
-    for p in (0.6, 0.7, 0.76):
-        a = InequalityCase(f"cosh_bound({p}) < sinhc", lambda x, p=p: core.cosh_bound(p, x),
-                           core.sinhc, hyp_dom)
-        b = InequalityCase(f"cosh_power({p}) < cosh_bound({p})",
-                           lambda x, p=p: core.cosh_power_bound(p, x),
-                           lambda x, p=p: core.cosh_bound(p, x), hyp_dom)
-        out += [_verdict_result("remarks", verify(a, points), Verdict.HOLDS),
-                _verdict_result("remarks", verify(b, points), Verdict.HOLDS)]
+# family, target, domain, p where the power form is the sharper lower bound,
+# p where the additive form is (the two swap at 1/sqrt3)
+_REMARKS = (
+    ("cos", "sinc", _TRIG, (0.46, 0.5, 0.55), (0.6, 0.7, 0.77)),
+    ("cosh", "sinhc", _HYP, (0.45, 0.5, 0.55), (0.6, 0.7, 0.76)),
+)
+
+
+def _suite_remarks(points: int, seed: int) -> list[CheckResult]:
+    cases = []
+    for family, target, domain, power_wins, additive_wins in _REMARKS:
+        power, additive = family + "_power", family + "_bound"
+        for best, other, ps in ((power, additive, power_wins), (additive, power, additive_wins)):
+            for p in ps:
+                cases += [_case(best, p, target, None, domain), _case(other, p, best, p, domain)]
+    out = _holds("remarks", cases, points)
     # closing comparison: D(x) >= 0 and its odd-series coefficients
     grid = np.geomspace(1e-3, 30.0, 200)
     dvals = [means.lower_bound_comparison(float(x)) for x in grid]
@@ -282,24 +264,21 @@ def _suite_remarks(points: int) -> list[CheckResult]:
     return out
 
 
-SUITES = ("theorem1", "theorem2", "chains", "propositions", "remarks")
+_SUITES = {
+    "theorem1": _suite_theorem1,
+    "theorem2": _suite_theorem2,
+    "chains": _suite_chains,
+    "propositions": _suite_propositions,
+    "remarks": _suite_remarks,
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, points: int = 4096, seed: int = 20250810) -> list[CheckResult]:
     name = name.lower()
     if name == "all":
-        results = []
-        for s in SUITES:
-            results.extend(run_suite(s, points=points, seed=seed))
-        return results
-    if name == "theorem1":
-        return _suite_theorem1(points)
-    if name == "theorem2":
-        return _suite_theorem2(points)
-    if name == "chains":
-        return _suite_chains(points)
-    if name == "propositions":
-        return _suite_propositions(points, seed)
-    if name == "remarks":
-        return _suite_remarks(points)
-    raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
+        # each suite through the module attribute, so a wrapper put there sees it
+        return [r for s in SUITES for r in run_suite(s, points=points, seed=seed)]
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {('all',) + SUITES}")
+    return _SUITES[name](points, seed)

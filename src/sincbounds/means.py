@@ -388,31 +388,21 @@ def log_mean_sandwich(m) -> Enclosure:
     return _apply(m, _log_mean_sandwich, _log_mean_sandwich_arrays)
 
 
-@dataclass(frozen=True)
-class ComparisonCoefficients:
-    """Odd-series coefficients showing the additive family lower bound for
-    the logarithmic mean dominates the power-form one.
-
-    coeff(1) = coeff(2) = 0, coeff(3) = 64/45, positive afterwards.
-    """
-
-    family_param: float = _SQRT15_5
-    power_param: float = _INV_SQRT5
-
-    def coeff(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        p, q = self.family_param, self.power_param
-        t = 2.0 * q / p
-        return (
-            (3.0 * p * q - 1.0) * (1.0 + t) ** (2 * n - 1)
-            + (3.0 * p * q + 1.0) * (t - 1.0) ** (2 * n - 1)
-            - 2.0 * (6.0 * q * q - 1.0)
-        )
-
-
 def comparison_coeff(n: int) -> float:
-    return ComparisonCoefficients().coeff(n)
+    """The n-th odd-series coefficient d_n showing the additive family lower
+    bound for the logarithmic mean dominates the power-form one.
+
+    d_1 = d_2 = 0, d_3 = 64/45, positive afterwards.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p, q = _SQRT15_5, _INV_SQRT5
+    t = 2.0 * q / p
+    return (
+        (3.0 * p * q - 1.0) * (1.0 + t) ** (2 * n - 1)
+        + (3.0 * p * q + 1.0) * (t - 1.0) ** (2 * n - 1)
+        - 2.0 * (6.0 * q * q - 1.0)
+    )
 
 
 def _comparison_series_coeffs(n_max: int = 16) -> list[float]:

@@ -121,6 +121,8 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     """Check lhs < rhs on an interior grid, refining near the worst margins."""
     if points < 64:
         raise ValueError("points must be >= 64")
+    if refine_rounds < 0:
+        raise ValueError("refine_rounds must be >= 0")
     lo, hi = case.domain
     xs = _interior_grid(lo, hi, points)
     spacing = (hi - lo) / (points + 1)

@@ -169,12 +169,31 @@ GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.
 
 
 def test_verify_matches_golden_bytes(capsys):
-    # the benchmark's recorded stdout of every `verify` variant, byte for byte
-    golden = json.loads(GOLDEN_CLI.read_text())["verify"]
-    assert len(golden) == 4 and ["--seed", "3"] in [g["args"][-2:] for g in golden]
-    for g in golden:
+    # the benchmark's recorded stdout and exit code of every command variant, byte for byte
+    golden = json.loads(GOLDEN_CLI.read_text())
+    assert sorted(golden) == ["constants", "eval", "special", "table", "verify"]
+    assert ["--seed", "3"] in [g["args"][-2:] for g in golden["verify"]]
+    entries = [g for variants in golden.values() for g in variants]
+    assert len(entries) == 20
+    for g in entries:
         code, out, _ = run(capsys, *g["args"])
         assert (code, out) == (g["exit"], g["stdout"]), g["args"]
+
+
+def test_run_suite_all_calls_each_suite_through_module_attribute(monkeypatch):
+    # a wrapper patched onto corpus.run_suite (the benchmark's tracer) must see every suite
+    real = corpus.run_suite
+    seen = []
+
+    def record(name, points=4096, seed=20250810):
+        seen.append((name, points, seed))
+        return real(name, points, seed) if name == "all" else [name]
+
+    monkeypatch.setattr(corpus, "run_suite", record)
+    assert corpus.run_suite("all", points=64, seed=5) == list(corpus.SUITES)
+    assert seen == [("all", 64, 5)] + [(s, 64, 5) for s in corpus.SUITES]
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        real("nope")
 
 
 def test_special_json(capsys):

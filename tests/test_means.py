@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sincbounds.core import sinhc
 from sincbounds.means import (
-    ComparisonCoefficients,
     MeanPoint,
     _COMPARISON_COEFFS,
     arithmetic_mean,
@@ -284,7 +283,7 @@ def test_comparison_coeff_positive_beyond_3():
         assert exact[0] > 0
         assert comparison_coeff(n) > 0.0
     with pytest.raises(ValueError):
-        ComparisonCoefficients().coeff(0)
+        comparison_coeff(0)
 
 
 def test_lower_bound_comparison_nonnegative():

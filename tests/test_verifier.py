@@ -90,6 +90,13 @@ def test_verify_points_validation():
         InequalityCase("bad", sinc, sinc, (1.0, 1.0))
 
 
+def test_verify_rejects_negative_refine_rounds():
+    case = InequalityCase("x", lambda x: cos_bound(0.5, x), sinc, (0.0, 1.0))
+    with pytest.raises(ValueError, match="refine_rounds must be >= 0"):
+        verify(case, points=64, refine_rounds=-1)
+    assert verify(case, points=64, refine_rounds=0).grid_points == 64
+
+
 def test_verify_inconclusive_on_evaluation_failure():
     # cos_power_bound raises once cos(px) <= 0 inside the domain
     case = InequalityCase("power beyond its domain",
