@@ -28,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import _LIMIT_FAMILY_CUTOFF, cosh_bound
+from .core import _LIMIT_FAMILY_CUTOFF, _cosh_family, cosh_bound
 from .integrals import Enclosure
 
 _SQRT15_5 = math.sqrt(15.0) / 5.0
@@ -171,17 +171,10 @@ def _sb_lower_bound(a: float, b: float) -> float:
     return _SB_SCALE * math.sqrt(inner) * b ** 0.25 + 11.0 * b / 27.0
 
 
-def _cosh_family(p: float, x: float) -> float:
-    # core.cosh_bound(p, x) for p >= 0, without its per-call validation
-    if p <= _LIMIT_FAMILY_CUTOFF:
-        return 1.0 + x * x / 6.0
-    w = 2.0 / (3.0 * p * p)
-    s = math.sinh(0.5 * p * x)
-    return 1.0 + w * s * s
-
-
 def _mean_family(a: float, b: float, p: float) -> float:
-    return _geo(a, b) * cosh_bound(p, abs(_half_log_ratio(a, b)))
+    # core's kernel, not cosh_bound: an overflowing family value stays inf,
+    # as in the array kernel, where cosh_bound raises OverflowError
+    return _geo(a, b) * _cosh_family(p, abs(_half_log_ratio(a, b)))
 
 
 def _log_mean_sandwich(a: float, b: float) -> Enclosure:

@@ -99,6 +99,22 @@ def test_eval_rejects_non_finite_x(capsys, fn, x):
     assert "--x must be finite" in err
 
 
+@pytest.mark.parametrize("fn, p, x", [
+    ("cosh-bound", "2", "700"), ("sinhc-gap", "2", "700"), ("cos-bound", "0", "1e200"),
+    ("sinc-gap", "0", "1e200"), ("cosh-power", "1e-9", "1e200"),
+])
+def test_eval_signals_overflow(capsys, fn, p, x):
+    code, out, err = run(capsys, "eval", "--fn", fn, "--p", p, "--x", x)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("evaluation error: ") and "overflows" in err
+
+
+def test_eval_scaled_gap_keeps_its_documented_inf(capsys):
+    code, out, _ = run(capsys, "eval", "--fn", "scaled-gap", "--p", "0.5", "--x", "1e4")
+    assert code == 0 and out.strip().endswith("= inf")
+
+
 def test_table_m1c(capsys):
     code, out, _ = run(capsys, "table", "--chain", "m1c", "--points", "64")
     assert code == 0

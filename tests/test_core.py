@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from sincbounds.core import (
     BoundParam,
     CoefficientSeq,
+    Family,
+    GapEvaluation,
     GapMethod,
     SERIES_SWITCH,
     _gap_series,
@@ -321,3 +324,187 @@ def test_scaled_gap_consistent_with_direct():
         for x in (1.0, 5.0, 20.0):
             expect = math.exp(-p * x) * sinhc_gap(p, x).value
             assert sinhc_gap_scaled(p, x) == pytest.approx(expect, rel=1e-11, abs=1e-18)
+
+
+# ------------------------------------------------------------- overflow
+
+OVERFLOWING = [
+    (cos_bound, 0.0, 1e200), (cos_bound, 1e-9, 1e200), (cosh_bound, 0.0, 1e200),
+    (cosh_bound, 2.0, 700.0), (cosh_power_bound, 1e-9, 1e200), (cosh_power_bound, 1e-4, 5e6),
+]
+
+
+@pytest.mark.parametrize("fn, p, x", OVERFLOWING)
+def test_overflow_is_signalled(fn, p, x):
+    with pytest.raises(OverflowError):
+        fn(p, x)
+    with pytest.raises(FloatingPointError):
+        fn(p, np.array([1.0, x]))
+
+
+def test_gap_overflow_is_signalled():
+    with pytest.raises(OverflowError, match="sinc_gap overflows"):
+        sinc_gap(0.0, 1e200)
+    with pytest.raises(OverflowError, match="sinhc_gap overflows"):
+        sinhc_gap(2.0, 700.0)
+    # an infinite x may give an infinite value; only finite x overflows
+    assert cos_bound(0.0, -math.inf) == -math.inf
+    assert cosh_bound(0.0, math.inf) == math.inf
+
+
+# ----------------------------------------------------- scalar path record
+
+def test_gap_evaluation_record():
+    g = GapEvaluation(0.25, 1.5e-6, GapMethod.SERIES, 3e-22)
+    assert repr(g) == ("GapEvaluation(x=0.25, value=1.5e-06, "
+                       "method=<GapMethod.SERIES: 'series'>, tail_bound=3e-22)")
+    assert GapEvaluation(1.0, 0.5, GapMethod.DIRECT).tail_bound == 0.0
+    with pytest.raises(AttributeError):
+        g.value = 0.0
+    assert (g.x, g.value, g.method, g.tail_bound) == (0.25, 1.5e-6, GapMethod.SERIES, 3e-22)
+
+
+# An inline copy of the scalar path as it was when each call built a
+# validating BoundParam and dispatched through np.ndim.  The scalar path
+# must give the same values, methods, tail bounds and exceptions, except
+# where a result overflows at a finite x: that now raises OverflowError.
+
+@dataclass(frozen=True)
+class _OldBoundParam:
+    value: float
+    family: Family
+
+    def __post_init__(self):
+        v = self.value
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"parameter must be finite and >= 0, got {v!r}")
+        if self.family is Family.TRIG and v > 1.0:
+            raise ValueError(f"trig family parameter must lie in [0, 1], got {v!r}")
+
+
+def _old_param(p, family):
+    if isinstance(p, BoundParam):
+        if p.family is not family:
+            raise ValueError(f"expected a {family.value} parameter, got {p.family.value}")
+        return p.value
+    return _OldBoundParam(float(p), family).value
+
+
+def _old_gap_series(p, x, hyperbolic):
+    c = p * p
+    x2 = x * x
+    m = x2 * x2 / 360.0
+    cp = c
+    total = 0.0
+    sign = 1.0
+    round_acc = 0.0
+    n = 2
+    while n <= 80:
+        majorant = m * (3.0 + (2 * n + 1) * cp)
+        if n >= 6 and majorant < 1e-20 * max(1.0, abs(total)):
+            tail = 2.0 * majorant + 4.0 * EPS * round_acc
+            return total, tail
+        term = (3.0 - (2 * n + 1) * cp) * m
+        total += term if hyperbolic else sign * term
+        round_acc += m * (3.0 + n * (2 * n + 1) * cp)
+        sign = -sign
+        m *= x2 / ((2 * n + 2) * (2 * n + 3))
+        cp *= c
+        n += 1
+    raise RuntimeError("gap series did not converge (x outside the series range?)")
+
+
+def _old_sinc(x):
+    x = float(x)
+    return math.sin(x) / x if x != 0.0 else 1.0
+
+
+def _old_sinhc(x):
+    x = float(x)
+    return math.sinh(x) / x if x != 0.0 else 1.0
+
+
+def _old_cos_bound(p, x):
+    p = _old_param(p, Family.TRIG)
+    if p <= 1e-8:
+        return 1.0 - x * x / 6.0
+    w = 2.0 / (3.0 * p * p)
+    s = math.sin(0.5 * p * float(x))
+    return 1.0 - w * s * s
+
+
+def _old_cosh_bound(p, x):
+    p = _old_param(p, Family.HYP)
+    if p <= 1e-8:
+        return 1.0 + x * x / 6.0
+    w = 2.0 / (3.0 * p * p)
+    s = math.sinh(0.5 * p * float(x))
+    return 1.0 + w * s * s
+
+
+def _old_gap(p, x, hyperbolic):
+    p = _old_param(p, Family.HYP if hyperbolic else Family.TRIG)
+    x = float(x)
+    ax = abs(x)
+    if ax <= SERIES_SWITCH:
+        value, tail = _old_gap_series(p, ax, hyperbolic)
+        return x, value, GapMethod.SERIES, tail
+    if hyperbolic:
+        return x, _old_sinhc(ax) - _old_cosh_bound(p, ax), GapMethod.DIRECT, 0.0
+    return x, _old_sinc(ax) - _old_cos_bound(p, ax), GapMethod.DIRECT, 0.0
+
+
+def _outcome(fn, *args):
+    """What a call gives: its exception, or its fields with their types and
+    reprs, so that nan, -0.0 and a numpy scalar compare exactly."""
+    try:
+        r = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    fields = (r.x, r.value, r.method, r.tail_bound) if isinstance(r, GapEvaluation) else \
+        r if isinstance(r, tuple) else (r,)
+    return "returns", tuple((type(f), repr(f)) for f in fields)
+
+
+def _overflowed(outcome, x) -> bool:
+    """Whether an old outcome is an infinite value at a finite x."""
+    if outcome[0] != "returns" or not math.isfinite(x):
+        return False
+    value = outcome[1][1] if len(outcome[1]) > 1 else outcome[1][0]
+    return repr(math.inf) in value[1]
+
+
+def _scalar_inputs():
+    rng = np.random.default_rng(20250810)
+    trig = [(float(p), float(x)) for p, x in zip(rng.uniform(0.0, 1.0, 600), np.concatenate(
+        [rng.uniform(-0.5, 0.5, 300), rng.uniform(0.5, math.pi / 2, 300)]))]
+    hyp = [(float(p), float(x)) for p, x in zip(rng.uniform(0.0, 3.0, 600), np.concatenate(
+        [rng.uniform(-0.5, 0.5, 300), rng.uniform(0.5, 30.0, 300)]))]
+    ps = [0.0, 1e-9, 1e-8, 2e-8, 0.5, 1.0, 1.7, 0, 1, True, False, np.float32(0.3), np.int64(1),
+          np.array(0.6), -0.1, 1.0 + 1e-15, math.nan, math.inf, -math.inf, "0.4"]
+    xs = [0.0, -0.0, 0.3, -0.5, 0.5 + 1e-12, 1.2, 12.0, 700.0, 711.0, 1e200, 5e-324, math.nan,
+          math.inf, -math.inf, 0, 3, -2, 10 ** 9, True, False, np.float32(0.25), np.float32(2.5),
+          np.int64(3), np.float64(1.1), np.array(0.7), np.array(2)]
+    grid = [(p, x) for p in ps for x in xs]
+    params = [(fam(v), x) for fam in (BoundParam.trig, BoundParam.hyp)
+              for v in (0.0, 0.5, 1.0) for x in (0.3, 1.2)]
+    return trig + hyp + grid + params
+
+
+def test_scalar_path_matches_inline_reference():
+    pairs = _scalar_inputs()
+    cases = [(sinc, _old_sinc, (x,)) for _, x in pairs[:1200:2] + pairs[1200:]]
+    cases += [(sinhc, _old_sinhc, (x,)) for _, x in pairs[:1200:2] + pairs[1200:]]
+    for new, old in ((cos_bound, _old_cos_bound), (cosh_bound, _old_cosh_bound),
+                     (sinc_gap, lambda p, x: _old_gap(p, x, False)),
+                     (sinhc_gap, lambda p, x: _old_gap(p, x, True))):
+        cases += [(new, old, pair) for pair in pairs]
+    overflowed = 0
+    for new, old, args in cases:
+        want, got = _outcome(old, *args), _outcome(new, *args)
+        if _overflowed(want, float(args[-1])):
+            overflowed += 1
+            assert got[:2] == ("raises", OverflowError), (new.__name__, args)
+        else:
+            assert got == want, (new.__name__, args)
+    assert len(cases) > 5000 and 0 < overflowed < 200
