@@ -4,7 +4,8 @@ quadrature or series oracle.
 
 Every enclosure comes from integrating a two-sided family bound, so the
 endpoints are elementary closed forms; the oracles are adaptive quadrature
-(Gauss-Kronrod via scipy) or an accelerated alternating series.
+(Gauss-Kronrod via scipy), an accelerated alternating series, or, for the
+x/sinh x integral to infinity, the closed form pi^2/4.
 
 scipy is imported only when a quadrature oracle runs: si_reference,
 sh_reference, the propositions suite of the corpus, and the CLI's
@@ -94,8 +95,15 @@ def si_reference(t: float) -> QuadratureResult:
 
 
 def sh_reference(t: float) -> QuadratureResult:
-    """integral of x/sinh(x) over [0, t] by adaptive quadrature."""
+    """integral of x/sinh(x) over [0, t] by adaptive quadrature.
+
+    t = inf gives the closed form pi^2/4, half of trigamma(1/2), with no
+    evaluations; its error estimate of 2 ulps bounds the rounding of pi^2/4.
+    """
     t = float(t)
+    if t == math.inf:
+        value = math.pi ** 2 / 4.0
+        return QuadratureResult(value, 2.0 * math.ulp(value), 0)
     if not 0.0 <= t <= 50.0:
         raise ValueError(f"t must lie in [0, 50], got {t!r}")
     if t == 0.0:

@@ -171,10 +171,41 @@ def _sb_lower_bound(a: float, b: float) -> float:
     return _SB_SCALE * math.sqrt(inner) * b ** 0.25 + 11.0 * b / 27.0
 
 
+def _family_times(g: float, p: float, x: float) -> float:
+    """g * _cosh_family(p, x), the family mean at G = g, kept in range.
+
+    Where the product overflows but the mean does not (a tiny G, a far
+    pair) it is G + (sqrt(G w) sinh(y))^2, w = 2/(3p^2), y = px/2, with
+    sinh(y) = h (h/2), h = exp(y/2), where sinh(y) itself overflows.  A mean
+    beyond the double range stays inf, or raises OverflowError where sinh(y)
+    overflows, as the unscaled form does.  Uses core's kernel, not
+    cosh_bound, which raises where the family factor alone overflows.
+    """
+    try:
+        v = g * _cosh_family(p, x)
+    except OverflowError:  # sinh(y) beyond the double range
+        v = _scaled_family(g, p, x, True)
+        if v == math.inf:
+            raise
+        return v
+    if v == math.inf and p > _LIMIT_FAMILY_CUTOFF:
+        v = _scaled_family(g, p, x, False)
+    return v
+
+
+def _scaled_family(g: float, p: float, x: float, sinh_overflows: bool) -> float:
+    y = 0.5 * p * x
+    r = math.sqrt(g) * math.sqrt(2.0 / (3.0 * p * p))
+    if sinh_overflows:
+        h = math.exp(0.5 * y)  # sinh(y) = h * h / 2 in doubles once y > 19
+        r = r * h * (0.5 * h)
+    else:
+        r *= math.sinh(y)
+    return g + r * r
+
+
 def _mean_family(a: float, b: float, p: float) -> float:
-    # core's kernel, not cosh_bound: an overflowing family value stays inf,
-    # as in the array kernel, where cosh_bound raises OverflowError
-    return _geo(a, b) * _cosh_family(p, abs(_half_log_ratio(a, b)))
+    return _family_times(_geo(a, b), p, abs(_half_log_ratio(a, b)))
 
 
 def _log_mean_sandwich(a: float, b: float) -> Enclosure:
@@ -257,8 +288,21 @@ def _cosh_family_arrays(p: float, x: np.ndarray) -> np.ndarray:
     return 1.0 + w * s * s
 
 
+def _family_times_arrays(g: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
+    """_family_times of each element: the product, and the scalar kernel
+    where that overflows."""
+    try:
+        v = g * _cosh_family_arrays(p, x)
+    except OverflowError:  # sinh(px/2) beyond the double range somewhere
+        return _libm(_family_times, g, repeat(p), x.tolist())
+    over = np.isinf(v)
+    if over.any():
+        v[over] = _libm(_family_times, g[over], repeat(p), x[over].tolist())
+    return v
+
+
 def _mean_family_arrays(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    return _geo_arrays(a, b) * _cosh_family_arrays(p, np.abs(_half_log_ratio_arrays(a, b)))
+    return _family_times_arrays(_geo_arrays(a, b), p, np.abs(_half_log_ratio_arrays(a, b)))
 
 
 def _log_mean_sandwich_arrays(a: np.ndarray, b: np.ndarray) -> Enclosure:
@@ -348,7 +392,8 @@ def mean_family(p: float, m):
     G (1 + (ln b - ln a)^2 / 24).
 
     Evaluated as G * cosh_bound(p, half_log_ratio): even in p and increasing
-    on p >= 0.
+    on p >= 0.  Where that product overflows but the mean does not, it is
+    evaluated in a scaled form (see _family_times).
     """
     return _apply(m, _mean_family, _mean_family_arrays, _family_order(p))
 
@@ -369,7 +414,7 @@ def _mean_family_rows(p_grid, a, b) -> tuple[np.ndarray, np.ndarray]:
         g = _geo_arrays(a, b)
         h = _half_log_ratio_arrays(a, b)
         x = np.abs(h)
-        return h, np.array([g * _cosh_family_arrays(_family_order(p), x) for p in p_grid])
+        return h, np.array([_family_times_arrays(g, _family_order(p), x) for p in p_grid])
 
 
 def log_mean_sandwich(m) -> Enclosure:

@@ -15,6 +15,14 @@ margin counts as the minimum, as np.argmin has it; violations are the first
 grid, then each refinement round) and, within a round, the order in which
 they were evaluated.  verify reduces each round on its own and merges the
 few points each round keeps, so it never sorts all the points.
+
+Each round is evaluated and reduced in blocks of _BLOCK = 8192 consecutive
+points: lhs and rhs are called once per block, on a slice of the round, so
+they must be elementwise.  A block's float64 arrays take 64 KiB, below
+glibc's 128 KiB mmap threshold, so their memory is reused from the heap;
+arrays of a whole 65536-point round were mapped and page-faulted in afresh
+on every round (about 81,000 minor faults per dense_grid benchmark cycle,
+a third of its time in the kernel, against under 1,000 in blocks).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from . import means as _means
 _EPS = math.ulp(1.0)
 FLOOR_ULPS = 64.0
 _MAX_DOUBLE = sys.float_info.max
+_BLOCK = 8192  # points per lhs/rhs call; see the module docstring
 
 
 class Verdict(enum.Enum):
@@ -44,7 +53,13 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """Claim lhs(x) < rhs(x) on the open interval domain."""
+    """Claim lhs(x) < rhs(x) on the open interval domain.
+
+    lhs and rhs take a float64 array of points and return the values at
+    those points, an array of its shape or a scalar.  verify calls them on
+    consecutive slices of each round, so a value may depend on its own
+    point only.
+    """
 
     id: str
     lhs: Callable
@@ -117,6 +132,34 @@ def _definite(margin: np.ndarray, lv: np.ndarray, rv: np.ndarray) -> tuple[np.nd
     return margin < scratch, margin > floor
 
 
+def _smallest5(margin: np.ndarray) -> np.ndarray:
+    """np.argsort(margin, kind="stable")[:5], without sorting all of margin."""
+    if margin.size > 5:
+        kth = np.partition(margin, 4)[4]
+        if not math.isnan(kth):  # NaN sorts last: then fewer than 5 are numbers
+            idx = np.flatnonzero(margin <= kth)
+            return idx[np.argsort(margin[idx], kind="stable")[:5]]
+    return np.argsort(margin, kind="stable")[:5]
+
+
+def _side(f: Callable, x: np.ndarray) -> np.ndarray:
+    v = np.asarray(f(x), dtype=float)
+    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+
+
+def _block(case: InequalityCase, xs: np.ndarray, start: int):
+    """x, lhs and rhs of the block of xs that starts at start."""
+    x = xs[start:start + _BLOCK]
+    try:
+        return x, _side(case.lhs, x), _side(case.rhs, x)
+    except Exception:
+        # Unblocked, lhs is evaluated on the whole round before rhs: raise
+        # what that raises, not an rhs error that comes first in the blocks.
+        _side(case.lhs, xs)
+        _side(case.rhs, xs)
+        raise
+
+
 def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
     """Check lhs < rhs on an interior grid, refining near the worst margins."""
     if points < 64:
@@ -126,22 +169,41 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     lo, hi = case.domain
     xs = _interior_grid(lo, hi, points)
     spacing = (hi - lo) / (points + 1)
-    rounds: list[tuple[np.ndarray, ...]] = []  # (x, lhs, rhs, margin) in evaluation order
+    grid_points = 0
+    # Each block keeps, in x order, the points that can decide the report:
+    # its first minimum and its first violations.  The report is read off
+    # those points in x order.
+    n_bad = 0
+    any_good = False
+    picks = []
+    cx = cm = np.empty(0)  # refinement centres and their margins
     try:
         for round_no in range(refine_rounds + 1):
-            lv = np.broadcast_to(np.asarray(case.lhs(xs), dtype=float), xs.shape).copy()
-            rv = np.broadcast_to(np.asarray(case.rhs(xs), dtype=float), xs.shape).copy()
-            margin = rv - lv
-            rounds.append((xs, lv, rv, margin))
+            cands = [(cx, cm)]
+            for start in range(0, xs.size, _BLOCK):
+                x, lv, rv = _block(case, xs, start)
+                margin = rv - lv
+                if round_no < refine_rounds:
+                    keep = _smallest5(margin)
+                    cands.append((x[keep], margin[keep]))
+                if round_no:  # the base grid is in x order already
+                    order = np.argsort(x, kind="stable")
+                    x, lv, rv, margin = x[order], lv[order], rv[order], margin[order]
+                bad, good = _definite(margin, lv, rv)
+                idx = np.flatnonzero(bad)
+                n_bad += idx.size
+                any_good = any_good or bool(good.any())
+                keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], np.argmin(margin))
+                picks.append((x[keep], lv[keep], rv[keep]))
+            grid_points += xs.size
             if round_no == refine_rounds:
                 break
             # triple the density around the 5 smallest margins of all rounds
             # so far (ties in evaluation order); they are among the last 5
-            # picked and this round's points
-            if round_no:
-                xs, margin = np.concatenate((cx, xs)), np.concatenate((cm, margin))
-            keep = np.argsort(margin, kind="stable")[:5]
-            cx, cm = xs[keep], margin[keep]
+            # centres and the 5 smallest of each block of this round
+            cx, cm = (np.concatenate(col) for col in zip(*cands))
+            keep = _smallest5(cm)
+            cx, cm = cx[keep], cm[keep]
             spacing /= 3.0
             xs = _refine_windows(cx, spacing, lo, hi)
             if xs.size == 0:
@@ -149,7 +211,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     except (ArithmeticError, ValueError) as exc:  # evaluation failure -> inconclusive
         return VerificationReport(
             case_id=case.id,
-            grid_points=sum(r[0].size for r in rounds),
+            grid_points=grid_points,
             min_margin=math.nan,
             argmin_x=math.nan,
             violations=[],
@@ -157,22 +219,6 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             diagnostic=f"evaluation failed: {exc!r}",
         )
 
-    # Each round, in x order, keeps the points that can decide the report:
-    # its first minimum and its first violations.  The report is read off
-    # those points in x order.
-    n_bad = 0
-    any_good = False
-    picks = []
-    for round_no, (x, lv, rv, margin) in enumerate(rounds):
-        if round_no:  # the base grid is in x order already
-            order = np.argsort(x, kind="stable")
-            x, lv, rv, margin = x[order], lv[order], rv[order], margin[order]
-        bad, good = _definite(margin, lv, rv)
-        idx = np.flatnonzero(bad)
-        n_bad += idx.size
-        any_good = any_good or bool(good.any())
-        keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], np.argmin(margin))
-        picks.append((x[keep], lv[keep], rv[keep]))
     x, lv, rv = (np.concatenate(col) for col in zip(*picks))
     order = np.argsort(x, kind="stable")  # equal x keeps round order
     x, lv, rv = x[order], lv[order], rv[order]
@@ -189,7 +235,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
         verdict = Verdict.INCONCLUSIVE
     return VerificationReport(
         case_id=case.id,
-        grid_points=sum(r[0].size for r in rounds),
+        grid_points=grid_points,
         min_margin=float(margin[imin]),
         argmin_x=float(x[imin]),
         violations=violations,

@@ -172,6 +172,14 @@ def test_special_commands(capsys):
     assert code == 0 and "contained" in out
 
 
+def test_special_sh_at_infinity(capsys):
+    code, out, err = run(capsys, "special", "--name", "sh", "--t", "inf")
+    assert (code, err) == (0, "")
+    assert out.endswith("oracle 2.4674011002723395 : contained\n")
+    code, _, err = run(capsys, "special", "--name", "sh", "--t", "51")
+    assert code == 2 and "t must lie in [0, 50]" in err
+
+
 def test_special_sb_admits_a_zero(capsys):
     code, out, _ = run(capsys, "special", "--name", "sb", "--a", "0", "--b", "1")
     assert code == 0

@@ -75,6 +75,26 @@ def test_sh_reference():
     assert sh_reference(0.0).value == 0.0
 
 
+def test_sh_reference_at_infinity_is_closed_form(monkeypatch):
+    import mpmath as mp
+
+    from sincbounds import integrals
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(integrals, "_quad", no_quadrature)
+    got = sh_reference(math.inf)
+    assert got.evaluations == 0
+    assert 0.0 < got.error_estimate <= 4.0 * math.ulp(got.value)
+    with mp.workdps(40):
+        assert abs(mp.mpf(got.value) - mp.pi ** 2 / 4) <= got.error_estimate
+    assert sh_enclosure(math.inf).contains(got.value)
+    for t in (50.5, 1e300, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sh_reference(t)
+
+
 def test_scipy_is_imported_only_by_quadrature():
     code = """if True:
         import contextlib, io, math, sys

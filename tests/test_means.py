@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sincbounds.core import sinhc
+from sincbounds import means
+from sincbounds.core import cosh_bound, sinhc
 from sincbounds.means import (
     MeanPoint,
     _COMPARISON_COEFFS,
@@ -420,6 +421,83 @@ def test_array_results_follow_scalar_exceptions():
         mean_family(3.0, (1.7e308, 1e-300))
     with pytest.raises(OverflowError):
         mean_family(3.0, big)
+
+
+def _family_mp(p, a, b):
+    """mean_family at 60 digits from the exact a and b."""
+    with mp.workdps(60):
+        a, b, p = mp.mpf(a), mp.mpf(b), mp.mpf(p)
+        x = abs(mp.log(a / b)) / 2
+        return mp.sqrt(a * b) * (1 + 2 / (3 * p * p) * mp.sinh(p * x / 2) ** 2)
+
+
+def _family_ulp_bound(p, a, b):
+    # 16 ulps of arithmetic plus the rounding of the half log ratio x,
+    # about (|ln a| + |ln b|) eps / 2, which the factor ~ e^(px) carries
+    # into the mean p-fold
+    return 16.0 + p * (abs(math.log(a)) + abs(math.log(b)))
+
+
+def _overflow_rescue_cases():
+    """(p, a, b): G * family factor overflows, the mean is finite, G normal."""
+    out = []
+    for ea in range(-323, -150, 7):
+        for eb in range(-20, 300, 11):
+            a, b = 10.0 ** ea, 10.0 ** eb
+            if not a * b >= 2.3e-308:
+                continue
+            x = 0.5 * (math.log(b) - math.log(a))
+            for p in (1.5, 2.0, 3.0, 5.0, 8.0):
+                y = 0.5 * p * x
+                if 355.0 < y < 710.0 and math.log(a * b) / 2 + 2 * y < 709.0:
+                    out.append((p, a, b))
+    return out
+
+
+def test_mean_family_survives_factor_overflow():
+    # G tiny, the family factor huge, their product in range
+    assert mean_family(2.0, (5e-324, 1.0)) == pytest.approx(1.8745474143929985e160, rel=1e-12)
+    cases = _overflow_rescue_cases() + [(2.0, 5e-324, 1.0), (2.0, 1.0, 5e-324)]
+    assert len(cases) > 100
+    got = np.array([mean_family(p, (a, b)) for p, a, b in cases])
+    for (p, a, b), v in zip(cases, got.tolist()):
+        assert math.isfinite(v)
+        err = float(abs(mp.mpf(v) - _family_mp(p, a, b))) / math.ulp(v)
+        assert err <= _family_ulp_bound(p, a, b), (p, a, b, err)
+    # the same bits for array pairs and for the monotone check's rows
+    for p in sorted({c[0] for c in cases}):
+        idx = [i for i, c in enumerate(cases) if c[0] == p]
+        a = np.array([cases[i][1] for i in idx])
+        b = np.array([cases[i][2] for i in idx])
+        assert _same_bits(mean_family(p, (a, b)), got[idx])
+        assert _same_bits(means._mean_family_rows([0.5, p], a, b)[1][1], got[idx])
+    # a mean beyond the double range stays inf
+    assert mean_family(3.0, (1e300, 1e10)) == math.inf
+    assert _same_bits(mean_family(3.0, (np.array([1e300, 2.0]), np.array([1e10, 1.0]))),
+                      [math.inf, mean_family(3.0, (2.0, 1.0))])
+
+
+def test_mean_family_beyond_sinh_range():
+    # sinh(px/2) overflows while the mean is finite; only a subnormal G
+    # allows that, and its rounding carries into the mean
+    a, b = 2.0 ** -1074, 2.0 ** -1045
+    for p in (142.0, 142.5):
+        v = mean_family(p, (a, b))
+        g = geometric_mean((a, b))
+        tol = math.ulp(g) / g * v + _family_ulp_bound(p, a, b) * math.ulp(v)
+        assert abs(mp.mpf(v) - _family_mp(p, a, b)) <= tol
+        assert _same_bits(mean_family(p, (np.array([a, 1.0]), np.array([b, 2.0]))),
+                          [v, mean_family(p, (1.0, 2.0))])
+    with pytest.raises(OverflowError):
+        mean_family(150.0, (a, b))  # beyond the double range
+
+
+def test_mean_family_unscaled_where_in_range():
+    # every product in range keeps the bits of G * cosh_bound
+    for p, a, b in _overflow_rescue_cases()[::5]:
+        for q in (0.5 * p, 0.25 * p, 1e-9):
+            want = geometric_mean((a, b)) * cosh_bound(q, abs(half_log_ratio((a, b))))
+            assert mean_family(q, (a, b)) == want
 
 
 def test_sb_array_pairs_admit_a_zero():

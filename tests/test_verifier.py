@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,134 @@ def test_refine_windows_equal_linspace(centre, spacing):
     lo, hi = centre - spacing / 2.0, centre + spacing
     assert np.array_equal(_refine_windows(centres, spacing, lo, hi),
                           want[(want > lo) & (want < hi)])
+
+
+# ----------------------------------------------------------- verify in blocks
+
+def _in_blocks(f, n):
+    """f evaluated on consecutive n-point slices of its argument, as verify
+    calls it; the same values as f for an elementwise f."""
+    def blocked(x):
+        return np.concatenate([np.broadcast_to(np.asarray(f(x[i:i + n]), dtype=float),
+                                               x[i:i + n].shape) for i in range(0, x.size, n)])
+    return blocked
+
+
+_BLOCK_EDGE_CASES = _EDGE_CASES + [
+    # at 1000 points in blocks of 64: 15 full blocks and a short one of 40
+    ("tied minima in two blocks", _ZERO,
+     lambda x: np.where(np.floor(10.0 * x) % 5.0 == 1.0, -1.0, 1.0), (0.0, 1.0), True),
+    ("NaN in a later block only", _ZERO, _masked(lambda x: 1.0 + x, lambda x: x > 0.8, np.nan),
+     (0.0, 1.0), True),
+    ("NaN in the last block only", _ZERO, _masked(lambda x: 1.0 + x, lambda x: x > 0.97, np.nan),
+     (0.0, 1.0), True),
+    ("sparse violations in every block", lambda x: np.where(np.sin(150.0 * x) > 0.95, 2.0, 0.0),
+     lambda x: 1.0 + 0 * x, (0.0, 1.0), True),
+    ("minimum in the last, short block", _ZERO, lambda x: 1.0 - x, (0.0, 1.0), True),
+    ("scalar rhs", lambda x: -x, lambda x: -0.5, (0.0, 1.0), True),
+]
+
+
+@pytest.mark.parametrize("refine_rounds", [0, 1, 2])
+@pytest.mark.parametrize("points", [64, 1000])
+@pytest.mark.parametrize("name,lhs,rhs,domain,strict", _BLOCK_EDGE_CASES,
+                         ids=[c[0] for c in _BLOCK_EDGE_CASES])
+def test_verify_in_small_blocks_matches_reference(name, lhs, rhs, domain, strict, points,
+                                                  refine_rounds, monkeypatch):
+    # every round of more than 64 points spans several blocks; the "by
+    # position" cases are not elementwise, so the reference sees them in
+    # the same slices
+    monkeypatch.setattr(verifier, "_BLOCK", 64)
+    case = InequalityCase(name, lhs, rhs, domain, strict=strict)
+    sliced = InequalityCase(name, _in_blocks(lhs, 64), _in_blocks(rhs, 64), domain, strict=strict)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = verify(case, points=points, refine_rounds=refine_rounds)
+        want = _reference_verify(sliced, points=points, refine_rounds=refine_rounds)
+    _assert_same_report(got, want)
+
+
+def test_small_block_cases_reach_their_conditions(monkeypatch):
+    monkeypatch.setattr(verifier, "_BLOCK", 64)
+
+    def report(name, refine_rounds=2):
+        case = InequalityCase(*next(c for c in _BLOCK_EDGE_CASES if c[0] == name))
+        with np.errstate(invalid="ignore"):
+            return verify(case, points=1000, refine_rounds=refine_rounds)
+
+    tied = report("tied minima in two blocks")
+    assert tied.min_margin == -1.0 and 0.1 < tied.argmin_x < 0.2
+    assert all(v.x < 0.2 for v in tied.violations)  # the first 50 of the two bands
+    assert tied.n_violations > 2 * 64
+    assert math.isnan(report("NaN in a later block only").min_margin)
+    assert report("NaN in the last block only").argmin_x > 0.97
+    sparse = report("sparse violations in every block", refine_rounds=0)
+    assert sparse.n_violations > 50 and len(sparse.violations) == 50
+    assert sparse.violations[0].x < 64 / 1001 < 0.3 < sparse.violations[-1].x
+    assert report("minimum in the last, short block").argmin_x > 1.0 - 40 / 1001
+
+
+def test_verify_in_blocks_raises_what_the_round_raises(monkeypatch):
+    # rhs fails in the first block, lhs only in a later one; the round,
+    # evaluated whole with lhs first, fails on lhs
+    def lhs(x):
+        if np.any(x > 0.9):
+            raise ValueError(f"lhs beyond 0.9 on {x.size} points")
+        return 0 * x
+
+    def rhs(x):
+        if np.any(x < 0.05):
+            raise FloatingPointError(f"rhs below 0.05 on {x.size} points")
+        return 1.0 + x
+
+    def rhs_left_of_grid(x):
+        # the first grid point is 1/1001; only refinement reaches below it
+        if np.any(x < 0.00099):
+            raise FloatingPointError(f"rhs left of the grid on {x.size} points")
+        return 1.0 + x
+
+    case = InequalityCase("failing sides", lhs, rhs, (0.0, 1.0))
+    late = InequalityCase("failing refinement", _ZERO, rhs_left_of_grid, (0.0, 1.0))
+    for block in (64, verifier._BLOCK):
+        monkeypatch.setattr(verifier, "_BLOCK", block)
+        got = verify(case, points=1000)
+        _assert_same_report(got, _reference_verify(case, points=1000))
+        assert got.diagnostic == "evaluation failed: ValueError('lhs beyond 0.9 on 1000 points')"
+        assert got.grid_points == 0
+        # a failure in a refinement round counts only the rounds before it
+        got = verify(late, points=1000)
+        _assert_same_report(got, _reference_verify(late, points=1000))
+        assert got.diagnostic == \
+            "evaluation failed: FloatingPointError('rhs left of the grid on 65 points')"
+        assert got.grid_points == 1000
+
+
+@pytest.mark.parametrize("points", [3 * verifier._BLOCK + 1, 65536])
+def test_verify_in_blocks_matches_reference_on_corpus_and_sharpness(points, monkeypatch):
+    test_verify_matches_reference_on_corpus_and_sharpness(points, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_smallest5_equals_stable_argsort(seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+    for size in (0, 1, 3, 4, 5, 6, 7, 12, 100):
+        for m in (rng.choice(pool, size), rng.choice(pool[2:4], size),
+                  rng.choice(pool[5:], size), rng.standard_normal(size)):
+            assert np.array_equal(verifier._smallest5(m), np.argsort(m, kind="stable")[:5]), m
+
+
+def test_verify_memory_stays_below_one_round():
+    # the 65536-point grid takes 0.5 MiB; its blocks' temporaries stay small,
+    # where arrays of a whole round came to about 3 MiB
+    case = InequalityCase("memory", lambda x: cos_bound(0.7, x), sinc, (0.0, HALF_PI))
+    verify(case, points=65536)
+    tracemalloc.start()
+    try:
+        verify(case, points=65536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20, peak
 
 
 # ------------------------------------------------- monotone mean family rows
