@@ -23,6 +23,7 @@ kernels take the same branches and give the same results bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -34,6 +35,7 @@ from .integrals import Enclosure
 _SQRT15_5 = math.sqrt(15.0) / 5.0
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
 _SB_SCALE = 8.0 * math.sqrt(2.0) / 27.0
+_MIN_NORMAL = sys.float_info.min
 
 
 def _check_positive(a: float, b: float) -> None:
@@ -128,9 +130,10 @@ def _ulps(x: np.ndarray) -> np.ndarray:
 
 def _geo(a: float, b: float) -> float:
     ab = a * b
-    if math.isfinite(ab) and ab > 0.0:
+    if math.isfinite(ab) and ab >= _MIN_NORMAL:
         return math.sqrt(ab)
-    return math.sqrt(a) * math.sqrt(b)  # a*b overflowed or underflowed
+    # a*b overflowed, or underflowed into the subnormals and lost bits
+    return math.sqrt(a) * math.sqrt(b)
 
 
 def _half_log_ratio(a: float, b: float) -> float:
@@ -213,8 +216,8 @@ def _log_mean_sandwich(a: float, b: float) -> Enclosure:
         return Enclosure(a, a)
     g = _geo(a, b)
     x = abs(_half_log_ratio(a, b))
-    lo = g * _cosh_family(_SQRT15_5, x)
-    hi = g * _cosh_family(1.0, x)
+    lo = _family_times(g, _SQRT15_5, x)
+    hi = _family_times(g, 1.0, x)
     return Enclosure(lo - 16.0 * math.ulp(lo), hi + 16.0 * math.ulp(hi))
 
 
@@ -225,7 +228,7 @@ def _log_mean_sandwich(a: float, b: float) -> Enclosure:
 def _geo_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ab = a * b
     out = np.sqrt(ab)
-    wide = ~(np.isfinite(ab) & (ab > 0.0))
+    wide = ~(np.isfinite(ab) & (ab >= _MIN_NORMAL))
     out[wide] = np.sqrt(a[wide]) * np.sqrt(b[wide])
     return out
 
@@ -308,8 +311,8 @@ def _mean_family_arrays(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
 def _log_mean_sandwich_arrays(a: np.ndarray, b: np.ndarray) -> Enclosure:
     g = _geo_arrays(a, b)
     x = np.abs(_half_log_ratio_arrays(a, b))
-    lo = g * _cosh_family_arrays(_SQRT15_5, x)
-    hi = g * _cosh_family_arrays(1.0, x)
+    lo = _family_times_arrays(g, _SQRT15_5, x)
+    hi = _family_times_arrays(g, 1.0, x)
     lo = lo - 16.0 * _ulps(lo)
     hi = hi + 16.0 * _ulps(hi)
     eq = a == b

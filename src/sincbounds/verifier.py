@@ -18,11 +18,24 @@ few points each round keeps, so it never sorts all the points.
 
 Each round is evaluated and reduced in blocks of _BLOCK = 8192 consecutive
 points: lhs and rhs are called once per block, on a slice of the round, so
-they must be elementwise.  A block's float64 arrays take 64 KiB, below
-glibc's 128 KiB mmap threshold, so their memory is reused from the heap;
-arrays of a whole 65536-point round were mapped and page-faulted in afresh
-on every round (about 81,000 minor faults per dense_grid benchmark cycle,
-a third of its time in the kernel, against under 1,000 in blocks).
+they must be elementwise.  The base grid is made block by block from the
+indices, with np.linspace's own operations, and never as a whole.  A
+block's float64 arrays take 64 KiB, below glibc's 128 KiB mmap threshold,
+so their memory is reused from the heap; arrays of a whole 65536-point
+round were mapped and page-faulted in afresh on every round (about 81,000
+minor faults per dense_grid benchmark cycle, a third of its time in the
+kernel, against under 1,000 in blocks).
+
+Most blocks are settled by a few whole-block reductions.  Every floor is at
+least 64 ulps of 1, so a block whose smallest margin is not below minus
+that has no violation; and a margin above the block's largest floor, 64
+ulps of max(1, max|lhs|, max|rhs|) capped at the largest double, is a hold,
+after which no block needs that test.  A NaN margin fails both
+comparisons.  Only a block these bounds do not settle takes the per-point
+floors.  The refinement centres of the next round are the 5 smallest
+margins so far; once 5 are held, a block offers only its margins below the
+5th, kth, as a margin equal to kth comes later in evaluation order and so
+cannot displace it.
 """
 
 from __future__ import annotations
@@ -43,6 +56,8 @@ _EPS = math.ulp(1.0)
 FLOOR_ULPS = 64.0
 _MAX_DOUBLE = sys.float_info.max
 _BLOCK = 8192  # points per lhs/rhs call; see the module docstring
+_DEADBAND = FLOOR_ULPS * _EPS  # the smallest floor
+_SMALL = 256  # _smallest5 sorts arrays up to this size outright
 
 
 class Verdict(enum.Enum):
@@ -69,6 +84,8 @@ class InequalityCase:
 
     def __post_init__(self):
         lo, hi = self.domain
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"domain endpoints must be finite, got {self.domain!r}")
         if not lo < hi:
             raise ValueError(f"domain must satisfy xmin < xmax, got {self.domain!r}")
 
@@ -99,6 +116,22 @@ def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points + 2)[1:-1]
 
 
+def _grid_points(lo: float, hi: float, points: int, k: np.ndarray) -> np.ndarray:
+    """_interior_grid(lo, hi, points)[k - 1] for the float indices k in
+    1..points, with linspace's own operations; k is overwritten."""
+    lo, hi = float(lo), float(hi)
+    div = points + 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:  # linspace's path for a step that underflows to zero
+        k /= div
+        k *= delta
+    else:
+        k *= step
+    k += lo
+    return k
+
+
 def _refine_windows(centres: np.ndarray, spacing: float, lo: float, hi: float) -> np.ndarray:
     """13-point windows of half-width spacing around the centres, inside (lo, hi).
 
@@ -110,8 +143,10 @@ def _refine_windows(centres: np.ndarray, spacing: float, lo: float, hi: float) -
     delta = (stop - start)[:, None]
     step = delta / 12.0
     ramp = np.arange(13.0)
-    # linspace's path for a step that underflows to zero
-    fresh = np.where(step == 0.0, ramp / 12.0 * delta, ramp * step)
+    fresh = ramp * step
+    zero = step[:, 0] == 0.0
+    if zero.any():  # linspace's path for a step that underflows to zero
+        fresh[zero] = ramp / 12.0 * delta[zero]
     fresh += start[:, None]
     fresh[:, -1] = stop
     fresh = fresh.ravel()
@@ -126,15 +161,21 @@ def _definite(margin: np.ndarray, lv: np.ndarray, rv: np.ndarray) -> tuple[np.nd
     np.maximum(floor, scratch, out=floor)
     # capped at the largest double, the floor keeps infinite margins definite
     # (inf < inf is false); a finite margin never meets an infinite floor
-    np.clip(floor, 1.0, _MAX_DOUBLE, out=floor)
-    floor *= FLOOR_ULPS * _EPS
+    np.maximum(floor, 1.0, out=floor)
+    np.minimum(floor, _MAX_DOUBLE, out=floor)
+    floor *= _DEADBAND
     np.negative(floor, out=scratch)
     return margin < scratch, margin > floor
 
 
+def _largest_floor(lv: np.ndarray, rv: np.ndarray) -> float:
+    """The largest floor _definite gives a point of a block without NaN."""
+    return _DEADBAND * min(max(1.0, np.abs(lv).max(), np.abs(rv).max()), _MAX_DOUBLE)
+
+
 def _smallest5(margin: np.ndarray) -> np.ndarray:
     """np.argsort(margin, kind="stable")[:5], without sorting all of margin."""
-    if margin.size > 5:
+    if margin.size > _SMALL:
         kth = np.partition(margin, 4)[4]
         if not math.isnan(kth):  # NaN sorts last: then fewer than 5 are numbers
             idx = np.flatnonzero(margin <= kth)
@@ -142,19 +183,39 @@ def _smallest5(margin: np.ndarray) -> np.ndarray:
     return np.argsort(margin, kind="stable")[:5]
 
 
+def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
+           lowest: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 5 smallest of the candidates (cx, cm), sorted with ties in
+    evaluation order, followed by the block (x, margin) whose smallest
+    margin is lowest.
+
+    Once 5 candidates are held, their 5th-smallest margin kth bounds the
+    block: only its margins below kth can enter, as a margin equal to kth
+    comes later in evaluation order than the 5 held.
+    """
+    kth = cm[4] if cm.size == 5 else math.nan
+    if lowest >= kth:  # false where either is NaN
+        return cx, cm
+    sel = _smallest5(margin) if math.isnan(kth) else np.flatnonzero(margin < kth)
+    cx = np.concatenate((cx, x[sel]))
+    cm = np.concatenate((cm, margin[sel]))
+    keep = _smallest5(cm)
+    return cx[keep], cm[keep]
+
+
 def _side(f: Callable, x: np.ndarray) -> np.ndarray:
     v = np.asarray(f(x), dtype=float)
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
-def _block(case: InequalityCase, xs: np.ndarray, start: int):
-    """x, lhs and rhs of the block of xs that starts at start."""
-    x = xs[start:start + _BLOCK]
+def _sides(case: InequalityCase, x: np.ndarray, whole: Callable[[], np.ndarray]):
+    """lhs and rhs on the block x of the round whole() makes."""
     try:
-        return x, _side(case.lhs, x), _side(case.rhs, x)
+        return _side(case.lhs, x), _side(case.rhs, x)
     except Exception:
         # Unblocked, lhs is evaluated on the whole round before rhs: raise
         # what that raises, not an rhs error that comes first in the blocks.
+        xs = whole()
         _side(case.lhs, xs)
         _side(case.rhs, xs)
         raise
@@ -167,8 +228,9 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     if refine_rounds < 0:
         raise ValueError("refine_rounds must be >= 0")
     lo, hi = case.domain
-    xs = _interior_grid(lo, hi, points)
     spacing = (hi - lo) / (points + 1)
+    xs = None  # the base grid, made block by block
+    size = points
     grid_points = 0
     # Each block keeps, in x order, the points that can decide the report:
     # its first minimum and its first violations.  The report is read off
@@ -176,37 +238,53 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     n_bad = 0
     any_good = False
     picks = []
-    cx = cm = np.empty(0)  # refinement centres and their margins
+    cx = cm = np.empty(0)  # refinement candidates and their margins
+    ramp = np.arange(1.0, min(points, _BLOCK) + 1.0)  # base grid indices of a block
+
+    def whole():  # this round's points, for _sides
+        return _interior_grid(lo, hi, points) if xs is None else xs
+
     try:
         for round_no in range(refine_rounds + 1):
-            cands = [(cx, cm)]
-            for start in range(0, xs.size, _BLOCK):
-                x, lv, rv = _block(case, xs, start)
+            refining = round_no < refine_rounds
+            for start in range(0, size, _BLOCK):
+                if xs is None:
+                    x = _grid_points(lo, hi, points, ramp[:points - start] + start)
+                else:
+                    x = xs[start:start + _BLOCK]
+                lv, rv = _sides(case, x, whole)
                 margin = rv - lv
-                if round_no < refine_rounds:
-                    keep = _smallest5(margin)
-                    cands.append((x[keep], margin[keep]))
+                i = int(margin.argmin())
+                if refining:
+                    cx, cm = _take5(cx, cm, x, margin, margin[i])
                 if round_no:  # the base grid is in x order already
                     order = np.argsort(x, kind="stable")
                     x, lv, rv, margin = x[order], lv[order], rv[order], margin[order]
-                bad, good = _definite(margin, lv, rv)
-                idx = np.flatnonzero(bad)
-                n_bad += idx.size
-                any_good = any_good or bool(good.any())
-                keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], np.argmin(margin))
+                    i = int(margin.argmin())
+                # Every floor is at least _DEADBAND, so a block whose smallest
+                # margin is not below -_DEADBAND has no violation, and a margin
+                # above the block's largest floor is a hold.  A block with a
+                # NaN margin, or one these bounds do not settle, takes the
+                # floors point by point.
+                if margin[i] >= -_DEADBAND and (any_good or margin.max() > _largest_floor(lv, rv)):
+                    any_good = True
+                    keep = [i]
+                else:
+                    bad, good = _definite(margin, lv, rv)
+                    idx = np.flatnonzero(bad)
+                    n_bad += idx.size
+                    any_good = any_good or bool(good.any())
+                    keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], i)
                 picks.append((x[keep], lv[keep], rv[keep]))
-            grid_points += xs.size
-            if round_no == refine_rounds:
+            grid_points += size
+            if not refining:
                 break
             # triple the density around the 5 smallest margins of all rounds
-            # so far (ties in evaluation order); they are among the last 5
-            # centres and the 5 smallest of each block of this round
-            cx, cm = (np.concatenate(col) for col in zip(*cands))
-            keep = _smallest5(cm)
-            cx, cm = cx[keep], cm[keep]
+            # so far (ties in evaluation order)
             spacing /= 3.0
             xs = _refine_windows(cx, spacing, lo, hi)
-            if xs.size == 0:
+            size = xs.size
+            if size == 0:
                 break
     except (ArithmeticError, ValueError) as exc:  # evaluation failure -> inconclusive
         return VerificationReport(

@@ -172,6 +172,14 @@ def test_special_commands(capsys):
     assert code == 0 and "contained" in out
 
 
+def test_special_log_mean_far_pair_has_finite_ends(capsys):
+    # G * family factor overflows at p = 1 while the mean is in range
+    code, out, err = run(capsys, "special", "--name", "log-mean", "--a", "5e-324", "--b", "1e300")
+    assert (code, err) == (0, "")
+    assert out == ("log-mean: enclosure [1.5705399527075125e+229, 1.6666666666666125e+299] "
+                   "oracle 6.9675942773036959e+296 : contained\n")
+
+
 def test_special_sh_at_infinity(capsys):
     code, out, err = run(capsys, "special", "--name", "sh", "--t", "inf")
     assert (code, err) == (0, "")

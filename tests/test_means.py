@@ -228,6 +228,70 @@ def test_log_mean_sandwich_near_equal_ratios():
             assert log_mean_sandwich(m).contains(log_mean(m))
 
 
+def test_log_mean_sandwich_survives_factor_overflow():
+    # G tiny, the factor at p = 1 huge: the upper end is mean_family(1), not inf
+    m = (5e-324, 1e300)
+    enc = log_mean_sandwich(m)
+    hi = mean_family(1.0, m)
+    assert hi == pytest.approx(1.6666666666666095e299, rel=1e-14)
+    assert enc.hi == hi + 16.0 * math.ulp(hi)
+    assert enc.lo == pytest.approx(mean_family(UPPER_EDGE, m), rel=1e-14)
+    assert enc.contains(log_mean(m))
+    arr = log_mean_sandwich((np.array([5e-324, 1.0]), np.array([1e300, 4.0])))
+    assert _same_bits(arr.hi, [enc.hi, log_mean_sandwich((1.0, 4.0)).hi])
+    assert _same_bits(arr.lo, [enc.lo, log_mean_sandwich((1.0, 4.0)).lo])
+
+
+def test_log_mean_sandwich_unchanged_where_products_are_finite():
+    # wherever G * family factor is finite, the ends are that product widened
+    pairs = [(m.a, m.b) for m in random_pairs(500, seed=3)] + _branch_edge_pairs()
+    pairs += [(a, b) for _, a, b in _overflow_rescue_cases()]
+    for a, b in pairs:
+        if a == b:
+            continue
+        g = geometric_mean((a, b))
+        x = abs(half_log_ratio((a, b)))
+        enc = log_mean_sandwich((a, b))
+        for end, p, sign in ((enc.lo, UPPER_EDGE, -1.0), (enc.hi, 1.0, 1.0)):
+            v = g * means._cosh_family(p, x)
+            if math.isfinite(v):
+                assert end == v + sign * 16.0 * math.ulp(v), (a, b, p)
+
+
+def _subnormal_product_pairs():
+    """Pairs whose product a*b is subnormal but not zero, both orders, and
+    pairs on both sides of the smallest normal product."""
+    out = []
+    for ea in range(-323, -5, 13):
+        for frac in (0.031, 0.5, 0.97):
+            a = 10.0 ** ea
+            b = 2.0 ** -1030 * (1.0 + frac) / a  # a*b about 2^-1030
+            if 0.0 < b < math.inf and 0.0 < a * b < 2.2250738585072014e-308:
+                out += [(a, b), (b, a)]
+    tiny = 2.0 ** -1022
+    out += [(5.78e-320, 4.17), (tiny, 1.0), (tiny, 1.0 - 2.0 ** -53), (tiny, 0.5), (3.0, tiny)]
+    return out
+
+
+def test_geometric_mean_of_subnormal_products():
+    pairs = _subnormal_product_pairs()
+    assert len(pairs) > 40
+    for a, b in pairs:
+        got = geometric_mean((a, b))
+        with mp.workdps(50):
+            want = mp.sqrt(mp.mpf(a) * mp.mpf(b))
+        assert abs(mp.mpf(got) - want) <= 1.5 * math.ulp(got), (a, b)
+    # was sqrt(a*b) of the rounded subnormal product: off by 1.7e-6
+    assert geometric_mean((5.78e-320, 4.17)) == pytest.approx(4.909471309744606e-160, rel=1e-15)
+
+
+def test_subnormal_product_pairs_match_scalar_bits():
+    pairs = _subnormal_product_pairs()
+    a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    assert _same_bits(means._geo_arrays(a, b), [geometric_mean(p) for p in pairs])
+    _assert_arrays_match_scalar(a, b)
+
+
 def test_mean_chain_increasing_at_fixed_pair():
     m = MeanPoint(1.0, 4.0)
     ps = [1.0 / math.sqrt(3.0), 2.0 / 3.0, 1.0 / math.sqrt(2.0), 0.75,

@@ -91,6 +91,13 @@ def test_verify_points_validation():
         InequalityCase("bad", sinc, sinc, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("domain", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                    (math.nan, 1.0), (0.0, math.nan)])
+def test_case_rejects_non_finite_domain(domain):
+    with pytest.raises(ValueError, match="finite|xmin < xmax"):
+        InequalityCase("unbounded", sinc, sinc, domain)
+
+
 def test_verify_rejects_negative_refine_rounds():
     case = InequalityCase("x", lambda x: cos_bound(0.5, x), sinc, (0.0, 1.0))
     with pytest.raises(ValueError, match="refine_rounds must be >= 0"):
@@ -524,10 +531,172 @@ def test_verify_in_blocks_matches_reference_on_corpus_and_sharpness(points, monk
 def test_smallest5_equals_stable_argsort(seed):
     rng = np.random.default_rng(seed)
     pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
-    for size in (0, 1, 3, 4, 5, 6, 7, 12, 100):
+    for size in (0, 1, 3, 4, 5, 6, 7, 12, 100, verifier._SMALL + 1, 1000):
         for m in (rng.choice(pool, size), rng.choice(pool[2:4], size),
                   rng.choice(pool[5:], size), rng.standard_normal(size)):
             assert np.array_equal(verifier._smallest5(m), np.argsort(m, kind="stable")[:5]), m
+
+
+# ------------------------------------------ blocks settled from their extremes
+
+_D = FLOOR_ULPS * _EPS  # the smallest floor
+
+
+def _band(lo, hi, inside, outside=1.0):
+    return lambda x: np.where((x > lo) & (x < hi), inside, outside)
+
+
+_BOUND_CASES = [
+    # a margin exactly at -floor is no violation; one a step below it is
+    ("margin at -floor", _ZERO, _band(0.6, 0.62, -_D), (0.0, 1.0), True),
+    ("margin a step below -floor", _ZERO, _band(0.6, 0.62, np.nextafter(-_D, -1.0)),
+     (0.0, 1.0), True),
+    # positive margins under the block's largest floor, a hold only where
+    # the floor is small: the bound cannot settle the block, the floors can
+    ("holds under the largest floor", lambda x: np.where(x < 0.5, 1e6, 0.0),
+     lambda x: np.where(x < 0.5, 1e6, 0.0) + np.where((x > 0.5) & (x < 0.51), 1e-12, 0.0),
+     (0.0, 1.0), True),
+    # positive margins that stay in the deadband of a large magnitude
+    ("deadband of a large magnitude", lambda x: 1e6 + 0.0 * x, lambda x: 1e6 + 2.3e-10 + 0.0 * x,
+     (0.0, 1.0), True),
+    ("violations in a later block only", _ZERO, _band(0.6, 0.62, -1.0), (0.0, 1.0), True),
+    ("NaN after violations", _ZERO,
+     lambda x: np.where(x > 0.9, np.nan, np.where((x > 0.3) & (x < 0.32), -1.0, 1.0)),
+     (0.0, 1.0), True),
+    # levels 1..8 in bands of 1/40: the 5 smallest, all 1, come first and
+    # every later 1 ties with kth
+    ("ties at kth across blocks", _ZERO, lambda x: np.floor(40.0 * x) % 8.0 + 1.0,
+     (0.0, 1.0), True),
+    ("ties at kth, falling", _ZERO, lambda x: np.floor(8.0 * (1.0 - x)) + 1.0, (0.0, 1.0), True),
+    # the refinement points around the first 5 zeros are zeros too: they tie
+    # with kth from the previous centres, which stay the centres
+    ("kth from the previous centres", _ZERO, lambda x: np.where(x < 0.01, 0.0, 1.0),
+     (0.0, 1.0), True),
+    # refinement points below kth of the previous centres
+    ("refinement below kth", _ZERO, lambda x: np.abs(x - 0.3) + 0.5 * np.abs(x - 0.7),
+     (0.0, 1.0), True),
+    ("NaN centres", _ZERO, _band(0.0, 0.003, np.nan), (0.0, 1.0), True),
+]
+
+
+@pytest.mark.parametrize("refine_rounds", [0, 1, 2])
+@pytest.mark.parametrize("points", [64, 1000])
+@pytest.mark.parametrize("block", [64, verifier._BLOCK])
+@pytest.mark.parametrize("name,lhs,rhs,domain,strict", _BOUND_CASES,
+                         ids=[c[0] for c in _BOUND_CASES])
+def test_verify_bounds_match_reference(name, lhs, rhs, domain, strict, block, points,
+                                       refine_rounds, monkeypatch):
+    monkeypatch.setattr(verifier, "_BLOCK", block)
+    case = InequalityCase(name, lhs, rhs, domain, strict=strict)
+    with np.errstate(invalid="ignore"):
+        got = verify(case, points=points, refine_rounds=refine_rounds)
+        want = _reference_verify(case, points=points, refine_rounds=refine_rounds)
+    _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("block", [64, verifier._BLOCK])
+def test_bound_cases_reach_their_conditions(block, monkeypatch):
+    monkeypatch.setattr(verifier, "_BLOCK", block)
+
+    def report(name, refine_rounds=2):
+        case = InequalityCase(*next(c for c in _BOUND_CASES if c[0] == name))
+        with np.errstate(invalid="ignore"):
+            return verify(case, points=1000, refine_rounds=refine_rounds)
+
+    at = report("margin at -floor")
+    assert at.min_margin == -_D and at.n_violations == 0 and at.verdict is Verdict.HOLDS
+    below = report("margin a step below -floor", refine_rounds=0)
+    assert below.min_margin < -_D and below.n_violations == 20  # x = 601/1001 .. 620/1001
+    assert report("holds under the largest floor").verdict is Verdict.HOLDS
+    assert report("deadband of a large magnitude").verdict is Verdict.INCONCLUSIVE
+    assert report("violations in a later block only").violations[0].x > 0.6
+    late = report("NaN after violations", refine_rounds=0)
+    assert math.isnan(late.min_margin) and late.n_violations == 20
+    # refinement around the first 5 grid points, all of margin 0, finds
+    # only more zeros, which tie with kth: the second round refines around
+    # the same 5 centres, so the first zero is 1/1001 - 1/3003, not 1/9009
+    # left of the first window of the first round
+    inherited = report("kth from the previous centres")
+    assert inherited.grid_points == 1000 + 2 * 5 * 13
+    assert inherited.argmin_x == pytest.approx(2.0 / 3003.0, rel=1e-12)
+    assert report("refinement below kth").argmin_x == pytest.approx(0.3, abs=1e-4)
+
+
+def _centres_by_sort(blocks, cx, cm):
+    x = np.concatenate([cx] + [b[0] for b in blocks])
+    m = np.concatenate([cm] + [b[1] for b in blocks])
+    keep = np.argsort(m, kind="stable")[:5]
+    return x[keep], m[keep]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_take5_equals_stable_argsort_of_all_blocks(seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+    for held in (0, 3, 5):
+        cm0 = np.sort(rng.choice(pool, held))  # NaN sorts last, as held centres do
+        cx0 = rng.standard_normal(held)
+        blocks = []
+        for size in rng.integers(1, 40, 6):
+            m = rng.choice(pool, size) if rng.random() < 0.7 else rng.standard_normal(size)
+            blocks.append((rng.standard_normal(size), m))
+        cx, cm = cx0, cm0
+        for bx, bm in blocks:
+            cx, cm = verifier._take5(cx, cm, bx, bm, bm[np.argmin(bm)])
+        wx, wm = _centres_by_sort(blocks, cx0, cm0)
+        assert np.array_equal(cx, wx) and np.array_equal(cm, wm, equal_nan=True)
+        assert np.array_equal(np.signbit(cm), np.signbit(wm))
+
+
+def test_corpus_takes_both_block_paths(monkeypatch):
+    # blocks settled by the bounds, and blocks that take the per-point
+    # floors: each verify call takes the floors once more, on its picks
+    counts = {"blocks": 0, "floors": 0, "calls": 0}
+    sides, definite, real = verifier._sides, verifier._definite, verifier.verify
+
+    def counted_sides(*args):
+        counts["blocks"] += 1
+        return sides(*args)
+
+    def counted_definite(*args):
+        counts["floors"] += 1
+        return definite(*args)
+
+    def counted_verify(*args, **kwargs):
+        counts["calls"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "_sides", counted_sides)
+    monkeypatch.setattr(verifier, "_definite", counted_definite)
+    monkeypatch.setattr(verifier, "verify", counted_verify)
+    monkeypatch.setattr(corpus, "verify", counted_verify)
+    corpus.run_suite("all", points=4096)
+    exact = counts["floors"] - counts["calls"]
+    assert 0 < exact < counts["blocks"] // 2, counts
+
+
+@pytest.mark.parametrize("block", [64, verifier._BLOCK])
+@pytest.mark.parametrize("domain", [
+    (0.0, HALF_PI), (0.0, 50.0), (1.0, 1e12), (-3.0, 2.5), (0, 1),
+    (1.0, 1.0 + 4 * _EPS),        # a few ulps wide: grid points repeat
+    (0.0, 1e-320),                # the step underflows to zero
+    (-1e308, 1e308),              # the width overflows
+])
+@pytest.mark.parametrize("points", [64, 1000, 8193])
+def test_base_grid_blocks_equal_linspace(domain, points, block, monkeypatch):
+    monkeypatch.setattr(verifier, "_BLOCK", block)
+    seen = []
+
+    def lhs(x):
+        seen.append(x.copy())
+        return np.zeros_like(x)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        verify(InequalityCase("grid", lhs, _ZERO, domain), points=points, refine_rounds=0)
+        want = np.linspace(domain[0], domain[1], points + 2)[1:-1]
+    got = np.concatenate(seen)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert len(seen) == -(-points // block)
 
 
 def test_verify_memory_stays_below_one_round():
