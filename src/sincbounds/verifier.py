@@ -118,8 +118,9 @@ def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 def _grid_points(lo: float, hi: float, points: int, k: np.ndarray) -> np.ndarray:
     """_interior_grid(lo, hi, points)[k - 1] for the float indices k in
-    1..points, with linspace's own operations; k is overwritten."""
-    lo, hi = float(lo), float(hi)
+    1..points, with linspace's own operations; k is overwritten, and its
+    dtype is the grid's, np.result_type(lo, hi, 1.0)."""
+    lo, hi = k.dtype.type(lo), k.dtype.type(hi)
     div = points + 1
     delta = hi - lo
     step = delta / div
@@ -239,7 +240,8 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     any_good = False
     picks = []
     cx = cm = np.empty(0)  # refinement candidates and their margins
-    ramp = np.arange(1.0, min(points, _BLOCK) + 1.0)  # base grid indices of a block
+    # base grid indices of a block
+    ramp = np.arange(1, min(points, _BLOCK) + 1, dtype=np.result_type(lo, hi, 1.0))
 
     def whole():  # this round's points, for _sides
         return _interior_grid(lo, hi, points) if xs is None else xs

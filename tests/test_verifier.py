@@ -681,6 +681,7 @@ def test_corpus_takes_both_block_paths(monkeypatch):
     (1.0, 1.0 + 4 * _EPS),        # a few ulps wide: grid points repeat
     (0.0, 1e-320),                # the step underflows to zero
     (-1e308, 1e308),              # the width overflows
+    (np.float32(0.0), np.float32(1.5)),  # a float32 grid
 ])
 @pytest.mark.parametrize("points", [64, 1000, 8193])
 def test_base_grid_blocks_equal_linspace(domain, points, block, monkeypatch):
@@ -695,7 +696,7 @@ def test_base_grid_blocks_equal_linspace(domain, points, block, monkeypatch):
         verify(InequalityCase("grid", lhs, _ZERO, domain), points=points, refine_rounds=0)
         want = np.linspace(domain[0], domain[1], points + 2)[1:-1]
     got = np.concatenate(seen)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert len(seen) == -(-points // block)
 
 
