@@ -5,9 +5,7 @@ engine for every inequality in the corpus."""
 __version__ = "0.1.0"
 
 from .core import (
-    BoundParam,
     CoefficientSeq,
-    Family,
     GapEvaluation,
     GapMethod,
     SERIES_SWITCH,

@@ -120,18 +120,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if n_bad == 0 else 1
 
 
-_CHAIN_DOMAINS = {"m1c": (0.0, _HALF_PI), "m2c": (0.0, 20.0)}
-
-
 def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
     """Header and rows (x, member values, adjacent margins) for a chain."""
     chain = chain.lower()
-    if chain == "m1c":
-        members = corpus.cos_chain_members()
-        args = [float(x) for x in xs]
-        key = "x"
-    elif chain == "m2c":
-        members = corpus.cosh_chain_members()
+    if chain in corpus.CHAINS:
+        members = corpus.CHAINS[chain][0]()
         args = [float(x) for x in xs]
         key = "x"
     elif chain == "meanchain":
@@ -159,10 +152,9 @@ def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     chain = args.chain.lower()
-    if chain in _CHAIN_DOMAINS:
-        lo, hi = _CHAIN_DOMAINS[chain]
-        xs = np.linspace(lo, hi, args.points)
-        header, rows = chain_table(chain, xs)
+    if chain in corpus.CHAINS:
+        lo, hi = corpus.CHAINS[chain][1]
+        header, rows = chain_table(chain, np.linspace(lo, hi, args.points))
     else:
         if args.pair is not None:
             pts = [means.MeanPoint(*args.pair)]
@@ -253,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", choices=("all",) + corpus.SUITES, default="all")
 
     sp = command("table", cmd_table, help="emit a CSV chain table")
-    sp.add_argument("--chain", choices=("m1c", "m2c", "meanchain"), required=True)
+    sp.add_argument("--chain", choices=(*corpus.CHAINS, "meanchain"), required=True)
     sp.add_argument("--pair", type=float, nargs=2, metavar=("A", "B"), default=None,
                     help="explicit pair for the mean chain")
 

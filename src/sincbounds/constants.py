@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import core as _core
-from .core import BoundParam, cos_bound, quartic_gap_coeff
+from .core import cos_bound, quartic_gap_coeff
 
 _HALF_PI = math.pi / 2.0
 
@@ -115,8 +115,6 @@ class QuarticBound:
 
 def quartic_constants(p) -> QuarticBound:
     """c_lo = (pi/2)^-4 * gap(pi/2), c_hi = (3 - 5 p^2)/360."""
-    if isinstance(p, BoundParam):
-        p = p.value
     p = float(p)
     if not (math.isfinite(p) and 0.0 <= p and p * p <= 0.6 * (1.0 + 1e-12)):
         raise ValueError(f"parameter outside the certified range [0, sqrt(3/5)]: {p!r}")

@@ -40,16 +40,6 @@ _SERIES_STEPS = tuple((n, float(2 * n + 1), float(n * (2 * n + 1)), float((2 * n
                       for n in range(2, _SERIES_MAX_TERMS + 1))
 
 
-class Family(enum.Enum):
-    TRIG = "trig"
-    HYP = "hyp"
-
-
-# the scalar path reads enum members through these: Family.TRIG is a
-# class attribute lookup that costs about 0.15 us on CPython 3.11
-_TRIG, _HYP = Family.TRIG, Family.HYP
-
-
 def _check(v: float, trig: bool) -> float:
     """v if it is a valid parameter of the trig (or hyperbolic) family."""
     if not math.isfinite(v) or v < 0.0:
@@ -57,34 +47,6 @@ def _check(v: float, trig: bool) -> float:
     if trig and v > 1.0:
         raise ValueError(f"trig family parameter must lie in [0, 1], got {v!r}")
     return v
-
-
-@dataclass(frozen=True)
-class BoundParam:
-    """Validated family parameter.  value = 0 selects the quadratic limit."""
-
-    value: float
-    family: Family
-
-    def __post_init__(self):
-        _check(self.value, self.family is Family.TRIG)
-
-    @classmethod
-    def trig(cls, value: float) -> "BoundParam":
-        return cls(float(value), Family.TRIG)
-
-    @classmethod
-    def hyp(cls, value: float) -> "BoundParam":
-        return cls(float(value), Family.HYP)
-
-
-def _param(p, family: Family) -> float:
-    """Accept a BoundParam of the right family or a bare number."""
-    if isinstance(p, BoundParam):
-        if p.family is not family:
-            raise ValueError(f"expected a {family.value} parameter, got {p.family.value}")
-        return p.value
-    return _check(float(p), family is _TRIG)
 
 
 class GapMethod(enum.Enum):
@@ -159,7 +121,7 @@ def _cosh_family(p: float, x: float) -> float:
 
 def cos_bound(p, x):
     """Trig bound family (1/(3p^2)) cos(px) + 1 - 1/(3p^2); 1 - x^2/6 at p = 0."""
-    p = _param(p, _TRIG)
+    p = _check(float(p), True)
     limit = p <= _LIMIT_FAMILY_CUTOFF
     if isinstance(x, (float, int)) or np.ndim(x) == 0:
         # the limit takes x as given, so an int x is squared exactly
@@ -173,7 +135,7 @@ def cos_bound(p, x):
 
 def cosh_bound(p, x):
     """Hyperbolic bound family (1/(3p^2)) cosh(px) + 1 - 1/(3p^2); 1 + x^2/6 at p = 0."""
-    p = _param(p, _HYP)
+    p = _check(float(p), False)
     limit = p <= _LIMIT_FAMILY_CUTOFF
     if isinstance(x, (float, int)) or np.ndim(x) == 0:
         return _no_overflow(_cosh_family(p, x if limit else float(x)), x, "cosh_bound")
@@ -258,7 +220,7 @@ def sinc_gap(p, x) -> GapEvaluation:
 
     Even in x; evaluated at |x|.
     """
-    p = _param(p, _TRIG)
+    p = _check(float(p), True)
     x = float(x)
     ax = abs(x)
     if ax <= SERIES_SWITCH:
@@ -270,7 +232,7 @@ def sinc_gap(p, x) -> GapEvaluation:
 
 def sinhc_gap(p, x) -> GapEvaluation:
     """Gap sinhc(x) - cosh_bound(p, x), series path for |x| <= SERIES_SWITCH."""
-    p = _param(p, _HYP)
+    p = _check(float(p), False)
     x = float(x)
     ax = abs(x)
     if ax <= SERIES_SWITCH:
@@ -286,11 +248,7 @@ def quartic_gap_coeff(p) -> float:
     Vanishes at p = sqrt(15)/5, which is what makes that parameter the
     sharp edge on both sides.
     """
-    if isinstance(p, BoundParam):
-        p = p.value
-    p = float(p)
-    if not math.isfinite(p) or p < 0.0:
-        raise ValueError(f"parameter must be finite and >= 0, got {p!r}")
+    p = _check(float(p), False)
     return (3.0 - 5.0 * p * p) / 360.0
 
 
@@ -316,7 +274,7 @@ def cos_power_bound(p: float, x):
 
 def cosh_power_bound(p: float, x):
     """Power-form hyperbolic bound (cosh px)^(1/(3p^2)) for p > 0."""
-    p = float(p)
+    p = _check(float(p), False)
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p!r}")
     if isinstance(x, (float, int)) or np.ndim(x) == 0:
@@ -339,7 +297,7 @@ def sinhc_gap_scaled(p, x):
     Limits at x -> inf: -1/(6p^2) for p > 1, -1/6 at p = 1, +inf for 0 < p < 1.
     Returns +inf instead of overflowing when the first term exceeds double range.
     """
-    p = _param(p, _HYP)
+    p = _check(float(p), False)
     if p <= _LIMIT_FAMILY_CUTOFF:
         raise ValueError("scaled gap needs p well above 0")
     w = 1.0 / (6.0 * p * p)

@@ -89,6 +89,10 @@ def cosh_chain_members() -> list[tuple[str, object]]:
     ]
 
 
+# the fixed-parameter chains in x: name -> (members, domain)
+CHAINS = {"m1c": (cos_chain_members, _TRIG), "m2c": (cosh_chain_members, (0.0, 20.0))}
+
+
 MEAN_CHAIN_PARAMS = [1.0 / math.sqrt(3.0), 2.0 / 3.0, 1.0 / math.sqrt(2.0), 0.75, _UPPER_EDGE]
 
 
@@ -162,9 +166,8 @@ def _suite_theorem2(points: int, seed: int) -> list[CheckResult]:
 
 
 def _suite_chains(points: int, seed: int) -> list[CheckResult]:
-    chains = ((cos_chain_members(), _TRIG), (cosh_chain_members(), (0.0, 20.0)))
-    return [_verdict_result("chains", rep, Verdict.HOLDS)
-            for members, domain in chains for rep in verify_chain(members, domain, points)]
+    return [_verdict_result("chains", rep, Verdict.HOLDS) for members, domain in CHAINS.values()
+            for rep in verify_chain(members(), domain, points)]
 
 
 def _enclosure_result(suite: str, name: str, enc: integrals.Enclosure, value: float,

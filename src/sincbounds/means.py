@@ -343,6 +343,8 @@ def power_mean(p: float, m) -> float:
     """((a^p + b^p)/2)^(1/p); the geometric mean at p = 0."""
     a, b = _one_pair(m)
     p = float(p)
+    if math.isnan(p):
+        raise ValueError(f"power mean order must not be NaN, got {p!r}")
     if p == 0.0:
         return _geo(a, b)
     if p == 1.0:

@@ -18,13 +18,13 @@ few points each round keeps, so it never sorts all the points.
 
 Each round is evaluated and reduced in blocks of _BLOCK = 8192 consecutive
 points: lhs and rhs are called once per block, on a slice of the round, so
-they must be elementwise.  The base grid is made block by block from the
-indices, with np.linspace's own operations, and never as a whole.  A
-block's float64 arrays take 64 KiB, below glibc's 128 KiB mmap threshold,
-so their memory is reused from the heap; arrays of a whole 65536-point
-round were mapped and page-faulted in afresh on every round (about 81,000
-minor faults per dense_grid benchmark cycle, a third of its time in the
-kernel, against under 1,000 in blocks).
+they must be elementwise.  The base grid is made once per call, by
+np.linspace, and each block is a slice of it; the grid is the only
+round-sized array.  A block's float64 arrays take 64 KiB, below glibc's
+128 KiB mmap threshold, so their memory is reused from the heap; the
+temporaries of a whole 65536-point round were mapped and page-faulted in
+afresh on every round (about 81,000 minor faults per dense_grid benchmark
+cycle, a third of its time in the kernel, against under 1,000 in blocks).
 
 Most blocks are settled by a few whole-block reductions.  Every floor is at
 least 64 ulps of 1, so a block whose smallest margin is not below minus
@@ -80,7 +80,6 @@ class InequalityCase:
     lhs: Callable
     rhs: Callable
     domain: tuple[float, float]
-    strict: bool = True
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -114,23 +113,6 @@ _MAX_STORED_VIOLATIONS = 50
 
 def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points + 2)[1:-1]
-
-
-def _grid_points(lo: float, hi: float, points: int, k: np.ndarray) -> np.ndarray:
-    """_interior_grid(lo, hi, points)[k - 1] for the float indices k in
-    1..points, with linspace's own operations; k is overwritten, and its
-    dtype is the grid's, np.result_type(lo, hi, 1.0)."""
-    lo, hi = k.dtype.type(lo), k.dtype.type(hi)
-    div = points + 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0.0:  # linspace's path for a step that underflows to zero
-        k /= div
-        k *= delta
-    else:
-        k *= step
-    k += lo
-    return k
 
 
 def _refine_windows(centres: np.ndarray, spacing: float, lo: float, hi: float) -> np.ndarray:
@@ -209,14 +191,13 @@ def _side(f: Callable, x: np.ndarray) -> np.ndarray:
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
-def _sides(case: InequalityCase, x: np.ndarray, whole: Callable[[], np.ndarray]):
-    """lhs and rhs on the block x of the round whole() makes."""
+def _sides(case: InequalityCase, x: np.ndarray, xs: np.ndarray):
+    """lhs and rhs on the block x of the round xs."""
     try:
         return _side(case.lhs, x), _side(case.rhs, x)
     except Exception:
         # Unblocked, lhs is evaluated on the whole round before rhs: raise
         # what that raises, not an rhs error that comes first in the blocks.
-        xs = whole()
         _side(case.lhs, xs)
         _side(case.rhs, xs)
         raise
@@ -230,8 +211,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
         raise ValueError("refine_rounds must be >= 0")
     lo, hi = case.domain
     spacing = (hi - lo) / (points + 1)
-    xs = None  # the base grid, made block by block
-    size = points
+    xs = _interior_grid(lo, hi, points)
     grid_points = 0
     # Each block keeps, in x order, the points that can decide the report:
     # its first minimum and its first violations.  The report is read off
@@ -240,21 +220,12 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     any_good = False
     picks = []
     cx = cm = np.empty(0)  # refinement candidates and their margins
-    # base grid indices of a block
-    ramp = np.arange(1, min(points, _BLOCK) + 1, dtype=np.result_type(lo, hi, 1.0))
-
-    def whole():  # this round's points, for _sides
-        return _interior_grid(lo, hi, points) if xs is None else xs
-
     try:
         for round_no in range(refine_rounds + 1):
             refining = round_no < refine_rounds
-            for start in range(0, size, _BLOCK):
-                if xs is None:
-                    x = _grid_points(lo, hi, points, ramp[:points - start] + start)
-                else:
-                    x = xs[start:start + _BLOCK]
-                lv, rv = _sides(case, x, whole)
+            for start in range(0, xs.size, _BLOCK):
+                x = xs[start:start + _BLOCK]
+                lv, rv = _sides(case, x, xs)
                 margin = rv - lv
                 i = int(margin.argmin())
                 if refining:
@@ -278,15 +249,14 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
                     any_good = any_good or bool(good.any())
                     keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], i)
                 picks.append((x[keep], lv[keep], rv[keep]))
-            grid_points += size
+            grid_points += xs.size
             if not refining:
                 break
             # triple the density around the 5 smallest margins of all rounds
             # so far (ties in evaluation order)
             spacing /= 3.0
             xs = _refine_windows(cx, spacing, lo, hi)
-            size = xs.size
-            if size == 0:
+            if xs.size == 0:
                 break
     except (ArithmeticError, ValueError) as exc:  # evaluation failure -> inconclusive
         return VerificationReport(
@@ -309,7 +279,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
                   for i in np.flatnonzero(bad)[:_MAX_STORED_VIOLATIONS]]
     if n_bad:
         verdict = Verdict.FAILS
-    elif any_good or not case.strict:
+    elif any_good:
         verdict = Verdict.HOLDS
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -325,14 +295,14 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
 
 
 def verify_chain(members: Sequence[tuple[str, Callable]], domain: tuple[float, float],
-                 points: int = 4096, refine_rounds: int = 2) -> list[VerificationReport]:
+                 points: int = 4096) -> list[VerificationReport]:
     """One report per adjacent pair of the ordered member list."""
     if len(members) < 2:
         raise ValueError("a chain needs at least 2 members")
     reports = []
     for (name_a, fa), (name_b, fb) in zip(members, members[1:]):
         case = InequalityCase(id=f"{name_a} < {name_b}", lhs=fa, rhs=fb, domain=domain)
-        reports.append(verify(case, points=points, refine_rounds=refine_rounds))
+        reports.append(verify(case, points=points))
     return reports
 
 
@@ -461,7 +431,6 @@ def _merge(a: VerificationReport, b: VerificationReport) -> VerificationReport:
 
 
 def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float,
-                     threshold: _constants.SharpConstant | None = None,
                      points: int = 4096) -> VerificationReport:
     """Run the family check just past (or just inside) its sharp threshold.
 
@@ -470,8 +439,7 @@ def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float
     with a scan of the exponentially scaled gap (positive scaled gap means
     the upper bound eventually fails).
     """
-    if threshold is None:
-        threshold = _default_threshold(family)
+    threshold = _default_threshold(family)
     if not offset >= 10.0 * threshold.certified_radius:
         raise ValueError("offset must be >= 10x the threshold's certified radius")
     param = threshold.value + (offset if side is ThresholdSide.ABOVE else -offset)
@@ -496,7 +464,7 @@ def verify_leibniz_ratio(p, n_max: int, points: int = 256) -> VerificationReport
     Terms u_n(x) = (2n-4) a_n(p^2) x^{2n-5} / (3 (2n+1)!) for n >= 3; the
     bound < 1 is what makes the alternating series argument work.
     """
-    p = _core._param(p, _core.Family.TRIG)
+    p = _core._check(float(p), True)
     c = p * p
     if not 0.0 < c <= 0.6 * (1.0 + 1e-12):
         raise ValueError("p^2 must lie in (0, 3/5]")

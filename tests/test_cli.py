@@ -110,6 +110,16 @@ def test_eval_signals_overflow(capsys, fn, p, x):
     assert err.startswith("evaluation error: ") and "overflows" in err
 
 
+@pytest.mark.parametrize("fn", ["cos-bound", "cosh-bound", "cos-power", "cosh-power", "sinc-gap",
+                                "sinhc-gap", "scaled-gap"])
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_eval_rejects_non_finite_p(capsys, fn, p):
+    code, out, err = run(capsys, "eval", "--fn", fn, f"--p={p}", "--x", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("evaluation error: ")
+
+
 def test_eval_scaled_gap_keeps_its_documented_inf(capsys):
     code, out, _ = run(capsys, "eval", "--fn", "scaled-gap", "--p", "0.5", "--x", "1e4")
     assert code == 0 and out.strip().endswith("= inf")

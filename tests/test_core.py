@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sincbounds.constants import quartic_constants
 from sincbounds.core import (
-    BoundParam,
     CoefficientSeq,
-    Family,
     GapEvaluation,
     GapMethod,
     SERIES_SWITCH,
@@ -121,16 +120,16 @@ def test_cosh_bound_values():
         assert cosh_bound(p, x) == pytest.approx(expect, rel=1e-14)
 
 
-def test_bound_param_validation():
+@pytest.mark.parametrize("fn", [
+    cos_bound, cosh_bound, sinc_gap, sinhc_gap, sinhc_gap_scaled, cos_power_bound,
+    cosh_power_bound, lambda p, x: quartic_gap_coeff(p), lambda p, x: quartic_constants(p),
+], ids=["cos_bound", "cosh_bound", "sinc_gap", "sinhc_gap", "sinhc_gap_scaled",
+        "cos_power_bound", "cosh_power_bound", "quartic_gap_coeff", "quartic_constants"])
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -0.1])
+@pytest.mark.parametrize("x", [0.3, np.array([0.3, 1.2])], ids=["number", "array"])
+def test_family_parameter_validation(fn, p, x):
     with pytest.raises(ValueError):
-        BoundParam.trig(1.5)
-    with pytest.raises(ValueError):
-        BoundParam.hyp(-0.1)
-    with pytest.raises(ValueError):
-        BoundParam.trig(math.nan)
-    with pytest.raises(ValueError):
-        cos_bound(BoundParam.hyp(0.5), 1.0)  # wrong family
-    assert BoundParam.trig(0.0).value == 0.0  # limit family is first class
+        fn(p, x)
 
 
 @given(
@@ -365,29 +364,26 @@ def test_gap_evaluation_record():
 
 
 # An inline copy of the scalar path as it was when each call built a
-# validating BoundParam and dispatched through np.ndim.  The scalar path
-# must give the same values, methods, tail bounds and exceptions, except
-# where a result overflows at a finite x: that now raises OverflowError.
+# validating parameter object and dispatched through np.ndim.  The scalar
+# path must give the same values, methods, tail bounds and exceptions,
+# except where a result overflows at a finite x: that now raises
+# OverflowError.
 
 @dataclass(frozen=True)
 class _OldBoundParam:
     value: float
-    family: Family
+    trig: bool
 
     def __post_init__(self):
         v = self.value
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"parameter must be finite and >= 0, got {v!r}")
-        if self.family is Family.TRIG and v > 1.0:
+        if self.trig and v > 1.0:
             raise ValueError(f"trig family parameter must lie in [0, 1], got {v!r}")
 
 
-def _old_param(p, family):
-    if isinstance(p, BoundParam):
-        if p.family is not family:
-            raise ValueError(f"expected a {family.value} parameter, got {p.family.value}")
-        return p.value
-    return _OldBoundParam(float(p), family).value
+def _old_param(p, trig):
+    return _OldBoundParam(float(p), trig).value
 
 
 def _old_gap_series(p, x, hyperbolic):
@@ -425,7 +421,7 @@ def _old_sinhc(x):
 
 
 def _old_cos_bound(p, x):
-    p = _old_param(p, Family.TRIG)
+    p = _old_param(p, True)
     if p <= 1e-8:
         return 1.0 - x * x / 6.0
     w = 2.0 / (3.0 * p * p)
@@ -434,7 +430,7 @@ def _old_cos_bound(p, x):
 
 
 def _old_cosh_bound(p, x):
-    p = _old_param(p, Family.HYP)
+    p = _old_param(p, False)
     if p <= 1e-8:
         return 1.0 + x * x / 6.0
     w = 2.0 / (3.0 * p * p)
@@ -443,7 +439,7 @@ def _old_cosh_bound(p, x):
 
 
 def _old_gap(p, x, hyperbolic):
-    p = _old_param(p, Family.HYP if hyperbolic else Family.TRIG)
+    p = _old_param(p, not hyperbolic)
     x = float(x)
     ax = abs(x)
     if ax <= SERIES_SWITCH:
@@ -486,9 +482,7 @@ def _scalar_inputs():
           math.inf, -math.inf, 0, 3, -2, 10 ** 9, True, False, np.float32(0.25), np.float32(2.5),
           np.int64(3), np.float64(1.1), np.array(0.7), np.array(2)]
     grid = [(p, x) for p in ps for x in xs]
-    params = [(fam(v), x) for fam in (BoundParam.trig, BoundParam.hyp)
-              for v in (0.0, 0.5, 1.0) for x in (0.3, 1.2)]
-    return trig + hyp + grid + params
+    return trig + hyp + grid
 
 
 def test_scalar_path_matches_inline_reference():

@@ -51,6 +51,14 @@ def test_power_mean_special_orders():
     assert power_mean(-1.0, m) == pytest.approx(3.2, rel=1e-15)  # harmonic
 
 
+def test_power_mean_rejects_a_nan_order():
+    with pytest.raises(ValueError, match="nan"):
+        power_mean(math.nan, MeanPoint(2.0, 8.0))
+    # the infinite orders keep their limits, the larger and the smaller value
+    assert power_mean(math.inf, MeanPoint(2.0, 8.0)) == 8.0
+    assert power_mean(-math.inf, MeanPoint(2.0, 8.0)) == pytest.approx(2.0, rel=1e-15)
+
+
 @given(m=pairs_strategy, p=st.floats(-2.0, 3.0))
 def test_means_agree_on_equal_pair(m, p):
     x = m.a

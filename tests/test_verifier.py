@@ -125,8 +125,6 @@ def test_verify_inconclusive_without_positive_evidence():
     case = InequalityCase("self", sinc, sinc, (0.1, 1.0))
     rep = verify(case, points=128)
     assert rep.verdict is Verdict.INCONCLUSIVE
-    relaxed = InequalityCase("self<=", sinc, sinc, (0.1, 1.0), strict=False)
-    assert verify(relaxed, points=128).verdict is Verdict.HOLDS
 
 
 def test_verify_chain_degenerate_pair_matches_verify():
@@ -211,9 +209,9 @@ def test_sharpness_witness_locations():
 
 
 def test_sharpness_offset_validation():
-    thr = solve_sinc_lower_edge(1e-6)
-    with pytest.raises(ValueError):
-        verify_sharpness(SharpnessFamily.SINC_LOWER, ThresholdSide.ABOVE, 1e-6, threshold=thr)
+    # the SINC_LOWER edge has certified radius 1e-12
+    with pytest.raises(ValueError, match="10x the threshold's certified radius"):
+        verify_sharpness(SharpnessFamily.SINC_LOWER, ThresholdSide.ABOVE, 1e-12)
 
 
 def test_leibniz_ratio():
@@ -278,7 +276,7 @@ def _reference_verify(case, points=4096, refine_rounds=2):
                   for i in np.nonzero(bad)[0][:50]]
     if bad.any():
         verdict = Verdict.FAILS
-    elif good.any() or not case.strict:
+    elif good.any():
         verdict = Verdict.HOLDS
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -331,58 +329,58 @@ def _masked(values, where, fill):
 _ZERO = np.zeros_like
 _EDGE_CASES = [
     # tied margins: all zero, and steps of a few levels
-    ("all zero", _ZERO, _ZERO, (0.0, 1.0), True),
-    ("all zero, not strict", _ZERO, _ZERO, (0.0, 1.0), False),
+    ("all zero", _ZERO, _ZERO, (0.0, 1.0)),
+    # equal non-zero sides: lhs <= rhs holds, lhs < rhs has no evidence
+    ("all zero, not strict", lambda x: 1.0 + x, lambda x: 1.0 + x, (0.0, 1.0)),
     ("steps", lambda x: np.floor(8.0 * x) / 8.0, lambda x: np.floor(8.0 * x + 0.5) / 8.0,
-     (0.0, 1.0), True),
-    ("falling steps", _ZERO, lambda x: np.floor(4.0 * (1.0 - x)) - 1.0, (0.0, 1.0), True),
+     (0.0, 1.0)),
+    ("falling steps", _ZERO, lambda x: np.floor(4.0 * (1.0 - x)) - 1.0, (0.0, 1.0)),
     # a negative zero margin ahead of or behind positive zeros
-    ("signed zeros", _ZERO, lambda x: np.where(x > 0.5, -0.0, 0.0), (0.0, 1.0), True),
-    ("signed zeros first", _ZERO, lambda x: np.where(x < 0.5, -0.0, 0.0), (0.0, 1.0), True),
+    ("signed zeros", _ZERO, lambda x: np.where(x > 0.5, -0.0, 0.0), (0.0, 1.0)),
+    ("signed zeros first", _ZERO, lambda x: np.where(x < 0.5, -0.0, 0.0), (0.0, 1.0)),
     # NaN at some points and at every point
     ("some NaN", sinc, _masked(lambda x: 1.0 + x, lambda x: (x > 0.3) & (x < 0.35), np.nan),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     ("NaN with violations", _masked(sinc, lambda x: x > 0.9, np.nan), lambda x: 0.9 + 0 * x,
-     (0.0, 1.0), True),
-    ("all NaN", lambda x: np.full_like(x, np.nan), sinc, (0.0, 1.0), True),
+     (0.0, 1.0)),
+    ("all NaN", lambda x: np.full_like(x, np.nan), sinc, (0.0, 1.0)),
     # infinite margins of both signs
-    ("+inf margins", _ZERO, _masked(lambda x: x, lambda x: x > 0.7, np.inf), (0.0, 1.0), True),
+    ("+inf margins", _ZERO, _masked(lambda x: x, lambda x: x > 0.7, np.inf), (0.0, 1.0)),
     ("-inf margins", _masked(_ZERO, lambda x: x < 0.2, np.inf), lambda x: 1.0 + x,
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     ("inf - inf", lambda x: np.full_like(x, np.inf), lambda x: np.full_like(x, np.inf),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     # values that depend on the position in the array, not on x alone, so
     # that the order of points with equal x shows in the report
-    ("by position", _ZERO, lambda x: (np.arange(x.size) % 5) - 2.0, (0.0, 1.0), True),
+    ("by position", _ZERO, lambda x: (np.arange(x.size) % 5) - 2.0, (0.0, 1.0)),
     ("by position, ulp domain", lambda x: np.arange(x.size) % 3 - 1.0, _ZERO,
-     (1.0, 1.0 + 8 * _EPS), True),
+     (1.0, 1.0 + 8 * _EPS)),
     ("by position, falling centres", lambda x: np.arange(x.size) % 40.0, _ZERO,
-     (1.0, 1.0 + 8 * _EPS), True),
+     (1.0, 1.0 + 8 * _EPS)),
     # a scalar-returning side
-    ("scalar lhs", lambda x: 0.5, sinc, (0.0, 2.0), True),
+    ("scalar lhs", lambda x: 0.5, sinc, (0.0, 2.0)),
     # smallest margins at both domain ends; on a domain a few ulps wide grid
     # points fall on its ends, and the windows around them are clipped
-    ("both ends", _ZERO, lambda x: x * (1.0 - x), (0.0, 1.0), True),
-    ("both ends, failing", lambda x: 1e-3 + 0 * x, lambda x: x * (1.0 - x), (0.0, 1.0), True),
-    ("clipped at lo", _ZERO, lambda x: x - 1.0, (1.0, 1.0 + 8 * _EPS), True),
-    ("clipped at hi", _ZERO, lambda x: (1.0 + 8 * _EPS) - x, (1.0, 1.0 + 8 * _EPS), True),
+    ("both ends", _ZERO, lambda x: x * (1.0 - x), (0.0, 1.0)),
+    ("both ends, failing", lambda x: 1e-3 + 0 * x, lambda x: x * (1.0 - x), (0.0, 1.0)),
+    ("clipped at lo", _ZERO, lambda x: x - 1.0, (1.0, 1.0 + 8 * _EPS)),
+    ("clipped at hi", _ZERO, lambda x: (1.0 + 8 * _EPS) - x, (1.0, 1.0 + 8 * _EPS)),
     # windows whose linspace step underflows to zero
-    ("subnormal domain", _ZERO, lambda x: x * 1e300, (0.0, 1e-320), True),
+    ("subnormal domain", _ZERO, lambda x: x * 1e300, (0.0, 1e-320)),
     # more than 50 violations on the base grid and among the refinement points
-    ("many violations", lambda x: np.cos(3.0 * x), sinc, (0.0, 3.0), True),
-    ("everywhere violated", lambda x: 2.0 + x, sinc, (0.0, 1.0), True),
-    ("lower edge", lambda x: cos_bound(LOWER_EDGE + 1e-3, x), sinc, (0.0, HALF_PI), True),
-    ("upper edge", sinc, lambda x: cos_bound(UPPER_EDGE - 1e-3, x), (0.0, HALF_PI), False),
-    ("sinhc overflow", lambda x: 1.0 + 0 * x, sinhc, (0.0, 1000.0), True),
+    ("many violations", lambda x: np.cos(3.0 * x), sinc, (0.0, 3.0)),
+    ("everywhere violated", lambda x: 2.0 + x, sinc, (0.0, 1.0)),
+    ("lower edge", lambda x: cos_bound(LOWER_EDGE + 1e-3, x), sinc, (0.0, HALF_PI)),
+    ("upper edge", sinc, lambda x: cos_bound(UPPER_EDGE - 1e-3, x), (0.0, HALF_PI)),
+    ("sinhc overflow", lambda x: 1.0 + 0 * x, sinhc, (0.0, 1000.0)),
 ]
 
 
 @pytest.mark.parametrize("refine_rounds", [0, 1, 2, 3])
 @pytest.mark.parametrize("points", [64, 1000])
-@pytest.mark.parametrize("name,lhs,rhs,domain,strict", _EDGE_CASES, ids=[c[0] for c in _EDGE_CASES])
-def test_verify_matches_reference_on_edge_cases(name, lhs, rhs, domain, strict, points,
-                                                refine_rounds):
-    case = InequalityCase(name, lhs, rhs, domain, strict=strict)
+@pytest.mark.parametrize("name,lhs,rhs,domain", _EDGE_CASES, ids=[c[0] for c in _EDGE_CASES])
+def test_verify_matches_reference_on_edge_cases(name, lhs, rhs, domain, points, refine_rounds):
+    case = InequalityCase(name, lhs, rhs, domain)
     with np.errstate(invalid="ignore", over="ignore"):
         got = verify(case, points=points, refine_rounds=refine_rounds)
         want = _reference_verify(case, points=points, refine_rounds=refine_rounds)
@@ -400,6 +398,8 @@ def test_verify_edge_cases_reach_their_conditions():
     assert math.copysign(1.0, report("signed zeros first").min_margin) == -1.0
     assert math.isnan(report("some NaN").min_margin)
     assert report("all NaN").verdict is Verdict.INCONCLUSIVE
+    assert report("all zero").verdict is report("all zero, not strict").verdict is \
+        Verdict.INCONCLUSIVE
     assert report("-inf margins").min_margin == -math.inf
     assert report("+inf margins").verdict is Verdict.HOLDS
     for name in ("clipped at lo", "clipped at hi"):
@@ -437,30 +437,30 @@ def _in_blocks(f, n):
 _BLOCK_EDGE_CASES = _EDGE_CASES + [
     # at 1000 points in blocks of 64: 15 full blocks and a short one of 40
     ("tied minima in two blocks", _ZERO,
-     lambda x: np.where(np.floor(10.0 * x) % 5.0 == 1.0, -1.0, 1.0), (0.0, 1.0), True),
+     lambda x: np.where(np.floor(10.0 * x) % 5.0 == 1.0, -1.0, 1.0), (0.0, 1.0)),
     ("NaN in a later block only", _ZERO, _masked(lambda x: 1.0 + x, lambda x: x > 0.8, np.nan),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     ("NaN in the last block only", _ZERO, _masked(lambda x: 1.0 + x, lambda x: x > 0.97, np.nan),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     ("sparse violations in every block", lambda x: np.where(np.sin(150.0 * x) > 0.95, 2.0, 0.0),
-     lambda x: 1.0 + 0 * x, (0.0, 1.0), True),
-    ("minimum in the last, short block", _ZERO, lambda x: 1.0 - x, (0.0, 1.0), True),
-    ("scalar rhs", lambda x: -x, lambda x: -0.5, (0.0, 1.0), True),
+     lambda x: 1.0 + 0 * x, (0.0, 1.0)),
+    ("minimum in the last, short block", _ZERO, lambda x: 1.0 - x, (0.0, 1.0)),
+    ("scalar rhs", lambda x: -x, lambda x: -0.5, (0.0, 1.0)),
 ]
 
 
 @pytest.mark.parametrize("refine_rounds", [0, 1, 2])
 @pytest.mark.parametrize("points", [64, 1000])
-@pytest.mark.parametrize("name,lhs,rhs,domain,strict", _BLOCK_EDGE_CASES,
+@pytest.mark.parametrize("name,lhs,rhs,domain", _BLOCK_EDGE_CASES,
                          ids=[c[0] for c in _BLOCK_EDGE_CASES])
-def test_verify_in_small_blocks_matches_reference(name, lhs, rhs, domain, strict, points,
-                                                  refine_rounds, monkeypatch):
+def test_verify_in_small_blocks_matches_reference(name, lhs, rhs, domain, points, refine_rounds,
+                                                  monkeypatch):
     # every round of more than 64 points spans several blocks; the "by
     # position" cases are not elementwise, so the reference sees them in
     # the same slices
     monkeypatch.setattr(verifier, "_BLOCK", 64)
-    case = InequalityCase(name, lhs, rhs, domain, strict=strict)
-    sliced = InequalityCase(name, _in_blocks(lhs, 64), _in_blocks(rhs, 64), domain, strict=strict)
+    case = InequalityCase(name, lhs, rhs, domain)
+    sliced = InequalityCase(name, _in_blocks(lhs, 64), _in_blocks(rhs, 64), domain)
     with np.errstate(invalid="ignore", over="ignore"):
         got = verify(case, points=points, refine_rounds=refine_rounds)
         want = _reference_verify(sliced, points=points, refine_rounds=refine_rounds)
@@ -548,46 +548,46 @@ def _band(lo, hi, inside, outside=1.0):
 
 _BOUND_CASES = [
     # a margin exactly at -floor is no violation; one a step below it is
-    ("margin at -floor", _ZERO, _band(0.6, 0.62, -_D), (0.0, 1.0), True),
+    ("margin at -floor", _ZERO, _band(0.6, 0.62, -_D), (0.0, 1.0)),
     ("margin a step below -floor", _ZERO, _band(0.6, 0.62, np.nextafter(-_D, -1.0)),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     # positive margins under the block's largest floor, a hold only where
     # the floor is small: the bound cannot settle the block, the floors can
     ("holds under the largest floor", lambda x: np.where(x < 0.5, 1e6, 0.0),
      lambda x: np.where(x < 0.5, 1e6, 0.0) + np.where((x > 0.5) & (x < 0.51), 1e-12, 0.0),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     # positive margins that stay in the deadband of a large magnitude
     ("deadband of a large magnitude", lambda x: 1e6 + 0.0 * x, lambda x: 1e6 + 2.3e-10 + 0.0 * x,
-     (0.0, 1.0), True),
-    ("violations in a later block only", _ZERO, _band(0.6, 0.62, -1.0), (0.0, 1.0), True),
+     (0.0, 1.0)),
+    ("violations in a later block only", _ZERO, _band(0.6, 0.62, -1.0), (0.0, 1.0)),
     ("NaN after violations", _ZERO,
      lambda x: np.where(x > 0.9, np.nan, np.where((x > 0.3) & (x < 0.32), -1.0, 1.0)),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     # levels 1..8 in bands of 1/40: the 5 smallest, all 1, come first and
     # every later 1 ties with kth
     ("ties at kth across blocks", _ZERO, lambda x: np.floor(40.0 * x) % 8.0 + 1.0,
-     (0.0, 1.0), True),
-    ("ties at kth, falling", _ZERO, lambda x: np.floor(8.0 * (1.0 - x)) + 1.0, (0.0, 1.0), True),
+     (0.0, 1.0)),
+    ("ties at kth, falling", _ZERO, lambda x: np.floor(8.0 * (1.0 - x)) + 1.0, (0.0, 1.0)),
     # the refinement points around the first 5 zeros are zeros too: they tie
     # with kth from the previous centres, which stay the centres
     ("kth from the previous centres", _ZERO, lambda x: np.where(x < 0.01, 0.0, 1.0),
-     (0.0, 1.0), True),
+     (0.0, 1.0)),
     # refinement points below kth of the previous centres
     ("refinement below kth", _ZERO, lambda x: np.abs(x - 0.3) + 0.5 * np.abs(x - 0.7),
-     (0.0, 1.0), True),
-    ("NaN centres", _ZERO, _band(0.0, 0.003, np.nan), (0.0, 1.0), True),
+     (0.0, 1.0)),
+    ("NaN centres", _ZERO, _band(0.0, 0.003, np.nan), (0.0, 1.0)),
 ]
 
 
 @pytest.mark.parametrize("refine_rounds", [0, 1, 2])
 @pytest.mark.parametrize("points", [64, 1000])
 @pytest.mark.parametrize("block", [64, verifier._BLOCK])
-@pytest.mark.parametrize("name,lhs,rhs,domain,strict", _BOUND_CASES,
+@pytest.mark.parametrize("name,lhs,rhs,domain", _BOUND_CASES,
                          ids=[c[0] for c in _BOUND_CASES])
-def test_verify_bounds_match_reference(name, lhs, rhs, domain, strict, block, points,
-                                       refine_rounds, monkeypatch):
+def test_verify_bounds_match_reference(name, lhs, rhs, domain, block, points, refine_rounds,
+                                       monkeypatch):
     monkeypatch.setattr(verifier, "_BLOCK", block)
-    case = InequalityCase(name, lhs, rhs, domain, strict=strict)
+    case = InequalityCase(name, lhs, rhs, domain)
     with np.errstate(invalid="ignore"):
         got = verify(case, points=points, refine_rounds=refine_rounds)
         want = _reference_verify(case, points=points, refine_rounds=refine_rounds)
