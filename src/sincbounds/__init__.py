@@ -24,7 +24,6 @@ from .core import (
 from .constants import (
     QuarticBound,
     SharpConstant,
-    SharpEdge,
     Side,
     quartic_bound_eval,
     quartic_constants,
@@ -62,7 +61,6 @@ from .means import (
 )
 from .verifier import (
     InequalityCase,
-    MonotoneFamily,
     SharpnessFamily,
     ThresholdSide,
     Verdict,

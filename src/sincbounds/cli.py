@@ -221,35 +221,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
+    shared = {  # each subcommand takes those it reads
+        "--format": dict(choices=("text", "json", "csv"), default="text",
+                         help="output format (default text)"),
+        "--points": dict(type=int, default=4096,
+                         help="grid size / row count (default 4096, min 64)"),
+        "--seed": dict(type=int, default=20250810, help="seed for randomised pair checks"),
+        "--tol": dict(type=float, default=1e-12, help="root-solver tolerance in [1e-15, 1e-3]"),
+    }
+
+    def command(name, run, help, options):
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(run=run)
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format (default text)")
-        sp.add_argument("--points", type=int, default=4096,
-                        help="grid size / row count (default 4096, min 64)")
-        sp.add_argument("--seed", type=int, default=20250810,
-                        help="seed for randomised pair checks")
-        sp.add_argument("--tol", type=float, default=1e-12,
-                        help="root-solver tolerance in [1e-15, 1e-3]")
+        for option in options:
+            sp.add_argument(option, **shared[option])
         return sp
 
-    command("constants", cmd_constants, help="print the sharp constants")
+    command("constants", cmd_constants, "print the sharp constants", ("--format", "--tol"))
 
-    sp = command("eval", cmd_eval, help="evaluate one function at a point")
+    sp = command("eval", cmd_eval, "evaluate one function at a point", ("--format",))
     sp.add_argument("--fn", choices=sorted(_EVAL_FNS), required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--p", type=float, default=None)
 
-    sp = command("verify", cmd_verify, help="run a registered check suite")
+    sp = command("verify", cmd_verify, "run a registered check suite",
+                 ("--format", "--points", "--seed"))
     sp.add_argument("--suite", choices=("all",) + corpus.SUITES, default="all")
 
-    sp = command("table", cmd_table, help="emit a CSV chain table")
+    sp = command("table", cmd_table, "emit a CSV chain table", ("--points", "--seed"))
     sp.add_argument("--chain", choices=(*corpus.CHAINS, "meanchain"), required=True)
     sp.add_argument("--pair", type=float, nargs=2, metavar=("A", "B"), default=None,
                     help="explicit pair for the mean chain")
 
-    sp = command("special", cmd_special, help="enclosure vs oracle for one quantity")
+    sp = command("special", cmd_special, "enclosure vs oracle for one quantity",
+                 ("--format",))
     sp.add_argument("--name", choices=("si", "sh", "trigamma-half", "catalan", "sb", "log-mean"),
                     required=True)
     sp.add_argument("--t", type=float, default=None)
@@ -266,9 +271,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.points < 64:
+        if "points" in args and args.points < 64:
             raise ValueError("--points must be >= 64")
-        if not 1e-15 <= args.tol <= 1e-3:
+        if "tol" in args and not 1e-15 <= args.tol <= 1e-3:
             raise ValueError("--tol must lie in [1e-15, 1e-3]")
         return args.run(args)
     except ValueError as exc:

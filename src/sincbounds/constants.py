@@ -19,16 +19,8 @@ from .core import cos_bound, quartic_gap_coeff
 _HALF_PI = math.pi / 2.0
 
 
-class SharpEdge(enum.Enum):
-    SINC_LOWER = "sinc_lower"    # largest p with cos_bound(p,.) < sinc on (0, pi/2)
-    SINC_UPPER = "sinc_upper"    # smallest q with sinc < cos_bound(q,.); also the
-                                 # largest p with cosh_bound(p,.) < sinhc on (0, inf)
-    SINHC_UPPER = "sinhc_upper"  # smallest q with sinhc < cosh_bound(q,.) on (0, inf)
-
-
 @dataclass(frozen=True)
 class SharpConstant:
-    kind: SharpEdge
     value: float
     certified_radius: float
 
@@ -79,20 +71,21 @@ def solve_sinc_lower_edge(tolerance: float = 1e-12) -> SharpConstant:
     # rounding spoils a sign this close to the root
     r = tolerance
     if sinc_gap_at_half_pi(mid - r) > 0.0 > sinc_gap_at_half_pi(mid + r):
-        return SharpConstant(SharpEdge.SINC_LOWER, mid, r)
+        return SharpConstant(mid, r)
     value = 0.5 * (lo + hi)
-    return SharpConstant(SharpEdge.SINC_LOWER, value, (hi - lo) / 2.0)
+    return SharpConstant(value, (hi - lo) / 2.0)
 
 
 def sinc_upper_edge() -> SharpConstant:
-    """sqrt(15)/5: root of the quartic gap coefficient, exact to rounding."""
+    """sqrt(15)/5: root of the quartic gap coefficient, exact to rounding;
+    also the largest p with cosh_bound(p, .) < sinhc on (0, inf)."""
     value = math.sqrt(15.0) / 5.0
-    return SharpConstant(SharpEdge.SINC_UPPER, value, math.ulp(value))
+    return SharpConstant(value, math.ulp(value))
 
 
 def sinhc_upper_edge() -> SharpConstant:
     """1: smallest parameter bounding sinhc from above for all x > 0."""
-    return SharpConstant(SharpEdge.SINHC_UPPER, 1.0, 0.0)
+    return SharpConstant(1.0, 0.0)
 
 
 class Side(enum.Enum):

@@ -226,6 +226,8 @@ def sinc_gap(p, x) -> GapEvaluation:
     if ax <= SERIES_SWITCH:
         value, tail = _gap_series(p, ax, hyperbolic=False)
         return GapEvaluation(x, value, _SERIES, tail)
+    if not math.isfinite(ax):  # nan and inf both miss the series branch
+        raise ValueError(f"x must be finite, got {x!r}")
     value = math.sin(ax) / ax - _cos_family(p, ax)
     return GapEvaluation(x, _no_overflow(value, x, "sinc_gap"), _DIRECT)
 
@@ -238,6 +240,8 @@ def sinhc_gap(p, x) -> GapEvaluation:
     if ax <= SERIES_SWITCH:
         value, tail = _gap_series(p, ax, hyperbolic=True)
         return GapEvaluation(x, value, _SERIES, tail)
+    if not math.isfinite(ax):  # nan and inf both miss the series branch
+        raise ValueError(f"x must be finite, got {x!r}")
     value = math.sinh(ax) / ax - _cosh_family(p, ax)
     return GapEvaluation(x, _no_overflow(value, x, "sinhc_gap"), _DIRECT)
 

@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import core, constants, integrals, means
 from .verifier import (
+    HYP_DOMAIN,
+    TRIG_DOMAIN,
     InequalityCase,
-    MonotoneFamily,
     SharpnessFamily,
     ThresholdSide,
     Verdict,
     VerificationReport,
     expected_sharpness_verdict,
+    family_case,
     verify,
     verify_chain,
     verify_param_monotone,
@@ -36,8 +37,6 @@ from .verifier import (
 )
 
 _HALF_PI = math.pi / 2.0
-_TRIG = (0.0, _HALF_PI)
-_HYP = (0.0, 50.0)
 _UPPER_EDGE = math.sqrt(15.0) / 5.0
 _SQRT23 = math.sqrt(2.0 / 3.0)
 
@@ -90,7 +89,7 @@ def cosh_chain_members() -> list[tuple[str, object]]:
 
 
 # the fixed-parameter chains in x: name -> (members, domain)
-CHAINS = {"m1c": (cos_chain_members, _TRIG), "m2c": (cosh_chain_members, (0.0, 20.0))}
+CHAINS = {"m1c": (cos_chain_members, TRIG_DOMAIN), "m2c": (cosh_chain_members, (0.0, 20.0))}
 
 
 MEAN_CHAIN_PARAMS = [1.0 / math.sqrt(3.0), 2.0 / 3.0, 1.0 / math.sqrt(2.0), 0.75, _UPPER_EDGE]
@@ -124,17 +123,6 @@ def _verdict_result(suite: str, report: VerificationReport, expected: Verdict) -
     )
 
 
-def _case(lhs: str, p: float | None, rhs: str, q: float | None, domain) -> InequalityCase:
-    """lhs < rhs on domain.  A side with a parameter is the family member
-    partial(core.<name>, p); cos_power and cosh_power name the power forms."""
-    def side(name, p):
-        fn = getattr(core, name + "_bound" if name.endswith("_power") else name)
-        return (name, fn) if p is None else (f"{name}({p:.9g})", partial(fn, p))
-
-    (a, f), (b, g) = side(lhs, p), side(rhs, q)
-    return InequalityCase(f"{a} < {b}", f, g, domain)
-
-
 def _holds(suite: str, cases: list[InequalityCase], points: int) -> list[CheckResult]:
     return [_verdict_result(suite, verify(case, points), Verdict.HOLDS) for case in cases]
 
@@ -144,8 +132,8 @@ def _theorem(suite: str, family: str, target: str, domain, lower, upper,
              points: int) -> list[CheckResult]:
     """family(p) < target for p in lower, target < family(q) for q in upper,
     and each sharp edge failing just past it."""
-    out = _holds(suite, [_case(family, p, target, None, domain) for p in lower]
-                 + [_case(target, None, family, q, domain) for q in upper], points)
+    out = _holds(suite, [family_case(family, p, target, None, domain) for p in lower]
+                 + [family_case(target, None, family, q, domain) for q in upper], points)
     for fam, side in ((lower_edge, ThresholdSide.ABOVE), (upper_edge, ThresholdSide.BELOW)):
         rep = verify_sharpness(fam, side, 1e-3, points=points)
         out.append(_verdict_result(suite, rep, expected_sharpness_verdict(fam, side)))
@@ -154,13 +142,13 @@ def _theorem(suite: str, family: str, target: str, domain, lower, upper,
 
 def _suite_theorem1(points: int, seed: int) -> list[CheckResult]:
     edge = constants.solve_sinc_lower_edge(1e-12).value
-    return _theorem("theorem1", "cos_bound", "sinc", _TRIG, (0.1, 0.5, 0.7, edge - 1e-6),
+    return _theorem("theorem1", "cos_bound", "sinc", TRIG_DOMAIN, (0.1, 0.5, 0.7, edge - 1e-6),
                     (_UPPER_EDGE, 0.9, 1.0), SharpnessFamily.SINC_LOWER,
                     SharpnessFamily.SINC_UPPER, points)
 
 
 def _suite_theorem2(points: int, seed: int) -> list[CheckResult]:
-    return _theorem("theorem2", "cosh_bound", "sinhc", _HYP, (0.3, 0.6, _UPPER_EDGE),
+    return _theorem("theorem2", "cosh_bound", "sinhc", HYP_DOMAIN, (0.3, 0.6, _UPPER_EDGE),
                     (1.0, 1.2, 2.0), SharpnessFamily.SINHC_LOWER,
                     SharpnessFamily.SINHC_UPPER, points)
 
@@ -219,9 +207,9 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     out += _holds("propositions", [
         InequalityCase("1/cos_bound(sqrt15/5) < x/sin(x)",
                        lambda x: 1.0 / core.cos_bound(_UPPER_EDGE, x),
-                       lambda x: 1.0 / core.sinc(x), _TRIG),
+                       lambda x: 1.0 / core.sinc(x), TRIG_DOMAIN),
         InequalityCase("x/sin(x) < 1/cos_bound(3/4)", lambda x: 1.0 / core.sinc(x),
-                       lambda x: 1.0 / core.cos_bound(0.75, x), _TRIG)], points)
+                       lambda x: 1.0 / core.cos_bound(0.75, x), TRIG_DOMAIN)], points)
 
     pair = means._random_pair_arrays(10_000, seed)
     worst = float(np.min((means.sb_mean(pair) - means.sb_lower_bound(pair)) / pair[1]))
@@ -231,8 +219,7 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     out.append(_value_result("propositions", "log_mean_sandwich contains L (1e4 pairs)",
                              miss == 0, "0 misses", f"{miss} misses"))
     a, b = means._random_pair_arrays(1000, seed + 1)
-    rep = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, np.linspace(0.0, 3.0, 21),
-                                pairs=list(zip(a.tolist(), b.tolist())))
+    rep = verify_param_monotone(np.linspace(0.0, 3.0, 21), (a, b))
     out.append(_verdict_result("propositions", rep, Verdict.HOLDS))
     return out
 
@@ -240,8 +227,8 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
 # family, target, domain, p where the power form is the sharper lower bound,
 # p where the additive form is (the two swap at 1/sqrt3)
 _REMARKS = (
-    ("cos", "sinc", _TRIG, (0.46, 0.5, 0.55), (0.6, 0.7, 0.77)),
-    ("cosh", "sinhc", _HYP, (0.45, 0.5, 0.55), (0.6, 0.7, 0.76)),
+    ("cos", "sinc", TRIG_DOMAIN, (0.46, 0.5, 0.55), (0.6, 0.7, 0.77)),
+    ("cosh", "sinhc", HYP_DOMAIN, (0.45, 0.5, 0.55), (0.6, 0.7, 0.76)),
 )
 
 
@@ -251,7 +238,8 @@ def _suite_remarks(points: int, seed: int) -> list[CheckResult]:
         power, additive = family + "_power", family + "_bound"
         for best, other, ps in ((power, additive, power_wins), (additive, power, additive_wins)):
             for p in ps:
-                cases += [_case(best, p, target, None, domain), _case(other, p, best, p, domain)]
+                cases += [family_case(best, p, target, None, domain),
+                          family_case(other, p, best, p, domain)]
     out = _holds("remarks", cases, points)
     # closing comparison: D(x) >= 0 and its odd-series coefficients
     grid = np.geomspace(1e-3, 30.0, 200)

@@ -340,12 +340,16 @@ def arithmetic_mean(m) -> float:
 
 
 def power_mean(p: float, m) -> float:
-    """((a^p + b^p)/2)^(1/p); the geometric mean at p = 0."""
+    """((a^p + b^p)/2)^(1/p); the geometric mean at p = 0, max(a, b) at
+    p = inf and min(a, b) at p = -inf."""
     a, b = _one_pair(m)
     p = float(p)
     if math.isnan(p):
         raise ValueError(f"power mean order must not be NaN, got {p!r}")
-    if p == 0.0:
+    if math.isinf(p):
+        return max(a, b) if p > 0.0 else min(a, b)
+    if abs(p) < _MIN_NORMAL:
+        # p * log(lo/hi) would be subnormal; M_p/G - 1 < 1e-300 here
         return _geo(a, b)
     if p == 1.0:
         return 0.5 * (a + b)
@@ -488,6 +492,8 @@ def lower_bound_comparison(x: float) -> float:
             total += c * xp
             xp *= x2
         return total
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     return cosh_bound(_SQRT15_5, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
 
 

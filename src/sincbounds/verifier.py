@@ -14,7 +14,10 @@ margin counts as the minimum, as np.argmin has it; violations are the first
 50 in x order.  Points with equal x keep the order of their rounds (the base
 grid, then each refinement round) and, within a round, the order in which
 they were evaluated.  verify reduces each round on its own and merges the
-few points each round keeps, so it never sorts all the points.
+few points each round keeps, so it never sorts all the points.  The one
+exception is a failed evaluation, which makes the report INCONCLUSIVE: its
+diagnostic names the first exception in evaluation order (round by round,
+block by block, and lhs before rhs within a block).
 
 Each round is evaluated and reduced in blocks of _BLOCK = 8192 consecutive
 points: lhs and rhs are called once per block, on a slice of the round, so
@@ -44,6 +47,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +62,10 @@ _MAX_DOUBLE = sys.float_info.max
 _BLOCK = 8192  # points per lhs/rhs call; see the module docstring
 _DEADBAND = FLOOR_ULPS * _EPS  # the smallest floor
 _SMALL = 256  # _smallest5 sorts arrays up to this size outright
+
+TRIG_DOMAIN = (0.0, math.pi / 2.0)
+HYP_DOMAIN = (0.0, 50.0)  # cosh overflow margin; large-x behaviour is
+                          # delegated to the exponentially scaled gap scan
 
 
 class Verdict(enum.Enum):
@@ -89,6 +97,17 @@ class InequalityCase:
             raise ValueError(f"domain must satisfy xmin < xmax, got {self.domain!r}")
 
 
+def family_case(lhs: str, p: float | None, rhs: str, q: float | None, domain) -> InequalityCase:
+    """lhs < rhs on domain.  A side with a parameter is the family member
+    partial(core.<name>, p); cos_power and cosh_power name the power forms."""
+    def side(name, p):
+        fn = getattr(_core, name + "_bound" if name.endswith("_power") else name)
+        return (name, fn) if p is None else (f"{name}({p:.9g})", partial(fn, p))
+
+    (a, f), (b, g) = side(lhs, p), side(rhs, q)
+    return InequalityCase(f"{a} < {b}", f, g, domain)
+
+
 @dataclass(frozen=True)
 class Violation:
     x: float
@@ -109,6 +128,11 @@ class VerificationReport:
 
 
 _MAX_STORED_VIOLATIONS = 50
+
+
+def _verdict(bad, good) -> Verdict:
+    """FAILS on a definite violation, else HOLDS on a definite hold."""
+    return Verdict.FAILS if bad else Verdict.HOLDS if good else Verdict.INCONCLUSIVE
 
 
 def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -191,18 +215,6 @@ def _side(f: Callable, x: np.ndarray) -> np.ndarray:
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
-def _sides(case: InequalityCase, x: np.ndarray, xs: np.ndarray):
-    """lhs and rhs on the block x of the round xs."""
-    try:
-        return _side(case.lhs, x), _side(case.rhs, x)
-    except Exception:
-        # Unblocked, lhs is evaluated on the whole round before rhs: raise
-        # what that raises, not an rhs error that comes first in the blocks.
-        _side(case.lhs, xs)
-        _side(case.rhs, xs)
-        raise
-
-
 def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
     """Check lhs < rhs on an interior grid, refining near the worst margins."""
     if points < 64:
@@ -225,7 +237,8 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             refining = round_no < refine_rounds
             for start in range(0, xs.size, _BLOCK):
                 x = xs[start:start + _BLOCK]
-                lv, rv = _sides(case, x, xs)
+                lv = _side(case.lhs, x)
+                rv = _side(case.rhs, x)
                 margin = rv - lv
                 i = int(margin.argmin())
                 if refining:
@@ -277,19 +290,13 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     imin = int(np.argmin(margin))
     violations = [Violation(float(x[i]), float(lv[i]), float(rv[i]))
                   for i in np.flatnonzero(bad)[:_MAX_STORED_VIOLATIONS]]
-    if n_bad:
-        verdict = Verdict.FAILS
-    elif any_good:
-        verdict = Verdict.HOLDS
-    else:
-        verdict = Verdict.INCONCLUSIVE
     return VerificationReport(
         case_id=case.id,
         grid_points=grid_points,
         min_margin=float(margin[imin]),
         argmin_x=float(x[imin]),
         violations=violations,
-        verdict=verdict,
+        verdict=_verdict(n_bad, any_good),
         n_violations=n_bad,
     )
 
@@ -306,64 +313,31 @@ def verify_chain(members: Sequence[tuple[str, Callable]], domain: tuple[float, f
     return reports
 
 
-class MonotoneFamily(enum.Enum):
-    COS_FAMILY = "cos"       # cos_bound increasing in p on [0, 1]
-    COSH_FAMILY = "cosh"     # cosh_bound increasing in p on [0, inf)
-    MEAN_FAMILY = "means"    # mean_family increasing in p on [0, inf)
-
-
-def verify_param_monotone(family: MonotoneFamily, p_grid: Sequence[float],
-                          x_grid: Sequence[float] | None = None,
-                          pairs: Sequence | None = None) -> VerificationReport:
-    """Strict increase along p_grid at every x (or pair); one merged report.
-
-    For MEAN_FAMILY, pairs is a sequence of pairs (MeanPoints or (a, b));
-    they are evaluated together as one array pair, and the witness
-    coordinate is the pair's half log ratio.
-    """
+def verify_param_monotone(p_grid: Sequence[float], pairs) -> VerificationReport:
+    """mean_family(p, pairs) strictly increasing along p_grid, pairs an
+    (a, b) pair of equal-length 1-D arrays; one merged report, whose
+    witness coordinate is the pair's half log ratio."""
     p_grid = [float(p) for p in p_grid]
     if any(q <= p for p, q in zip(p_grid, p_grid[1:])):
         raise ValueError("p_grid must be strictly increasing")
-
-    if family is MonotoneFamily.MEAN_FAMILY:
-        if pairs is None:
-            raise ValueError("MEAN_FAMILY needs pairs")
-        ab = np.array([(m.a, m.b) if isinstance(m, _means.MeanPoint) else m for m in pairs],
-                      dtype=float)
-        if ab.ndim != 2 or ab.shape[1] != 2:
-            raise ValueError("pairs must be a sequence of (a, b) pairs")
-        coords, values = _means._mean_family_rows(p_grid, ab[:, 0], ab[:, 1])
-    else:
-        if x_grid is None:
-            raise ValueError("x_grid required for bound families")
-        coords = np.asarray(x_grid, dtype=float)
-        fn = _core.cos_bound if family is MonotoneFamily.COS_FAMILY else _core.cosh_bound
-        values = np.array([np.broadcast_to(np.asarray(fn(p, coords), dtype=float), coords.shape)
-                           for p in p_grid])
+    a, b = pairs
+    coords, values = _means._mean_family_rows(p_grid, a, b)
 
     diffs = values[1:] - values[:-1]            # (len(p)-1, len(x))
-    scale = np.maximum(1.0, np.abs(values).max(axis=0))
-    floor = FLOOR_ULPS * _EPS * scale
+    floor = _DEADBAND * np.maximum(1.0, np.abs(values).max(axis=0))
     bad = diffs < -floor
     good = diffs > floor
-    flat_idx = int(np.argmin(diffs))
-    row, col = np.unravel_index(flat_idx, diffs.shape)
+    row, col = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
     viol_rows, viol_cols = np.nonzero(bad)
     violations = [Violation(float(coords[c]), float(values[r][c]), float(values[r + 1][c]))
                   for r, c in list(zip(viol_rows, viol_cols))[:_MAX_STORED_VIOLATIONS]]
-    if bad.any():
-        verdict = Verdict.FAILS
-    elif good.any():
-        verdict = Verdict.HOLDS
-    else:
-        verdict = Verdict.INCONCLUSIVE
     return VerificationReport(
-        case_id=f"monotone:{family.value}",
+        case_id="monotone:means",
         grid_points=int(values.size),
         min_margin=float(diffs[row, col]),
         argmin_x=float(coords[col]),
         violations=violations,
-        verdict=verdict,
+        verdict=_verdict(bad.any(), good.any()),
         n_violations=int(bad.sum()),
     )
 
@@ -380,16 +354,14 @@ class ThresholdSide(enum.Enum):
     ABOVE = "above"
 
 
-_HYP_DOMAIN = (0.0, 50.0)  # cosh overflow margin; large-x behaviour is
-                           # delegated to the exponentially scaled gap scan
-
-
-def _default_threshold(family: SharpnessFamily) -> _constants.SharpConstant:
-    if family is SharpnessFamily.SINC_LOWER:
-        return _constants.solve_sinc_lower_edge(1e-12)
-    if family is SharpnessFamily.SINHC_UPPER:
-        return _constants.sinhc_upper_edge()
-    return _constants.sinc_upper_edge()  # shared by SINC_UPPER and SINHC_LOWER
+# family -> lhs, rhs, domain, and the constants function that gives its edge
+# (looked up on each call, so that a wrapper put on the module sees it)
+_SHARP_EDGES = {
+    SharpnessFamily.SINC_LOWER: ("cos_bound", "sinc", TRIG_DOMAIN, "solve_sinc_lower_edge"),
+    SharpnessFamily.SINC_UPPER: ("sinc", "cos_bound", TRIG_DOMAIN, "sinc_upper_edge"),
+    SharpnessFamily.SINHC_LOWER: ("cosh_bound", "sinhc", HYP_DOMAIN, "sinc_upper_edge"),
+    SharpnessFamily.SINHC_UPPER: ("sinhc", "cosh_bound", HYP_DOMAIN, "sinhc_upper_edge"),
+}
 
 
 def expected_sharpness_verdict(family: SharpnessFamily, side: ThresholdSide) -> Verdict:
@@ -397,21 +369,6 @@ def expected_sharpness_verdict(family: SharpnessFamily, side: ThresholdSide) -> 
     valid_below = family in (SharpnessFamily.SINC_LOWER, SharpnessFamily.SINHC_LOWER)
     below = side is ThresholdSide.BELOW
     return Verdict.HOLDS if below == valid_below else Verdict.FAILS
-
-
-def _family_case(family: SharpnessFamily, param: float) -> InequalityCase:
-    half_pi = math.pi / 2.0
-    if family is SharpnessFamily.SINC_LOWER:
-        return InequalityCase(f"cos_bound({param:.9g}) < sinc", lambda x: _core.cos_bound(param, x),
-                              _core.sinc, (0.0, half_pi))
-    if family is SharpnessFamily.SINC_UPPER:
-        return InequalityCase(f"sinc < cos_bound({param:.9g})", _core.sinc,
-                              lambda x: _core.cos_bound(param, x), (0.0, half_pi))
-    if family is SharpnessFamily.SINHC_LOWER:
-        return InequalityCase(f"cosh_bound({param:.9g}) < sinhc",
-                              lambda x: _core.cosh_bound(param, x), _core.sinhc, _HYP_DOMAIN)
-    return InequalityCase(f"sinhc < cosh_bound({param:.9g})", _core.sinhc,
-                          lambda x: _core.cosh_bound(param, x), _HYP_DOMAIN)
 
 
 def _merge(a: VerificationReport, b: VerificationReport) -> VerificationReport:
@@ -439,11 +396,13 @@ def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float
     with a scan of the exponentially scaled gap (positive scaled gap means
     the upper bound eventually fails).
     """
-    threshold = _default_threshold(family)
+    lhs, rhs, domain, edge = _SHARP_EDGES[family]
+    threshold = getattr(_constants, edge)()
     if not offset >= 10.0 * threshold.certified_radius:
         raise ValueError("offset must be >= 10x the threshold's certified radius")
     param = threshold.value + (offset if side is ThresholdSide.ABOVE else -offset)
-    report = verify(_family_case(family, param), points=points)
+    p, q = (param, None) if lhs.endswith("_bound") else (None, param)
+    report = verify(family_case(lhs, p, rhs, q, domain), points=points)
     if family is SharpnessFamily.SINHC_UPPER:
         scaled_case = InequalityCase(
             id=f"scaled gap({param:.9g}) < 0 at large x",

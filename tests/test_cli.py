@@ -75,10 +75,24 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
 
 def test_usage_errors(capsys):
     assert run(capsys, "verify", "--points", "10")[0] == 2
-    assert run(capsys, "verify", "--tol", "1.0")[0] == 2
+    assert run(capsys, "table", "--chain", "m1c", "--points", "10")[0] == 2
+    assert run(capsys, "constants", "--tol", "1.0")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "eval", "--fn", "cos-bound", "--x", "1.0")[0] == 2  # missing --p
     assert run(capsys, "special", "--name", "sb", "--a", "1.0")[0] == 2   # missing --b
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--chain", "m1c", "--format", "json"),
+    ("eval", "--fn", "sinc", "--x", "1.0", "--points", "100"),
+    ("constants", "--seed", "1"),
+    ("verify", "--suite", "theorem1", "--tol", "1e-9"),
+    ("special", "--name", "si", "--points", "100"),
+], ids=lambda argv: argv[0])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_eval(capsys):

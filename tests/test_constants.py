@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sincbounds.constants import (
-    SharpEdge,
     Side,
     quartic_bound_eval,
     quartic_constants,
@@ -32,7 +31,6 @@ def _mp_lower_edge():
 def test_lower_edge_matches_high_precision_oracle():
     assert _mp_lower_edge() == pytest.approx(LOWER_EDGE_40DPS, abs=1e-15)
     got = solve_sinc_lower_edge(1e-9)
-    assert got.kind is SharpEdge.SINC_LOWER
     assert got.certified_radius <= 1e-9
     assert got.value == pytest.approx(LOWER_EDGE_40DPS, abs=1e-9)
     assert round(got.value, 5) == 0.77086

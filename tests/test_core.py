@@ -193,6 +193,13 @@ def test_gap_even_in_x():
         assert sinhc_gap(p, -x).value == sinhc_gap(p, x).value
 
 
+@pytest.mark.parametrize("fn", [sinc_gap, sinhc_gap], ids=["sinc_gap", "sinhc_gap"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_gap_rejects_a_non_finite_x(fn, x):
+    with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+        fn(0.5, x)
+
+
 def test_gap_method_switch():
     assert sinc_gap(0.7, SERIES_SWITCH).method is GapMethod.SERIES
     assert sinc_gap(0.7, SERIES_SWITCH + 1e-6).method is GapMethod.DIRECT
@@ -445,6 +452,8 @@ def _old_gap(p, x, hyperbolic):
     if ax <= SERIES_SWITCH:
         value, tail = _old_gap_series(p, ax, hyperbolic)
         return x, value, GapMethod.SERIES, tail
+    if not math.isfinite(ax):  # as in sinc_gap and sinhc_gap
+        raise ValueError(f"x must be finite, got {x!r}")
     if hyperbolic:
         return x, _old_sinhc(ax) - _old_cosh_bound(p, ax), GapMethod.DIRECT, 0.0
     return x, _old_sinc(ax) - _old_cos_bound(p, ax), GapMethod.DIRECT, 0.0

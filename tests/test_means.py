@@ -56,7 +56,17 @@ def test_power_mean_rejects_a_nan_order():
         power_mean(math.nan, MeanPoint(2.0, 8.0))
     # the infinite orders keep their limits, the larger and the smaller value
     assert power_mean(math.inf, MeanPoint(2.0, 8.0)) == 8.0
-    assert power_mean(-math.inf, MeanPoint(2.0, 8.0)) == pytest.approx(2.0, rel=1e-15)
+    assert power_mean(-math.inf, MeanPoint(2.0, 8.0)) == 2.0
+
+
+def test_power_mean_at_infinite_and_subnormal_orders():
+    for p in (math.inf, -math.inf):
+        assert power_mean(p, (2.0, 2.0)) == 2.0
+    assert power_mean(math.inf, (1.0, 2.0)) == 2.0
+    assert power_mean(-math.inf, (1.0, 2.0)) == 1.0
+    # below the smallest normal order, p * log(a/b) would be subnormal
+    for p in (1e-320, -1e-320, 5e-324, 1e-310):
+        assert power_mean(p, (1.0, 2.0)) == math.sqrt(2.0)
 
 
 @given(m=pairs_strategy, p=st.floats(-2.0, 3.0))
@@ -367,6 +377,12 @@ def test_lower_bound_comparison_nonnegative():
     assert lower_bound_comparison(25.0) > lower_bound_comparison(20.0) > 0.0
     with pytest.raises(ValueError):
         lower_bound_comparison(-1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_lower_bound_comparison_rejects_a_non_finite_x(x):
+    with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+        lower_bound_comparison(x)
 
 
 def test_lower_bound_comparison_quartic_term_vanishes():

@@ -8,11 +8,10 @@ from sincbounds import corpus, means, verifier
 from sincbounds.constants import solve_sinc_lower_edge
 from sincbounds.core import cos_bound, cos_power_bound, sinc, sinhc
 from sincbounds.corpus import cos_chain_members, cosh_chain_members
-from sincbounds.means import _random_pair_arrays, half_log_ratio, mean_family, random_pairs
+from sincbounds.means import _random_pair_arrays, half_log_ratio, mean_family
 from sincbounds.verifier import (
     FLOOR_ULPS,
     InequalityCase,
-    MonotoneFamily,
     SharpnessFamily,
     ThresholdSide,
     Verdict,
@@ -147,38 +146,31 @@ def test_full_chains_hold():
 
 
 def test_param_monotone_families():
-    xs = np.linspace(0.0, HALF_PI, 130)[1:-1]
-    rep = verify_param_monotone(MonotoneFamily.COS_FAMILY, np.linspace(0.0, 1.0, 6), x_grid=xs)
-    assert rep.verdict is Verdict.HOLDS
-    xh = np.linspace(0.0, 10.0, 130)[1:-1]
-    rep = verify_param_monotone(MonotoneFamily.COSH_FAMILY, np.linspace(0.0, 3.0, 7), x_grid=xh)
-    assert rep.verdict is Verdict.HOLDS
-    pairs = random_pairs(200, seed=5)
-    rep = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, np.linspace(0.0, 3.0, 11), pairs=pairs)
+    pairs = _random_pair_arrays(200, seed=5)
+    rep = verify_param_monotone(np.linspace(0.0, 3.0, 11), pairs)
     assert rep.verdict is Verdict.HOLDS
 
 
 def test_param_monotone_detects_decrease():
     # the mean family is even in p, hence decreasing on negative orders
-    pairs = random_pairs(50, seed=5)
-    rep = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, np.linspace(-2.0, -0.5, 5), pairs=pairs)
+    pairs = _random_pair_arrays(50, seed=5)
+    rep = verify_param_monotone(np.linspace(-2.0, -0.5, 5), pairs)
     assert rep.verdict is Verdict.FAILS
     with pytest.raises(ValueError):
-        verify_param_monotone(MonotoneFamily.COS_FAMILY, [0.5, 0.5], x_grid=[0.3])
+        verify_param_monotone([0.5, 0.5], pairs)
 
 
-def test_param_monotone_mean_pairs_are_read_one_by_one():
-    # every element of pairs is one (a, b) pair, whatever its type; two arrays
-    # are two pairs, not an (a-array, b-array) pair
+def test_param_monotone_takes_an_array_pair():
     grid = np.linspace(0.0, 3.0, 7)
-    ref = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, grid, pairs=[(1.0, 2.0), (3.0, 4.0)])
-    arrays = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, grid,
-                                   pairs=(np.array([1.0, 2.0]), np.array([3.0, 4.0])))
-    assert arrays == ref
+    a, b = np.array([1.0, 3.0]), np.array([2.0, 4.0])
+    rep = verify_param_monotone(grid, (a, b))
+    assert rep.case_id == "monotone:means" and rep.verdict is Verdict.HOLDS
+    assert rep.grid_points == 7 * 2
     scalar = [[mean_family(p, m) for m in [(1.0, 2.0), (3.0, 4.0)]] for p in grid]
-    assert ref.min_margin == float(np.min(np.diff(scalar, axis=0)))
-    with pytest.raises(ValueError):
-        verify_param_monotone(MonotoneFamily.MEAN_FAMILY, grid, pairs=[(1.0, 2.0, 3.0)])
+    assert rep.min_margin == float(np.min(np.diff(scalar, axis=0)))
+    for bad in ((a, b[:1]), (a, np.array([[2.0, 4.0]])), (1.0, 2.0)):
+        with pytest.raises(ValueError):
+            verify_param_monotone(grid, bad)
 
 
 def test_expected_sharpness_matrix():
@@ -487,9 +479,9 @@ def test_small_block_cases_reach_their_conditions(monkeypatch):
     assert report("minimum in the last, short block").argmin_x > 1.0 - 40 / 1001
 
 
-def test_verify_in_blocks_raises_what_the_round_raises(monkeypatch):
-    # rhs fails in the first block, lhs only in a later one; the round,
-    # evaluated whole with lhs first, fails on lhs
+def test_verify_in_blocks_reports_the_first_exception(monkeypatch):
+    # rhs fails in the first block, lhs only in a later one; lhs is called
+    # before rhs on each block, so the first exception depends on the blocks
     def lhs(x):
         if np.any(x > 0.9):
             raise ValueError(f"lhs beyond 0.9 on {x.size} points")
@@ -508,18 +500,24 @@ def test_verify_in_blocks_raises_what_the_round_raises(monkeypatch):
 
     case = InequalityCase("failing sides", lhs, rhs, (0.0, 1.0))
     late = InequalityCase("failing refinement", _ZERO, rhs_left_of_grid, (0.0, 1.0))
-    for block in (64, verifier._BLOCK):
+    # the first refinement round has 65 points: a block of 64, then one
+    first = {64: ("FloatingPointError('rhs below 0.05 on 64 points')",
+                  "FloatingPointError('rhs left of the grid on 64 points')"),
+             verifier._BLOCK: ("ValueError('lhs beyond 0.9 on 1000 points')",
+                               "FloatingPointError('rhs left of the grid on 65 points')")}
+    for block, (exc, late_exc) in first.items():
         monkeypatch.setattr(verifier, "_BLOCK", block)
         got = verify(case, points=1000)
-        _assert_same_report(got, _reference_verify(case, points=1000))
-        assert got.diagnostic == "evaluation failed: ValueError('lhs beyond 0.9 on 1000 points')"
-        assert got.grid_points == 0
+        assert got.diagnostic == f"evaluation failed: {exc}"
+        assert got.verdict is Verdict.INCONCLUSIVE and got.grid_points == 0
+        assert math.isnan(got.min_margin) and math.isnan(got.argmin_x) and not got.violations
         # a failure in a refinement round counts only the rounds before it
         got = verify(late, points=1000)
-        _assert_same_report(got, _reference_verify(late, points=1000))
-        assert got.diagnostic == \
-            "evaluation failed: FloatingPointError('rhs left of the grid on 65 points')"
-        assert got.grid_points == 1000
+        assert got.diagnostic == f"evaluation failed: {late_exc}"
+        assert got.verdict is Verdict.INCONCLUSIVE and got.grid_points == 1000
+    # one block holds each whole round: the reports are the unblocked ones
+    for c in (case, late):
+        _assert_same_report(verify(c, points=1000), _reference_verify(c, points=1000))
 
 
 @pytest.mark.parametrize("points", [3 * verifier._BLOCK + 1, 65536])
@@ -651,12 +649,12 @@ def test_take5_equals_stable_argsort_of_all_blocks(seed):
 def test_corpus_takes_both_block_paths(monkeypatch):
     # blocks settled by the bounds, and blocks that take the per-point
     # floors: each verify call takes the floors once more, on its picks
-    counts = {"blocks": 0, "floors": 0, "calls": 0}
-    sides, definite, real = verifier._sides, verifier._definite, verifier.verify
+    counts = {"sides": 0, "floors": 0, "calls": 0}
+    side, definite, real = verifier._side, verifier._definite, verifier.verify
 
-    def counted_sides(*args):
-        counts["blocks"] += 1
-        return sides(*args)
+    def counted_side(*args):
+        counts["sides"] += 1  # twice per block, lhs and rhs
+        return side(*args)
 
     def counted_definite(*args):
         counts["floors"] += 1
@@ -666,13 +664,13 @@ def test_corpus_takes_both_block_paths(monkeypatch):
         counts["calls"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verifier, "_sides", counted_sides)
+    monkeypatch.setattr(verifier, "_side", counted_side)
     monkeypatch.setattr(verifier, "_definite", counted_definite)
     monkeypatch.setattr(verifier, "verify", counted_verify)
     monkeypatch.setattr(corpus, "verify", counted_verify)
     corpus.run_suite("all", points=4096)
     exact = counts["floors"] - counts["calls"]
-    assert 0 < exact < counts["blocks"] // 2, counts
+    assert 0 < exact < counts["sides"] // 4, counts
 
 
 @pytest.mark.parametrize("block", [64, verifier._BLOCK])
@@ -727,10 +725,9 @@ def _stacked_rows(p_grid, a, b):
 def test_param_monotone_mean_rows_match_per_p_stack(p_grid, seed, monkeypatch):
     a, b = _random_pair_arrays(1000, seed)
     b[::9] = a[::9]  # equal pairs
-    pairs = np.column_stack((a, b))
     got_h, got_rows = means._mean_family_rows(p_grid, a, b)
     want_h, want_rows = _stacked_rows(p_grid, a, b)
     assert np.array_equal(got_h, want_h) and np.array_equal(got_rows, want_rows)
-    got = verify_param_monotone(MonotoneFamily.MEAN_FAMILY, p_grid, pairs=pairs)
+    got = verify_param_monotone(p_grid, (a, b))
     monkeypatch.setattr(means, "_mean_family_rows", _stacked_rows)
-    assert got == verify_param_monotone(MonotoneFamily.MEAN_FAMILY, p_grid, pairs=pairs)
+    assert got == verify_param_monotone(p_grid, (a, b))
