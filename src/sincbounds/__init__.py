@@ -46,7 +46,6 @@ from .integrals import (
 )
 from .means import (
     MeanPoint,
-    arithmetic_mean,
     comparison_coeff,
     geometric_mean,
     half_log_ratio,
@@ -54,7 +53,6 @@ from .means import (
     log_mean_sandwich,
     lower_bound_comparison,
     mean_family,
-    power_mean,
     random_pairs,
     sb_lower_bound,
     sb_mean,

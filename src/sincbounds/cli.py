@@ -7,7 +7,9 @@ Commands:
     table       CSV table for one of the fixed inequality chains
     special     enclosure + oracle + containment verdict for one quantity
 
-Exit codes: 0 all verified, 1 violation/inconclusive, 2 usage error.
+Exit codes: 0 all verified, 1 violation/inconclusive, 2 usage error
+(including an option the chosen --fn or --name does not read), 141 when
+the reader closes stdout early (128 + SIGPIPE, no traceback).
 Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
 17 significant digits, JSON uses repr round-tripping).
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -82,13 +85,12 @@ _EVAL_FNS = {
 
 def cmd_eval(args: argparse.Namespace) -> int:
     fn, x, p = args.fn, args.x, args.p
-    needs_p = fn not in ("sinc", "sinhc")
-    if needs_p and p is None:
-        print(f"--p is required for {fn}", file=sys.stderr)
-        return 2
     if not math.isfinite(x):
         print(f"--x must be finite, got {x!r}", file=sys.stderr)
         return 2
+    needs_p = fn not in ("sinc", "sinhc")
+    if needs_p == (p is None):
+        raise ValueError(f"--p is required for {fn}" if needs_p else f"{fn} reads no --p")
     try:
         result = _EVAL_FNS[fn](p, x)
     except (ValueError, OverflowError, FloatingPointError) as exc:
@@ -121,32 +123,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
-    """Header and rows (x, member values, adjacent margins) for a chain."""
+    """Header and rows (x, or a and b, then member values and adjacent
+    margins) for a chain; the mean chain takes MeanPoints or (a, b) pairs."""
     chain = chain.lower()
     if chain in corpus.CHAINS:
-        members = corpus.CHAINS[chain][0]()
-        args = [float(x) for x in xs]
-        key = "x"
+        members, head = corpus.CHAINS[chain][0](), ["x"]
+        points = [([float(x)], float(x)) for x in xs]
     elif chain == "meanchain":
-        members = corpus.mean_chain_members()
-        args = list(xs)  # MeanPoints or (a, b) tuples
-        key = "pair"
+        members, head = corpus.mean_chain_members(), ["a", "b"]
+        pts = [m if isinstance(m, means.MeanPoint) else means.MeanPoint(*map(float, m)) for m in xs]
+        points = [([float(m.a), float(m.b)], m) for m in pts]
     else:
         raise ValueError(f"unknown chain {chain!r}")
     names = [name for name, _ in members]
-    if key == "x":
-        header = ["x"] + names + [f"margin_{i}" for i in range(1, len(names))]
-    else:
-        header = ["a", "b"] + names + [f"margin_{i}" for i in range(1, len(names))]
+    header = head + names + [f"margin_{i}" for i in range(1, len(names))]
     rows = []
-    for arg in args:
+    for lead, arg in points:
         vals = [float(fn(arg)) for _, fn in members]
-        margins = [b - a for a, b in zip(vals, vals[1:])]
-        if key == "x":
-            rows.append([float(arg)] + vals + margins)
-        else:
-            a, b = (arg.a, arg.b) if isinstance(arg, means.MeanPoint) else arg
-            rows.append([float(a), float(b)] + vals + margins)
+        rows.append(lead + vals + [b - a for a, b in zip(vals, vals[1:])])
     return header, rows
 
 
@@ -168,8 +162,19 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# the options each special quantity reads; any other given exits 2
+_SPECIAL_OPTIONS = {"si": ("t", "p"), "sh": ("t",), "trigamma-half": (), "catalan": ("terms",),
+                    "sb": ("a", "b"), "log-mean": ("a", "b")}
+
+
 def cmd_special(args: argparse.Namespace) -> int:
     name, t, a, b = args.name.lower(), args.t, args.a, args.b
+    if name not in _SPECIAL_OPTIONS:
+        raise ValueError(f"unknown special quantity {name!r}")
+    unread = [f"--{o}" for o in ("t", "p", "a", "b", "terms")
+              if getattr(args, o) is not None and o not in _SPECIAL_OPTIONS[name]]
+    if unread:
+        raise ValueError(f"{name} reads no {' '.join(unread)}")
     if name == "si":
         t = _HALF_PI if t is None else t
         p = 2.0 / 3.0 if args.p is None else args.p
@@ -184,7 +189,7 @@ def cmd_special(args: argparse.Namespace) -> int:
         oracle = math.pi ** 2 / 2.0
     elif name == "catalan":
         enc = integrals.catalan_enclosure()
-        oracle = integrals.catalan_reference(args.terms)
+        oracle = integrals.catalan_reference(1_000_000 if args.terms is None else args.terms)
     elif name == "sb":
         if a is None or b is None:
             print("--a and --b are required for sb", file=sys.stderr)
@@ -203,9 +208,6 @@ def cmd_special(args: argparse.Namespace) -> int:
         m = means.MeanPoint(a, b)
         enc = means.log_mean_sandwich(m)
         oracle = means.log_mean(m)
-    else:
-        print(f"unknown special quantity {name!r}", file=sys.stderr)
-        return 2
     ok = enc.contains(oracle)
     rows = [{"name": name, "lo": enc.lo, "hi": enc.hi, "oracle": oracle, "contained": ok}]
     _emit_rows(rows, args, lambda r: f"{name}: enclosure [{_fmt(enc.lo)}, {_fmt(enc.hi)}] "
@@ -255,13 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("special", cmd_special, "enclosure vs oracle for one quantity",
                  ("--format",))
-    sp.add_argument("--name", choices=("si", "sh", "trigamma-half", "catalan", "sb", "log-mean"),
-                    required=True)
+    sp.add_argument("--name", choices=tuple(_SPECIAL_OPTIONS), required=True)
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--terms", type=int, default=1_000_000)
+    sp.add_argument("--terms", type=int, default=None)  # catalan applies 1,000,000
     return parser
 
 
@@ -275,10 +276,16 @@ def main(argv=None) -> int:
             raise ValueError("--points must be >= 64")
         if "tol" in args and not 1e-15 <= args.tol <= 1e-3:
             raise ValueError("--tol must lie in [1e-15, 1e-3]")
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone: keep the exit flush silent, exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

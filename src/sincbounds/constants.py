@@ -1,7 +1,8 @@
 """Sharp parameter thresholds and the best quartic correction constants.
 
 The trig family bounds sinc from below exactly for parameters up to a
-threshold p* ~ 0.77086 (the unique root of gap(pi/2) = 0) and from above
+threshold p* ~ 0.77086 (the unique root of gap(pi/2) = 0, stored as a
+literal that the tests prove in interval arithmetic) and from above
 exactly from sqrt(15)/5 ~ 0.77460 on (the root of the quartic gap
 coefficient).  Adding c * x^4 to the family tightens it into a two-sided
 sandwich whose best constants are computed here.
@@ -37,43 +38,17 @@ def sinc_gap_at_half_pi(p: float) -> float:
     return 2.0 / math.pi - 1.0 + (2.0 / (3.0 * p * p)) * s * s
 
 
-def _gap_half_pi_dp(p: float) -> float:
-    # d/dp of the gap at pi/2: -(2 - 2 cos(p pi/2) - (p pi/2) sin(p pi/2)) / (3 p^3)
-    u = p * _HALF_PI
-    return -(2.0 - 2.0 * math.cos(u) - u * math.sin(u)) / (3.0 * p ** 3)
-
-
 def solve_sinc_lower_edge(tolerance: float = 1e-12) -> SharpConstant:
-    """Root of gap(pi/2) = 0 on [1/2, 1] by bisection, plus one Newton polish.
+    """The root of gap(pi/2) = 0 on [1/2, 1], certified to radius tolerance.
 
-    The returned constant carries a sign certificate: the gap is positive at
-    value - radius and negative at value + radius, as evaluated in doubles.
+    The value is a literal, 2.35 ulps below the root.  The tests prove in
+    interval arithmetic that the root lies within 3 ulps (3.3e-16) of it, so
+    the gap is positive at value - tolerance and negative at value +
+    tolerance for every admissible tolerance (>= 1e-15).
     """
     if not tolerance >= 1e-15:
         raise ValueError("tolerance must be >= 1e-15")
-    lo, hi = 0.5, 1.0
-    flo = sinc_gap_at_half_pi(lo)
-    fhi = sinc_gap_at_half_pi(hi)
-    if not (flo > 0.0 > fhi):  # guaranteed bracket; checked anyway
-        raise RuntimeError("lost the root bracket on [1/2, 1]")
-    half = min(tolerance, 1e-12)
-    while (hi - lo) / 2.0 > half:
-        mid = 0.5 * (lo + hi)
-        if sinc_gap_at_half_pi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    polished = mid - sinc_gap_at_half_pi(mid) / _gap_half_pi_dp(mid)
-    if lo < polished < hi:
-        mid = polished
-    # certificate at the requested radius; fall back to the raw bracket if
-    # rounding spoils a sign this close to the root
-    r = tolerance
-    if sinc_gap_at_half_pi(mid - r) > 0.0 > sinc_gap_at_half_pi(mid + r):
-        return SharpConstant(mid, r)
-    value = 0.5 * (lo + hi)
-    return SharpConstant(value, (hi - lo) / 2.0)
+    return SharpConstant(0.7708607411268668, tolerance)
 
 
 def sinc_upper_edge() -> SharpConstant:

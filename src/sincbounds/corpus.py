@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .verifier import (
 
 _HALF_PI = math.pi / 2.0
 _UPPER_EDGE = math.sqrt(15.0) / 5.0
-_SQRT23 = math.sqrt(2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -53,60 +53,41 @@ class CheckResult:
     report: VerificationReport | None = field(default=None, compare=False)
 
 
+# (label, p) rows shared by the chains: the five members up to sqrt(15)/5,
+# and the two above sinhc and the log mean
+_LOW = (("1/sqrt3", 1.0 / math.sqrt(3.0)), ("2/3", 2.0 / 3.0), ("1/sqrt2", 1.0 / math.sqrt(2.0)),
+        ("3/4", 0.75), ("sqrt15/5", _UPPER_EDGE))
+_HIGH = (("1", 1.0), ("2/sqrt3", 2.0 / math.sqrt(3.0)))
+
+
+def _chain(module, family, rows, target, at: int) -> list[tuple[str, object]]:
+    """The members family(label) = partial(module.family, p), one per
+    (label, p) row in order, with the target (name, function) at index at."""
+    fn = getattr(module, family)
+    members = [(f"{family}({label})", partial(fn, p)) for label, p in rows]
+    members.insert(at, target)
+    return members
+
+
 def cos_chain_members() -> list[tuple[str, object]]:
     """The nine-member trig chain on (0, pi/2), increasing order."""
-    def u(p):
-        return lambda x, p=p: core.cos_bound(p, x)
-
-    return [
-        ("cos_bound(1/sqrt3)", u(1.0 / math.sqrt(3.0))),
-        ("cos_bound(2/3)", u(2.0 / 3.0)),
-        ("cos_bound(1/sqrt2)", u(1.0 / math.sqrt(2.0))),
-        ("cos_bound(3/4)", u(0.75)),
-        ("sinc", core.sinc),
-        ("cos_bound(sqrt15/5)", u(_UPPER_EDGE)),
-        ("cos_bound(sqrt(2/3))", u(_SQRT23)),
-        ("cos_bound(sqrt3/2)", u(math.sqrt(3.0) / 2.0)),
-        ("cos_bound(1)", u(1.0)),
-    ]
+    above = (("sqrt(2/3)", math.sqrt(2.0 / 3.0)), ("sqrt3/2", math.sqrt(3.0) / 2.0), ("1", 1.0))
+    return _chain(core, "cos_bound", _LOW + above, ("sinc", core.sinc), 4)
 
 
 def cosh_chain_members() -> list[tuple[str, object]]:
     """The eight-member hyperbolic chain, increasing order."""
-    def v(p):
-        return lambda x, p=p: core.cosh_bound(p, x)
-
-    return [
-        ("cosh_bound(1/sqrt3)", v(1.0 / math.sqrt(3.0))),
-        ("cosh_bound(2/3)", v(2.0 / 3.0)),
-        ("cosh_bound(1/sqrt2)", v(1.0 / math.sqrt(2.0))),
-        ("cosh_bound(3/4)", v(0.75)),
-        ("cosh_bound(sqrt15/5)", v(_UPPER_EDGE)),
-        ("sinhc", core.sinhc),
-        ("cosh_bound(1)", v(1.0)),
-        ("cosh_bound(2/sqrt3)", v(2.0 / math.sqrt(3.0))),
-    ]
+    return _chain(core, "cosh_bound", _LOW + _HIGH, ("sinhc", core.sinhc), 5)
 
 
 # the fixed-parameter chains in x: name -> (members, domain)
 CHAINS = {"m1c": (cos_chain_members, TRIG_DOMAIN), "m2c": (cosh_chain_members, (0.0, 20.0))}
 
 
-MEAN_CHAIN_PARAMS = [1.0 / math.sqrt(3.0), 2.0 / 3.0, 1.0 / math.sqrt(2.0), 0.75, _UPPER_EDGE]
-
-
 def mean_chain_members() -> list[tuple[str, object]]:
     """Family members below the log mean, then the log mean, then the two above."""
-    def fam(p):
-        return lambda m, p=p: means.mean_family(p, m)
-
-    members: list[tuple[str, object]] = [
-        (f"mean_family({p:.6g})", fam(p)) for p in MEAN_CHAIN_PARAMS
-    ]
-    members.append(("log_mean", means.log_mean))
-    members.append(("mean_family(1)", fam(1.0)))
-    members.append(("mean_family(2/sqrt3)", fam(2.0 / math.sqrt(3.0))))
-    return members
+    rows = tuple((f"{p:.6g}", p) for _, p in _LOW) + _HIGH
+    return _chain(means, "mean_family", rows, ("log_mean", means.log_mean), 5)
 
 
 def _verdict_result(suite: str, report: VerificationReport, expected: Verdict) -> CheckResult:

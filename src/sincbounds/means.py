@@ -1,7 +1,7 @@
 """Bivariate means and the sharp inequalities between them.
 
-Classical means (geometric, arithmetic, power, logarithmic,
-Schwab-Borchardt) plus the one-parameter family
+Classical means (geometric, logarithmic, Schwab-Borchardt) plus the
+one-parameter family
 
     M_p(a, b) = (1/(3p^2)) A_p^p G^{1-p} + (1 - 1/(3p^2)) G
 
@@ -11,13 +11,13 @@ it is evaluated here (stable at a ~ b, smooth at p = 0, even in p).
 
 The pair argument m is a MeanPoint, an (a, b) pair of numbers, or an
 (a, b) pair of equal-length 1-D float64 arrays.  For an array pair,
-half_log_ratio, log_mean, sb_mean, sb_lower_bound and mean_family return
-an array of the values, one per element pair, and log_mean_sandwich
-returns one Enclosure whose lo and hi are arrays.  The other means take
-one pair only.  Each call validates its input once (finite and positive;
-a >= 0, b > 0 for the Schwab-Borchardt pair) and then runs one kernel:
-the scalar kernel for numbers, the array kernel for arrays.  The two
-kernels take the same branches and give the same results bit for bit.
+geometric_mean, half_log_ratio, log_mean, sb_mean, sb_lower_bound and
+mean_family return an array of the values, one per element pair, and
+log_mean_sandwich returns one Enclosure whose lo and hi are arrays.  Each
+call validates its input once (finite and positive; a >= 0, b > 0 for the
+Schwab-Borchardt pair) and then runs one kernel: the scalar kernel for
+numbers, the array kernel for arrays.  The two kernels take the same
+branches and give the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -322,44 +322,9 @@ def _log_mean_sandwich_arrays(a: np.ndarray, b: np.ndarray) -> Enclosure:
 
 # -------------------------------------------------------------------- the API
 
-def _one_pair(m) -> tuple[float, float]:
-    a, b = _pair(m)
-    if isinstance(a, np.ndarray):
-        raise ValueError("this mean takes one pair, not an array pair")
-    return a, b
-
-
-def geometric_mean(m) -> float:
-    a, b = _one_pair(m)
-    return _geo(a, b)
-
-
-def arithmetic_mean(m) -> float:
-    a, b = _one_pair(m)
-    return 0.5 * (a + b)
-
-
-def power_mean(p: float, m) -> float:
-    """((a^p + b^p)/2)^(1/p); the geometric mean at p = 0, max(a, b) at
-    p = inf and min(a, b) at p = -inf."""
-    a, b = _one_pair(m)
-    p = float(p)
-    if math.isnan(p):
-        raise ValueError(f"power mean order must not be NaN, got {p!r}")
-    if math.isinf(p):
-        return max(a, b) if p > 0.0 else min(a, b)
-    if abs(p) < _MIN_NORMAL:
-        # p * log(lo/hi) would be subnormal; M_p/G - 1 < 1e-300 here
-        return _geo(a, b)
-    if p == 1.0:
-        return 0.5 * (a + b)
-    if p < 0.0:
-        return _geo(a, b) ** 2 / power_mean(-p, (a, b))  # reflection identity
-    # scale by the larger argument: max(a,b) * ((r^p + 1)/2)^(1/p) with
-    # r <= 1, so expm1 sees a nonpositive argument (no overflow, smooth p -> 0)
-    hi, lo = (a, b) if a >= b else (b, a)
-    s = 0.5 * math.expm1(p * math.log(lo / hi))
-    return hi * math.exp(math.log1p(s) / p)
+def geometric_mean(m):
+    """sqrt(a b), kept accurate where a*b overflows or is subnormal."""
+    return _apply(m, _geo, _geo_arrays)
 
 
 def half_log_ratio(m):

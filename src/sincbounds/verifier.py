@@ -394,13 +394,16 @@ def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float
     For SINHC_UPPER with a parameter below 1 the violation appears at x far
     beyond any cosh-evaluable grid, so the finite-domain check is merged
     with a scan of the exponentially scaled gap (positive scaled gap means
-    the upper bound eventually fails).
+    the upper bound eventually fails).  An offset below 10x the edge's
+    certified radius, or one that puts the parameter outside its family (p
+    in [0, 1] on the trig side, p >= 0 on the hyperbolic), raises ValueError.
     """
     lhs, rhs, domain, edge = _SHARP_EDGES[family]
     threshold = getattr(_constants, edge)()
     if not offset >= 10.0 * threshold.certified_radius:
         raise ValueError("offset must be >= 10x the threshold's certified radius")
-    param = threshold.value + (offset if side is ThresholdSide.ABOVE else -offset)
+    param = _core._check(threshold.value + (offset if side is ThresholdSide.ABOVE else -offset),
+                         domain is TRIG_DOMAIN)
     p, q = (param, None) if lhs.endswith("_bound") else (None, param)
     report = verify(family_case(lhs, p, rhs, q, domain), points=points)
     if family is SharpnessFamily.SINHC_UPPER:

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sincbounds
 from sincbounds import corpus
 from sincbounds.cli import chain_table, main
 from sincbounds.corpus import CheckResult
@@ -93,6 +97,35 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--fn", "sinc", "--x", "1", "--p", "0.3"),
+    ("eval", "--fn", "sinhc", "--x", "1", "--p", "0.3"),
+    ("special", "--name", "trigamma-half", "--t", "5"),
+    ("special", "--name", "catalan", "--p", "3"),
+    ("special", "--name", "sh", "--p", "0.5"),
+    ("special", "--name", "si", "--t", "1", "--a", "1"),
+    ("special", "--name", "sb", "--a", "1", "--b", "2", "--terms", "5"),
+    ("special", "--name", "log-mean", "--a", "1", "--b", "2", "--t", "1"),
+], ids=" ".join)
+def test_options_the_chosen_function_does_not_read_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"reads no {argv[-2]}" in err
+
+
+def test_a_closed_pipe_ends_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(sincbounds.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sincbounds", "table", "--chain", "m1c", "--points", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"x,")  # the rows fill the pipe, then block
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE
+    assert err == b""
 
 
 def test_eval(capsys):

@@ -4,6 +4,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath import iv
 
 from sincbounds.constants import (
     Side,
@@ -34,6 +35,34 @@ def test_lower_edge_matches_high_precision_oracle():
     assert got.certified_radius <= 1e-9
     assert got.value == pytest.approx(LOWER_EDGE_40DPS, abs=1e-9)
     assert round(got.value, 5) == 0.77086
+
+
+def test_lower_edge_literal_is_proven_within_3_ulps_of_the_root():
+    # Interval arithmetic at 30 digits (Moore, Interval Analysis, 1966): the
+    # gap at pi/2 is positive at v - 3 ulp(v) and negative at v + 3 ulp(v),
+    # and strictly decreasing on that box, so the box holds exactly one root.
+    v = solve_sinc_lower_edge().value
+    r = 3.0 * math.ulp(v)  # 3.3e-16, below every admissible radius (>= 1e-15)
+    dps, iv.dps = iv.dps, 30
+    try:
+        def gap(p):
+            return 2 / iv.pi - 1 + (2 / (3 * p * p)) * iv.sin(p * iv.pi / 4) ** 2
+
+        lo, hi = iv.mpf(v) - iv.mpf(r), iv.mpf(v) + iv.mpf(r)
+        assert gap(lo).a > 0 and gap(hi).b < 0
+        # d gap/dp = -(2 - 2 cos u - u sin u) / (3 p^3), u = p pi/2
+        u = iv.mpf([lo.a, hi.b]) * iv.pi / 2
+        assert (2 - 2 * iv.cos(u) - u * iv.sin(u)).a > 0
+    finally:
+        iv.dps = dps
+    assert r < 1e-15
+
+
+@pytest.mark.parametrize("tol", [1e-15, 3e-15, 1e-14, 1e-13, 1e-12, 1e-9, 1e-3])
+def test_lower_edge_is_one_literal_at_every_tolerance(tol):
+    got = solve_sinc_lower_edge(tol)
+    assert got.value == 0.7708607411268668
+    assert got.certified_radius == tol
 
 
 def test_lower_edge_certificate_signs():

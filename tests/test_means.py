@@ -12,7 +12,6 @@ from sincbounds.core import cosh_bound, sinhc
 from sincbounds.means import (
     MeanPoint,
     _COMPARISON_COEFFS,
-    arithmetic_mean,
     comparison_coeff,
     geometric_mean,
     half_log_ratio,
@@ -20,7 +19,6 @@ from sincbounds.means import (
     log_mean_sandwich,
     lower_bound_comparison,
     mean_family,
-    power_mean,
     random_pairs,
     sb_lower_bound,
     sb_mean,
@@ -44,37 +42,11 @@ def test_mean_point_validation():
         MeanPoint(math.inf, 1.0)
 
 
-def test_power_mean_special_orders():
-    m = MeanPoint(2.0, 8.0)
-    assert power_mean(0.0, m) == geometric_mean(m) == 4.0
-    assert power_mean(1.0, m) == arithmetic_mean(m) == 5.0
-    assert power_mean(-1.0, m) == pytest.approx(3.2, rel=1e-15)  # harmonic
-
-
-def test_power_mean_rejects_a_nan_order():
-    with pytest.raises(ValueError, match="nan"):
-        power_mean(math.nan, MeanPoint(2.0, 8.0))
-    # the infinite orders keep their limits, the larger and the smaller value
-    assert power_mean(math.inf, MeanPoint(2.0, 8.0)) == 8.0
-    assert power_mean(-math.inf, MeanPoint(2.0, 8.0)) == 2.0
-
-
-def test_power_mean_at_infinite_and_subnormal_orders():
-    for p in (math.inf, -math.inf):
-        assert power_mean(p, (2.0, 2.0)) == 2.0
-    assert power_mean(math.inf, (1.0, 2.0)) == 2.0
-    assert power_mean(-math.inf, (1.0, 2.0)) == 1.0
-    # below the smallest normal order, p * log(a/b) would be subnormal
-    for p in (1e-320, -1e-320, 5e-324, 1e-310):
-        assert power_mean(p, (1.0, 2.0)) == math.sqrt(2.0)
-
-
 @given(m=pairs_strategy, p=st.floats(-2.0, 3.0))
 def test_means_agree_on_equal_pair(m, p):
     x = m.a
     eq = MeanPoint(x, x)
-    for value in (geometric_mean(eq), arithmetic_mean(eq), power_mean(p, eq),
-                  log_mean(eq), sb_mean(eq), mean_family(p, eq)):
+    for value in (geometric_mean(eq), log_mean(eq), sb_mean(eq), mean_family(p, eq)):
         assert value == pytest.approx(x, rel=1e-12)
 
 
@@ -97,7 +69,7 @@ def test_log_mean_series_crossover():
 def test_classical_mean_ordering(m):
     if abs(m.a / m.b - 1.0) < 1e-6:
         return  # true gaps ~ (ln ratio)^2/24 fall below double resolution
-    g, l, a = geometric_mean(m), log_mean(m), arithmetic_mean(m)
+    g, l, a = geometric_mean(m), log_mean(m), (m.a + m.b) / 2.0
     assert g < l < a
 
 
@@ -178,18 +150,24 @@ def test_symmetric_means(m):
     swapped = MeanPoint(m.b, m.a)
     assert geometric_mean(swapped) == pytest.approx(geometric_mean(m), rel=1e-13)
     assert log_mean(swapped) == pytest.approx(log_mean(m), rel=1e-12)
-    assert power_mean(0.7, swapped) == pytest.approx(power_mean(0.7, m), rel=1e-12)
     assert mean_family(0.7, swapped) == pytest.approx(mean_family(0.7, m), rel=1e-12)
 
 
 # --------------------------------------------------------------- mean family
 
+def _power_mean_mp(p: float, m: MeanPoint) -> float:
+    """The power mean A_p = ((a^p + b^p)/2)^(1/p), p != 0, at 30 digits."""
+    with mp.workdps(30):
+        a, b, p = mp.mpf(m.a), mp.mpf(m.b), mp.mpf(p)
+        return float(((a ** p + b ** p) / 2) ** (1 / p))
+
+
 def test_mean_family_closed_forms():
     m = MeanPoint(2.0, 5.0)
-    g, a = geometric_mean(m), arithmetic_mean(m)
+    g, a = geometric_mean(m), _power_mean_mp(1.0, m)
     assert mean_family(1.0, m) == pytest.approx(a / 3.0 + 2.0 * g / 3.0, rel=1e-14)
     p = UPPER_EDGE
-    literal = (5.0 / 9.0) * power_mean(p, m) ** p * g ** (1.0 - p) + (4.0 / 9.0) * g
+    literal = (5.0 / 9.0) * _power_mean_mp(p, m) ** p * g ** (1.0 - p) + (4.0 / 9.0) * g
     assert mean_family(p, m) == pytest.approx(literal, rel=1e-13)
     limit = g * (1.0 + (math.log(5.0) - math.log(2.0)) ** 2 / 24.0)
     assert mean_family(0.0, m) == pytest.approx(limit, rel=1e-14)
@@ -198,7 +176,7 @@ def test_mean_family_closed_forms():
 @given(m=pairs_strategy, p=st.floats(0.01, 3.0))
 def test_mean_family_matches_literal_formula(m, p):
     g = geometric_mean(m)
-    literal = (1.0 / (3 * p * p)) * power_mean(p, m) ** p * g ** (1.0 - p) \
+    literal = (1.0 / (3 * p * p)) * _power_mean_mp(p, m) ** p * g ** (1.0 - p) \
         + (1.0 - 1.0 / (3 * p * p)) * g
     assert mean_family(p, m) == pytest.approx(literal, rel=1e-11)
 
@@ -308,6 +286,17 @@ def test_subnormal_product_pairs_match_scalar_bits():
     a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
     assert _same_bits(means._geo_arrays(a, b), [geometric_mean(p) for p in pairs])
     _assert_arrays_match_scalar(a, b)
+
+
+def test_geometric_mean_of_an_array_pair_matches_each_pair():
+    # subnormal and overflowing products take the sqrt(a) * sqrt(b) branch
+    pairs = _subnormal_product_pairs() + [(1e200, 1e200), (1e300, 1e10), (1.7e308, 4.0),
+                                          (2.0, 8.0), (1e-170, 1e-170)]
+    a, b = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    got = geometric_mean((a, b))
+    assert _same_bits(got, [geometric_mean(p) for p in pairs])
+    assert _same_bits(got, [geometric_mean(MeanPoint(*p)) for p in pairs])
+    assert got[-2] == 4.0 and got[-1] == 1e-170
 
 
 def test_mean_chain_increasing_at_fixed_pair():
@@ -444,7 +433,7 @@ def test_random_pairs_values_unchanged():
 
 # ------------------------------------------------------------ array pairs
 
-ARRAY_FUNCTIONS = ("half_log_ratio", "log_mean", "sb_mean", "sb_lower_bound")
+ARRAY_FUNCTIONS = ("geometric_mean", "half_log_ratio", "log_mean", "sb_mean", "sb_lower_bound")
 FAMILY_PARAMS = (0.0, 1e-9, 1e-8, 2e-8, 0.3, UPPER_EDGE, 1.0, 3.0, -0.7, -3.0)
 
 
@@ -625,10 +614,3 @@ def test_array_sandwich_contains_is_elementwise():
     hits = log_mean_sandwich(m).contains(log_mean(m))
     assert hits.dtype == bool and hits.all()
     assert type(log_mean_sandwich(pairs[0]).contains(log_mean(pairs[0]))) is bool
-
-
-def test_scalar_means_reject_array_pairs():
-    m = (np.array([1.0, 2.0]), np.array([2.0, 3.0]))
-    for fn in (geometric_mean, arithmetic_mean, lambda m: power_mean(0.5, m)):
-        with pytest.raises(ValueError):
-            fn(m)

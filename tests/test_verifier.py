@@ -206,6 +206,19 @@ def test_sharpness_offset_validation():
         verify_sharpness(SharpnessFamily.SINC_LOWER, ThresholdSide.ABOVE, 1e-12)
 
 
+@pytest.mark.parametrize("family, side, offset", [
+    (SharpnessFamily.SINC_UPPER, ThresholdSide.ABOVE, 0.5),   # q = 1.27 > 1
+    (SharpnessFamily.SINC_LOWER, ThresholdSide.BELOW, 0.9),   # p < 0
+    (SharpnessFamily.SINC_LOWER, ThresholdSide.ABOVE, math.inf),
+])
+def test_sharpness_rejects_an_offset_outside_the_family(family, side, offset, monkeypatch):
+    grids = []
+    monkeypatch.setattr(verifier, "verify", lambda *args, **kw: grids.append(args))
+    with pytest.raises(ValueError, match="parameter must"):
+        verify_sharpness(family, side, offset)
+    assert grids == []  # raised before any grid ran
+
+
 def test_leibniz_ratio():
     rep = verify_leibniz_ratio(UPPER_EDGE, 30)
     assert rep.verdict is Verdict.HOLDS
