@@ -3,18 +3,20 @@ value at 1/2, and Catalan's constant, each paired with an independent
 quadrature or series oracle.
 
 Every enclosure comes from integrating a two-sided family bound, so the
-endpoints are elementary closed forms; the oracles are adaptive quadrature
-(Gauss-Kronrod via scipy), an accelerated alternating series, or, for the
-x/sinh x integral to infinity, the closed form pi^2/4.
+endpoints are elementary closed forms; the oracles are one 21-point
+Gauss-Kronrod panel (QUADPACK's qk21, here in pure Python), an accelerated
+alternating series, or, for the x/sinh x integral beyond t = 4, its
+exponential tail series below the closed form pi^2/4.
 
-scipy is imported only when a quadrature oracle runs: si_reference,
-sh_reference, the propositions suite of the corpus, and the CLI's
-`special --name si|sh`. Every other entry point leaves it unloaded.
+Nothing here imports scipy: the panel repeats qk21's nodes, weights and
+order of operations, so it gives the doubles scipy's quad gives wherever
+quad accepts its first panel, and raises wherever quad would bisect.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +27,32 @@ _HALF_PI = math.pi / 2.0
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
 _UPPER_EDGE = _SQRT15 / 5.0
+_PI2_OVER_4 = math.pi ** 2 / 4.0  # within 2 ulps of pi^2/4
 
-ERROR_BUDGET = 1e-12
+# QUADPACK's qk21 (Piessens et al., 1983): the 21-point Kronrod abscissae on
+# [0, 1) with their weights, the centre's weight last, and the weights of the
+# embedded 10-point Gauss rule, whose abscissae are _XGK[1::2]
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208745109033, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+_TOL = 1e-13  # epsabs and epsrel of every panel
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Raised when adaptive quadrature cannot meet the error budget."""
+    """Raised when one Gauss-Kronrod panel cannot meet the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -70,22 +92,50 @@ class QuadratureResult:
 
 
 def _quad(f, a: float, b: float) -> QuadratureResult:
-    # Imported per call (a sys.modules lookup once loaded), so scipy costs
-    # nothing to processes that never integrate, and a quad patched onto
-    # scipy.integrate after this module loaded is still the one called.
-    from scipy.integrate import quad
+    """One qk21 panel on [a, b], returned only where QUADPACK's qags would
+    accept it as its answer.
 
-    out = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, full_output=1)
-    value, abserr, info = out[0], out[1], out[2]
-    if len(out) > 3 or abserr > ERROR_BUDGET:
+    Raises QuadratureBudgetError where qags would bisect instead: when the
+    error estimate exceeds max(_TOL, _TOL * |value|) or equals resabs.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv = [None] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss abscissae first, as qk21
+        absc = hlgth * _XGK[j]
+        f1, f2 = f(centr - absc), f(centr + absc)
+        fv[j] = f1, f2
+        if j % 2:
+            resg += _WG[j // 2] * (f1 + f2)
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        f1, f2 = fv[j]
+        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    result = resk * hlgth
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    accepted = abserr <= max(_TOL, _TOL * abs(result)) and abserr != resabs
+    if not (accepted or abserr == 0.0):
         raise QuadratureBudgetError(
-            f"quadrature error estimate {abserr!r} above budget {ERROR_BUDGET!r}"
+            f"qk21 error estimate {abserr!r} on [{a!r}, {b!r}] above tolerance for {result!r}"
         )
-    return QuadratureResult(value, abserr, info["neval"])
+    return QuadratureResult(result, abserr, 21)
 
 
 def si_reference(t: float) -> QuadratureResult:
-    """Si(t) = integral of sin(x)/x over [0, t] by adaptive quadrature."""
+    """Si(t) = integral of sin(x)/x over [0, t] by one qk21 panel."""
     t = float(t)
     if not 0.0 <= t <= 10.0:
         raise ValueError(f"t must lie in [0, 10], got {t!r}")
@@ -95,20 +145,35 @@ def si_reference(t: float) -> QuadratureResult:
 
 
 def sh_reference(t: float) -> QuadratureResult:
-    """integral of x/sinh(x) over [0, t] by adaptive quadrature.
+    """integral of x/sinh(x) over [0, t]: one qk21 panel up to t = 4, and
+    pi^2/4 less the tail beyond t for 4 < t <= 50.
 
-    t = inf gives the closed form pi^2/4, half of trigamma(1/2), with no
-    evaluations; its error estimate of 2 ulps bounds the rounding of pi^2/4.
+    With 1/sinh x = 2 sum_k e^{-(2k+1)x}, the tail is
+        2 sum_k e^{-mt} (t/m + 1/m^2),  m = 2k+1,
+    and the terms past m = 9 sum to below 1e-19 for t > 4. The error
+    estimate bounds rounding: 2 ulps for pi^2/4, under 1/2 for the tail
+    (below 0.092), 1/2 for the subtraction; the series evaluates no
+    integrand. t = inf gives pi^2/4, half of trigamma(1/2), with the 2 ulps
+    of pi^2/4.
     """
     t = float(t)
     if t == math.inf:
-        value = math.pi ** 2 / 4.0
-        return QuadratureResult(value, 2.0 * math.ulp(value), 0)
+        return QuadratureResult(_PI2_OVER_4, 2.0 * math.ulp(_PI2_OVER_4), 0)
     if not 0.0 <= t <= 50.0:
         raise ValueError(f"t must lie in [0, 50], got {t!r}")
     if t == 0.0:
         return QuadratureResult(0.0, 0.0, 0)
-    return _quad(lambda x: x / math.sinh(x) if x != 0.0 else 1.0, 0.0, t)
+    if t <= 4.0:
+        return _quad(lambda x: x / math.sinh(x) if x != 0.0 else 1.0, 0.0, t)
+    return _sh_series(t)
+
+
+def _sh_series(t: float) -> QuadratureResult:
+    tail = 0.0
+    for m in (9.0, 7.0, 5.0, 3.0, 1.0):  # smallest first
+        tail += math.exp(-m * t) * (t / m + 1.0 / (m * m))
+    value = _PI2_OVER_4 - 2.0 * tail
+    return QuadratureResult(value, 3.0 * math.ulp(value) + 1e-19, 0)
 
 
 def _sin_defect_over_cube(u: float) -> float:

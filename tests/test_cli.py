@@ -245,6 +245,13 @@ def test_special_sh_at_infinity(capsys):
     assert code == 2 and "t must lie in [0, 50]" in err
 
 
+@pytest.mark.parametrize("t", ["4.5", "50"])
+def test_special_sh_beyond_the_panel(capsys, t):
+    code, out, err = run(capsys, "special", "--name", "sh", "--t", t)
+    assert (code, err) == (0, "")
+    assert out.startswith("sh: enclosure [") and out.endswith(" : contained\n")
+
+
 def test_special_sb_admits_a_zero(capsys):
     code, out, _ = run(capsys, "special", "--name", "sb", "--a", "0", "--b", "1")
     assert code == 0

@@ -13,7 +13,9 @@ from scipy.integrate import quad
 from sincbounds.core import cos_bound, sinc_gap
 from sincbounds.integrals import (
     Enclosure,
+    QuadratureBudgetError,
     _quad,
+    _sh_series,
     bound_reciprocal_integrals,
     catalan_enclosure,
     catalan_reference,
@@ -30,7 +32,6 @@ UPPER_EDGE = math.sqrt(15.0) / 5.0
 # frozen 40-digit references
 SI_HALF_PI = 1.3707621681544884801
 CATALAN = 0.9159655941772190150
-SI_ONE = 0.9460830703671830149
 SH_ONE = 0.948061983614686
 
 
@@ -95,22 +96,19 @@ def test_sh_reference_at_infinity_is_closed_form(monkeypatch):
             sh_reference(t)
 
 
-def test_scipy_is_imported_only_by_quadrature():
+def test_no_command_imports_scipy():
     code = """if True:
-        import contextlib, io, math, sys
-        import sincbounds, sincbounds.cli
-        from sincbounds import cli, integrals
+        import contextlib, io, sys
+        from sincbounds import cli
         for argv in (["constants"], ["eval", "--fn", "sinc-gap", "--p", "0.7", "--x", "0.3"],
-                     ["table", "--chain", "m1c", "--points", "64"]):
+                     ["table", "--chain", "m1c", "--points", "64"],
+                     ["special", "--name", "si"], ["special", "--name", "sh", "--t", "2"],
+                     ["special", "--name", "sh", "--t", "20"], ["special", "--name", "catalan"],
+                     ["verify", "--suite", "all"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
-        assert "scipy" not in sys.modules
-        got = integrals.si_reference(1.0)
-        assert "scipy" in sys.modules
-        from scipy.integrate import quad
-        value, err, info = quad(lambda x: math.sin(x) / x, 0.0, 1.0,
-                                epsabs=1e-13, epsrel=1e-13, full_output=1)
-        assert (got.value, got.error_estimate, got.evaluations) == (value, err, info["neval"])
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
     """
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -119,23 +117,65 @@ def test_scipy_is_imported_only_by_quadrature():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_quadrature_calls_quad_through_scipy_integrate(monkeypatch):
-    # a quad patched onto scipy.integrate after import (as a tracer does)
-    # must be the one every oracle calls
-    import scipy.integrate
+def _si(x):
+    return math.sin(x) / x if x != 0.0 else 1.0
 
-    real = scipy.integrate.quad
-    calls = []
 
-    def recorder(f, a, b, **kwargs):
-        calls.append((a, b))
-        return real(f, a, b, **kwargs)
+def _sh(x):
+    return x / math.sinh(x) if x != 0.0 else 1.0
 
-    monkeypatch.setattr(scipy.integrate, "quad", recorder)
-    assert si_reference(1.0).value == pytest.approx(SI_ONE, abs=1e-12)
-    assert sh_reference(1.0).value == pytest.approx(SH_ONE, abs=1e-12)
-    assert _quad(math.cos, 0.0, 1.0).value == pytest.approx(math.sin(1.0), abs=1e-12)
-    assert calls == [(0.0, 1.0)] * 3
+
+def _sweep(top, n):
+    return [float(t) for t in np.concatenate([np.geomspace(1e-300, 1e-3, 200),
+                                              np.linspace(1e-3, top, n)])]
+
+
+def _reciprocal(p):
+    return lambda x: 1.0 / cos_bound(p, x)
+
+
+@pytest.mark.parametrize("reference, integrand, ts", [
+    (si_reference, _si, _sweep(10.0, 20_000)),
+    (sh_reference, _sh, _sweep(4.0, 10_000)),
+    (None, _reciprocal(UPPER_EDGE), [HALF_PI]),
+    (None, _reciprocal(0.75), [HALF_PI]),
+], ids=["si", "sh", "reciprocal-tight", "reciprocal-loose"])
+def test_panel_equals_scipy_quad_bit_for_bit(reference, integrand, ts):
+    # scipy's quad accepts its first qk21 panel on every integral the package
+    # takes, so value, error estimate and evaluation count agree exactly
+    for t in ts:
+        out = quad(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-13, full_output=1)
+        got = reference(t) if reference else _quad(integrand, 0.0, t)
+        assert (got.value, got.error_estimate, got.evaluations) == (
+            out[0], out[1], out[2]["neval"]), t
+
+
+def test_panel_raises_where_qags_would_bisect():
+    # sqrt is not smooth at 0: one panel misses the tolerance, so no answer
+    with pytest.raises(QuadratureBudgetError):
+        _quad(math.sqrt, 0.0, 1.0)
+    with pytest.raises(QuadratureBudgetError):
+        _quad(_sh, 0.0, 4.5)
+
+
+def test_sh_series_within_its_bound_of_mpmath():
+    import mpmath as mp
+
+    ts = [4.0000001, *np.linspace(4.0, 50.0, 47)[1:].tolist(), math.nextafter(4.0, 5.0)]
+    with mp.workdps(40):
+        for t in ts:
+            got = sh_reference(t)
+            exact = mp.quad(lambda x: x / mp.sinh(x), [0, 2, 4, t])
+            assert got.evaluations == 0
+            assert got.error_estimate <= 4.0 * math.ulp(got.value)
+            assert abs(mp.mpf(got.value) - exact) <= got.error_estimate, t
+
+
+@pytest.mark.parametrize("t", [3.5, 3.9, 4.0, math.nextafter(4.0, 5.0), 4.0000001, 4.1])
+def test_sh_series_agrees_with_the_panel_at_the_switch(t):
+    panel, series = _quad(_sh, 0.0, t), _sh_series(t)
+    assert sh_reference(t) == (panel if t <= 4.0 else series)
+    assert abs(panel.value - series.value) <= panel.error_estimate + series.error_estimate
 
 
 # ---------------------------------------------------------------- enclosures
@@ -181,7 +221,8 @@ def test_si_enclosure_validation():
 
 
 def test_sh_enclosure():
-    for t in (0.5, 1.0, 3.0, 10.0):
+    # the panel's value up to t = 4, the tail series' beyond
+    for t in (0.5, 1.0, 3.0, 4.0000001, 10.0, 50.0):
         e = sh_enclosure(t)
         assert e.contains(sh_reference(t).value)
     tiny = sh_enclosure(1e-8)
