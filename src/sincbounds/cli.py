@@ -22,11 +22,15 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import __version__, constants, core, corpus, integrals, means
+from . import __version__, constants, core, integrals
 
 _HALF_PI = math.pi / 2.0
+
+# the --suite and --chain choices, kept literal so that parsing imports no
+# corpus (and no numpy); equal to ("all",) + corpus.SUITES and
+# (*corpus.CHAINS, "meanchain"), which a test checks
+_SUITES = ("all", "theorem1", "theorem2", "chains", "propositions", "remarks")
+_CHAINS = ("m1c", "m2c", "meanchain")
 
 
 def _fmt(v: float) -> str:
@@ -108,6 +112,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import corpus
     results = corpus.run_suite(args.suite, points=args.points, seed=args.seed)
     rows = [
         {"suite": r.suite, "id": r.id, "kind": r.kind, "ok": r.ok,
@@ -125,6 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
     """Header and rows (x, or a and b, then member values and adjacent
     margins) for a chain; the mean chain takes MeanPoints or (a, b) pairs."""
+    from . import corpus, means
     chain = chain.lower()
     if chain in corpus.CHAINS:
         members, head = corpus.CHAINS[chain][0](), ["x"]
@@ -145,8 +151,13 @@ def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    import numpy as np
+    from . import corpus, means
+
     chain = args.chain.lower()
     if chain in corpus.CHAINS:
+        if args.pair is not None:
+            raise ValueError(f"{chain} reads no --pair")
         lo, hi = corpus.CHAINS[chain][1]
         header, rows = chain_table(chain, np.linspace(lo, hi, args.points))
     else:
@@ -191,6 +202,7 @@ def cmd_special(args: argparse.Namespace) -> int:
         enc = integrals.catalan_enclosure()
         oracle = integrals.catalan_reference(1_000_000 if args.terms is None else args.terms)
     elif name == "sb":
+        from . import means
         if a is None or b is None:
             print("--a and --b are required for sb", file=sys.stderr)
             return 2
@@ -202,6 +214,7 @@ def cmd_special(args: argparse.Namespace) -> int:
                    f"<= mean {_fmt(mean)} : {'ok' if ok else 'VIOLATION'}")
         return 0 if ok else 1
     elif name == "log-mean":
+        from . import means
         if a is None or b is None:
             print("--a and --b are required for log-mean", file=sys.stderr)
             return 2
@@ -248,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("verify", cmd_verify, "run a registered check suite",
                  ("--format", "--points", "--seed"))
-    sp.add_argument("--suite", choices=("all",) + corpus.SUITES, default="all")
+    sp.add_argument("--suite", choices=_SUITES, default="all")
 
     sp = command("table", cmd_table, "emit a CSV chain table", ("--points", "--seed"))
-    sp.add_argument("--chain", choices=(*corpus.CHAINS, "meanchain"), required=True)
+    sp.add_argument("--chain", choices=_CHAINS, required=True)
     sp.add_argument("--pair", type=float, nargs=2, metavar=("A", "B"), default=None,
                     help="explicit pair for the mean chain")
 

@@ -11,10 +11,11 @@ this module evaluates them through their even power series near 0 (with
 a certified truncation bound) and directly elsewhere.
 
 x is a number or an array; a number takes the scalar kernels (_cos_family,
-_cosh_family) with no numpy call.  Overflow is signalled, not returned as
-inf: a result that overflows at a finite x raises OverflowError for a
-number and FloatingPointError for an array.  sinhc_gap_scaled keeps its
-documented +inf.
+_cosh_family) and never imports numpy; the array branches import it for
+themselves.  Overflow is signalled, not returned as inf: a result that
+overflows at a finite x raises OverflowError for a number and
+FloatingPointError for an array.  sinhc_gap_scaled keeps its documented
++inf.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 _EPS = math.ulp(1.0)
 
@@ -66,6 +65,16 @@ class GapEvaluation(NamedTuple):
     tail_bound: float = 0.0
 
 
+def _zero_dim(x) -> bool:
+    """Whether x, which is not a float or int, still takes the scalar path:
+    np.ndim(x) == 0, reading x.ndim first as np.ndim itself does."""
+    try:
+        return x.ndim == 0
+    except AttributeError:
+        import numpy as np
+        return np.ndim(x) == 0
+
+
 def _no_overflow(v, x, name: str):
     """v, the scalar value of name at x; OverflowError if it overflowed."""
     if math.isinf(v) and math.isfinite(x):
@@ -75,18 +84,20 @@ def _no_overflow(v, x, name: str):
 
 def sinc(x):
     """sin(x)/x with the removable singularity filled in (1 at x = 0)."""
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+    if isinstance(x, (float, int)) or _zero_dim(x):
         x = float(x)
         return math.sin(x) / x if x != 0.0 else 1.0
+    import numpy as np
     x = np.asarray(x, dtype=float)
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def sinhc(x):
     """sinh(x)/x, 1 at x = 0.  Overflow is signalled, not silently inf."""
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+    if isinstance(x, (float, int)) or _zero_dim(x):
         x = float(x)
         return math.sinh(x) / x if x != 0.0 else 1.0
+    import numpy as np
     x = np.asarray(x, dtype=float)
     with np.errstate(over="raise"):
         return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
@@ -123,9 +134,10 @@ def cos_bound(p, x):
     """Trig bound family (1/(3p^2)) cos(px) + 1 - 1/(3p^2); 1 - x^2/6 at p = 0."""
     p = _check(float(p), True)
     limit = p <= _LIMIT_FAMILY_CUTOFF
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+    if isinstance(x, (float, int)) or _zero_dim(x):
         # the limit takes x as given, so an int x is squared exactly
         return _no_overflow(_cos_family(p, x if limit else float(x)), x, "cos_bound")
+    import numpy as np
     with np.errstate(over="raise"):
         if limit:
             return 1.0 - x * x / 6.0
@@ -137,8 +149,9 @@ def cosh_bound(p, x):
     """Hyperbolic bound family (1/(3p^2)) cosh(px) + 1 - 1/(3p^2); 1 + x^2/6 at p = 0."""
     p = _check(float(p), False)
     limit = p <= _LIMIT_FAMILY_CUTOFF
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+    if isinstance(x, (float, int)) or _zero_dim(x):
         return _no_overflow(_cosh_family(p, x if limit else float(x)), x, "cosh_bound")
+    import numpy as np
     with np.errstate(over="raise"):
         if limit:
             return 1.0 + x * x / 6.0
@@ -261,15 +274,19 @@ def cos_power_bound(p: float, x):
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    scalar = isinstance(x, (float, int)) or np.ndim(x) == 0
+    scalar = isinstance(x, (float, int)) or _zero_dim(x)
     if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(-x^2/6)
-        return math.exp(-x * x / 6.0) if scalar else np.exp(-np.asarray(x, dtype=float) ** 2 / 6.0)
+        if scalar:
+            return math.exp(-x * x / 6.0)
+        import numpy as np
+        return np.exp(-np.asarray(x, dtype=float) ** 2 / 6.0)
     e = 1.0 / (3.0 * p * p)
     if scalar:
         cx = math.cos(p * float(x))
         if cx <= 0.0:
             raise ValueError(f"cos(p*x) must be positive, got {cx!r} at x={x!r}")
         return cx ** e
+    import numpy as np
     cx = np.cos(p * np.asarray(x, dtype=float))
     if np.any(cx <= 0.0):
         raise ValueError("cos(p*x) must be positive on the whole grid")
@@ -281,10 +298,11 @@ def cosh_power_bound(p: float, x):
     p = _check(float(p), False)
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p!r}")
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+    if isinstance(x, (float, int)) or _zero_dim(x):
         if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(x^2/6)
             return _no_overflow(math.exp(x * x / 6.0), x, "cosh_power_bound")
         return math.cosh(p * float(x)) ** (1.0 / (3.0 * p * p))
+    import numpy as np
     with np.errstate(over="raise"):
         if p <= _LIMIT_FAMILY_CUTOFF:
             return np.exp(np.asarray(x, dtype=float) ** 2 / 6.0)
@@ -315,8 +333,9 @@ def sinhc_gap_scaled(p, x):
         grow = math.exp(t) * -math.expm1(-2.0 * xv) / (2.0 * xv)
         return grow - w * (1.0 + math.exp(-2.0 * p * xv)) - (1.0 - 2.0 * w) * math.exp(-p * xv)
 
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+    if isinstance(x, (float, int)) or _zero_dim(x):
         return _scalar(float(x))
+    import numpy as np
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("x must be positive")

@@ -10,7 +10,8 @@ exponential tail series below the closed form pi^2/4.
 
 Nothing here imports scipy: the panel repeats qk21's nodes, weights and
 order of operations, so it gives the doubles scipy's quad gives wherever
-quad accepts its first panel, and raises wherever quad would bisect.
+quad accepts its first panel, and raises wherever quad would bisect.  Only
+catalan_reference imports numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import quartic_constants
 
@@ -69,7 +68,7 @@ class Enclosure:
 
     def __post_init__(self):
         ordered = self.lo <= self.hi
-        if not (ordered.all() if isinstance(ordered, np.ndarray) else ordered):
+        if not (ordered.all() if hasattr(ordered, "all") else ordered):
             raise ValueError(f"empty enclosure: [{self.lo!r}, {self.hi!r}]")
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
@@ -269,13 +268,14 @@ def bound_reciprocal_integrals() -> tuple[float, float]:
     return 2.0 * e.lo, 2.0 * e.hi
 
 
-def _alternating_terms(start: int, stop: int) -> np.ndarray:
-    """(-1)^k / (2k+1)^2 for start <= k < stop.
+def _alternating_terms(start: int, stop: int):
+    """(-1)^k / (2k+1)^2 for start <= k < stop, as a numpy array.
 
     Negating every odd term after the division equals dividing -1 by the
     square bit for bit, since rounding is symmetric in sign; it avoids an
     elementwise float pow.
     """
+    import numpy as np
     k = np.arange(start, stop, dtype=float)
     t = 1.0 / (2.0 * k + 1.0) ** 2
     t[(start + 1) % 2::2] *= -1.0  # the odd k
@@ -294,6 +294,7 @@ def catalan_reference(terms: int) -> float:
         raise ValueError("terms must be >= 1")
     if terms <= 2:
         return sum((-1.0) ** k / (2 * k + 1) ** 2 for k in range(terms))
+    import numpy as np
     window = min(terms, 48)
     base = terms - window
     head = float(np.sum(_alternating_terms(0, base)))

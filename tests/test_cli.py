@@ -9,7 +9,7 @@ import pytest
 
 import sincbounds
 from sincbounds import corpus
-from sincbounds.cli import chain_table, main
+from sincbounds.cli import build_parser, chain_table, main
 from sincbounds.corpus import CheckResult
 from sincbounds.means import MeanPoint, log_mean
 
@@ -113,6 +113,20 @@ def test_options_the_chosen_function_does_not_read_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"reads no {argv[-2]}" in err
+
+
+@pytest.mark.parametrize("chain", ["m1c", "m2c"])
+def test_a_fixed_chain_reads_no_pair(capsys, chain):
+    code, out, err = run(capsys, "table", "--chain", chain, "--pair", "1", "4")
+    assert (code, out, err) == (2, "", f"{chain} reads no --pair\n")
+
+
+def test_suite_and_chain_choices_match_the_corpus():
+    # the parser keeps them literal, so that parsing imports no corpus
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+    choices = {a.dest: a.choices for name in ("verify", "table") for a in sub[name]._actions}
+    assert choices["suite"] == ("all",) + corpus.SUITES
+    assert choices["chain"] == (*corpus.CHAINS, "meanchain")
 
 
 def test_a_closed_pipe_ends_quietly():

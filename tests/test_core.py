@@ -126,10 +126,53 @@ def test_cosh_bound_values():
 ], ids=["cos_bound", "cosh_bound", "sinc_gap", "sinhc_gap", "sinhc_gap_scaled",
         "cos_power_bound", "cosh_power_bound", "quartic_gap_coeff", "quartic_constants"])
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -0.1])
-@pytest.mark.parametrize("x", [0.3, np.array([0.3, 1.2])], ids=["number", "array"])
+@pytest.mark.parametrize("x", [0.3, np.array([0.3, 1.2]), np.int64(1), np.float32(0.3),
+                               np.array(0.3), [0.3, 1.2]],
+                         ids=["number", "array", "int64", "float32", "0-d", "list"])
 def test_family_parameter_validation(fn, p, x):
     with pytest.raises(ValueError):
         fn(p, x)
+
+
+# float.hex of each function at np.int64(1), np.float32(0.25), np.array(0.7)
+# and np.array(2), as it was when every x went through np.ndim; None where
+# it raises ValueError.  The limit p = 1e-9 squares x as given.
+NUMPY_NUMBER_VALUES = {
+    (cos_power_bound, 1e-9): ("0x1.b1660d7a223b1p-1", "0x1.fab1c0cbd67a1p-1",
+                              "0x1.d7d93742f6ebbp-1", "0x1.06de9bcee72dep-1"),
+    (cos_power_bound, 0.6): ("0x1.ac9fa2efeda89p-1", "0x1.faaca7dbb88afp-1",
+                             "0x1.d6a9282cac437p-1", "0x1.9008047973592p-2"),
+    (cosh_power_bound, 1e-9): ("0x1.2e6da2d20c08ap+0", "0x1.02ae3c1019c51p+0",
+                               "0x1.15c8b9485fbfdp+0", "0x1.f29eb2b7a2c0cp+0"),
+    (cosh_power_bound, 0.6): ("0x1.2badafe63a117p+0", "0x1.02aba9cb6173fp+0",
+                              "0x1.1525cb39bef95p+0", "0x1.bb95c2fbb286ep+0"),
+    (sinhc_gap_scaled, 1e-9): (None, None, None, None),
+    (sinhc_gap_scaled, 0.6): ("0x1.f3d10066064a0p-10", "0x1.7906aa387c000p-17",
+                              "0x1.195b6bca424c0p-11", "0x1.36048ceb45c82p-6"),
+}
+
+
+@pytest.mark.parametrize("fn, p", NUMPY_NUMBER_VALUES,
+                         ids=[f"{fn.__name__}-{p}" for fn, p in NUMPY_NUMBER_VALUES])
+def test_numpy_numbers_keep_their_values(fn, p):
+    xs = (np.int64(1), np.float32(0.25), np.array(0.7), np.array(2))
+    for x, want in zip(xs, NUMPY_NUMBER_VALUES[fn, p]):
+        if want is None:
+            with pytest.raises(ValueError):
+                fn(p, x)
+        else:
+            got = fn(p, x)
+            assert type(got) is float and got.hex() == want, (p, x)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p, x: sinc(x), lambda p, x: sinhc(x), cos_bound, cosh_bound, cos_power_bound,
+    cosh_power_bound, sinhc_gap_scaled,
+], ids=["sinc", "sinhc", "cos_bound", "cosh_bound", "cos_power_bound", "cosh_power_bound",
+        "sinhc_gap_scaled"])
+def test_a_list_takes_the_array_path(fn):
+    got = fn(0.6, [0.25, 1, 1.5])
+    assert isinstance(got, np.ndarray) and np.array_equal(got, fn(0.6, np.array([0.25, 1.0, 1.5])))
 
 
 @given(

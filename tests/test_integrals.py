@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from sincbounds.cli import _EVAL_FNS
 from sincbounds.core import cos_bound, sinc_gap
 from sincbounds.integrals import (
     Enclosure,
@@ -59,6 +61,17 @@ def test_enclosure_contains_bool_types():
         Enclosure(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (2.0, 1.0), (np.float64(2.0), np.float64(1.0)), (np.float32(2.0), 1.0),
+    (np.array(2.0), np.array(1.0)), (np.array([2.0, 3.0]), np.array([1.0, 2.5])),
+    (np.array([3.0, 4.0]), 2.0),
+], ids=["float", "float64", "float32", "0-d", "array", "array-float"])
+def test_reversed_enclosure_raises(lo, hi):
+    with pytest.raises(ValueError, match="empty enclosure"):
+        Enclosure(lo, hi)
+    Enclosure(hi, lo)  # the same ends in order are accepted
+
+
 # ---------------------------------------------------------------- references
 
 def test_si_reference():
@@ -96,25 +109,41 @@ def test_sh_reference_at_infinity_is_closed_form(monkeypatch):
             sh_reference(t)
 
 
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
+
+# commands that compute only numbers; [] just imports the package
+_NUMPY_FREE = [
+    [],
+    *(g["args"] for g in json.loads(GOLDEN_CLI.read_text())["constants"]),
+    *(["eval", "--fn", fn, "--x", "0.3", *([] if fn in ("sinc", "sinhc") else ["--p", "0.7"])]
+      for fn in sorted(_EVAL_FNS)),
+    ["special", "--name", "si"], ["special", "--name", "sh", "--t", "2"],
+    ["special", "--name", "sh", "--t", "20"], ["special", "--name", "trigamma-half"],
+]
+_NEEDS_NUMPY = [["verify", "--suite", "all"], ["table", "--chain", "m1c", "--points", "64"],
+                ["special", "--name", "catalan"]]
+
+
 def test_no_command_imports_scipy():
+    # each command in a fresh interpreter, since a module once imported stays loaded
     code = """if True:
         import contextlib, io, sys
-        from sincbounds import cli
-        for argv in (["constants"], ["eval", "--fn", "sinc-gap", "--p", "0.7", "--x", "0.3"],
-                     ["table", "--chain", "m1c", "--points", "64"],
-                     ["special", "--name", "si"], ["special", "--name", "sh", "--t", "2"],
-                     ["special", "--name", "sh", "--t", "20"], ["special", "--name", "catalan"],
-                     ["verify", "--suite", "all"]):
+        if len(sys.argv) > 1:
+            from sincbounds import cli
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) == 0, argv
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        assert not loaded, loaded
+                assert cli.main(sys.argv[1:]) == 0, sys.argv
+        else:
+            import sincbounds
+        print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
     """
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert len(_NUMPY_FREE) == 18
+    for argv, loaded in [(a, "[]") for a in _NUMPY_FREE] + [(a, "['numpy']") for a in _NEEDS_NUMPY]:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.strip() == loaded, argv
 
 
 def _si(x):
