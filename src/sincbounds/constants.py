@@ -54,8 +54,7 @@ def solve_sinc_lower_edge(tolerance: float = 1e-12) -> SharpConstant:
 def sinc_upper_edge() -> SharpConstant:
     """sqrt(15)/5: root of the quartic gap coefficient, exact to rounding;
     also the largest p with cosh_bound(p, .) < sinhc on (0, inf)."""
-    value = math.sqrt(15.0) / 5.0
-    return SharpConstant(value, math.ulp(value))
+    return SharpConstant(_core._UPPER_EDGE, math.ulp(_core._UPPER_EDGE))
 
 
 def sinhc_upper_edge() -> SharpConstant:
@@ -84,7 +83,7 @@ class QuarticBound:
 def quartic_constants(p) -> QuarticBound:
     """c_lo = (pi/2)^-4 * gap(pi/2), c_hi = (3 - 5 p^2)/360."""
     p = float(p)
-    if not (math.isfinite(p) and 0.0 <= p and p * p <= 0.6 * (1.0 + 1e-12)):
+    if not (math.isfinite(p) and 0.0 <= p and p * p <= _core._C_MAX):
         raise ValueError(f"parameter outside the certified range [0, sqrt(3/5)]: {p!r}")
     c_lo = _HALF_PI ** -4 * sinc_gap_at_half_pi(p)
     return QuarticBound(p, c_lo, quartic_gap_coeff(p))

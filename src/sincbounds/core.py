@@ -10,8 +10,11 @@ sinc - bound and sinhc - bound vanish to fourth order at the origin, so
 this module evaluates them through their even power series near 0 (with
 a certified truncation bound) and directly elsewhere.
 
-x is a number or an array; a number takes the scalar kernels (_cos_family,
-_cosh_family) and never imports numpy; the array branches import it for
+x is a number or an array, and each call converts it once, before any
+branch and at the p -> 0 limits too: a number to a float, anything else
+to a float64 array.  _cos_family and _cosh_family are the only
+expressions of the two families; a number runs them with math and never
+imports numpy, an array with numpy, which the array branches import for
 themselves.  Overflow is signalled, not returned as inf: a result that
 overflows at a finite x raises OverflowError for a number and
 FloatingPointError for an array.  sinhc_gap_scaled keeps its documented
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +36,13 @@ _EPS = math.ulp(1.0)
 SERIES_SWITCH = 0.5
 
 _SERIES_MAX_TERMS = 80
+
+# sqrt(15)/5, the root of quartic_gap_coeff and the sharp edge of both families
+_UPPER_EDGE = math.sqrt(15.0) / 5.0
+
+# the certified range p^2 <= 3/5, with a small slack: squaring _UPPER_EDGE
+# in doubles lands just above 3/5
+_C_MAX = 0.6 * (1.0 + 1e-12)
 
 # (n, 2n+1, n(2n+1), (2n+2)(2n+3)) for the series terms n = 2.._SERIES_MAX_TERMS;
 # the integers are exact as floats, so each product rounds as with ints
@@ -108,55 +119,48 @@ def sinhc(x):
 _LIMIT_FAMILY_CUTOFF = 1e-8
 
 
-def _cos_family(p: float, x: float) -> float:
-    """cos_bound(p, x) for a validated p and a float x; may overflow to -inf.
+def _cos_family(p: float, x, sin=math.sin):
+    """cos_bound(p, x) for a validated p and a float x (or, with sin=np.sin,
+    a float64 array x); may overflow to -inf.
 
     Written as 1 - (2/(3p^2)) sin^2(px/2): no cancellation for small px and
     the p -> 0 limit is reached smoothly.
     """
     if p <= _LIMIT_FAMILY_CUTOFF:
         return 1.0 - x * x / 6.0
-    w = 2.0 / (3.0 * p * p)
-    s = math.sin(0.5 * p * x)
-    return 1.0 - w * s * s
+    s = sin(0.5 * p * x)
+    return 1.0 - 2.0 / (3.0 * p * p) * s * s
 
 
-def _cosh_family(p: float, x: float) -> float:
-    """cosh_bound(p, x) for a validated p and a float x; may overflow to inf."""
+def _cosh_family(p: float, x, sinh=math.sinh):
+    """cosh_bound(p, x) for a validated p and a float x (or, with an
+    elementwise sinh, a float64 array x); may overflow to inf."""
     if p <= _LIMIT_FAMILY_CUTOFF:
         return 1.0 + x * x / 6.0
-    w = 2.0 / (3.0 * p * p)
-    s = math.sinh(0.5 * p * x)
-    return 1.0 + w * s * s
+    s = sinh(0.5 * p * x)
+    return 1.0 + 2.0 / (3.0 * p * p) * s * s
 
 
 def cos_bound(p, x):
     """Trig bound family (1/(3p^2)) cos(px) + 1 - 1/(3p^2); 1 - x^2/6 at p = 0."""
     p = _check(float(p), True)
-    limit = p <= _LIMIT_FAMILY_CUTOFF
     if isinstance(x, (float, int)) or _zero_dim(x):
-        # the limit takes x as given, so an int x is squared exactly
-        return _no_overflow(_cos_family(p, x if limit else float(x)), x, "cos_bound")
+        return _no_overflow(_cos_family(p, float(x)), x, "cos_bound")
     import numpy as np
+    x = np.asarray(x, dtype=float)
     with np.errstate(over="raise"):
-        if limit:
-            return 1.0 - x * x / 6.0
-        s = np.sin(0.5 * p * np.asarray(x, dtype=float))
-        return 1.0 - 2.0 / (3.0 * p * p) * s * s
+        return _cos_family(p, x, np.sin)
 
 
 def cosh_bound(p, x):
     """Hyperbolic bound family (1/(3p^2)) cosh(px) + 1 - 1/(3p^2); 1 + x^2/6 at p = 0."""
     p = _check(float(p), False)
-    limit = p <= _LIMIT_FAMILY_CUTOFF
     if isinstance(x, (float, int)) or _zero_dim(x):
-        return _no_overflow(_cosh_family(p, x if limit else float(x)), x, "cosh_bound")
+        return _no_overflow(_cosh_family(p, float(x)), x, "cosh_bound")
     import numpy as np
+    x = np.asarray(x, dtype=float)
     with np.errstate(over="raise"):
-        if limit:
-            return 1.0 + x * x / 6.0
-        s = np.sinh(0.5 * p * np.asarray(x, dtype=float))
-        return 1.0 + 2.0 / (3.0 * p * p) * s * s
+        return _cosh_family(p, x, np.sinh)
 
 
 def gap_series_coeff(n: int, c: float) -> float:
@@ -179,8 +183,7 @@ class CoefficientSeq:
     c: float
 
     def __post_init__(self):
-        # small slack: squaring sqrt(15)/5 in doubles lands just above 3/5
-        if not 0.0 < self.c <= 0.6 * (1.0 + 1e-12):
+        if not 0.0 < self.c <= _C_MAX:
             raise ValueError(f"c must lie in (0, 3/5], got {self.c!r}")
 
     def term(self, n: int) -> float:
@@ -269,28 +272,29 @@ def quartic_gap_coeff(p) -> float:
     return (3.0 - 5.0 * p * p) / 360.0
 
 
+def _converted(x):
+    """x converted once, with the namespace of its formulas: a float and
+    math for a number, a float64 array and numpy otherwise."""
+    if isinstance(x, (float, int)) or _zero_dim(x):
+        return float(x), math
+    import numpy as np
+    return np.asarray(x, dtype=float), np
+
+
 def cos_power_bound(p: float, x):
     """Power-form trig bound (cos px)^(1/(3p^2)) for p in (0, 1], cos(px) > 0."""
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    scalar = isinstance(x, (float, int)) or _zero_dim(x)
+    x, xp = _converted(x)
     if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(-x^2/6)
-        if scalar:
-            return math.exp(-x * x / 6.0)
-        import numpy as np
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / 6.0)
-    e = 1.0 / (3.0 * p * p)
-    if scalar:
-        cx = math.cos(p * float(x))
-        if cx <= 0.0:
-            raise ValueError(f"cos(p*x) must be positive, got {cx!r} at x={x!r}")
-        return cx ** e
-    import numpy as np
-    cx = np.cos(p * np.asarray(x, dtype=float))
-    if np.any(cx <= 0.0):
+        return xp.exp(-x * x / 6.0)
+    cx = xp.cos(p * x)
+    if xp is math and cx <= 0.0:
+        raise ValueError(f"cos(p*x) must be positive, got {cx!r} at x={x!r}")
+    if xp is not math and xp.any(cx <= 0.0):
         raise ValueError("cos(p*x) must be positive on the whole grid")
-    return cx ** e
+    return cx ** (1.0 / (3.0 * p * p))
 
 
 def cosh_power_bound(p: float, x):
@@ -298,15 +302,13 @@ def cosh_power_bound(p: float, x):
     p = _check(float(p), False)
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p!r}")
-    if isinstance(x, (float, int)) or _zero_dim(x):
+    x, xp = _converted(x)
+    with nullcontext() if xp is math else xp.errstate(over="raise"):
         if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(x^2/6)
-            return _no_overflow(math.exp(x * x / 6.0), x, "cosh_power_bound")
-        return math.cosh(p * float(x)) ** (1.0 / (3.0 * p * p))
-    import numpy as np
-    with np.errstate(over="raise"):
-        if p <= _LIMIT_FAMILY_CUTOFF:
-            return np.exp(np.asarray(x, dtype=float) ** 2 / 6.0)
-        return np.cosh(p * np.asarray(x, dtype=float)) ** (1.0 / (3.0 * p * p))
+            v = xp.exp(x * x / 6.0)
+        else:
+            v = xp.cosh(p * x) ** (1.0 / (3.0 * p * p))
+    return _no_overflow(v, x, "cosh_power_bound") if xp is math else v
 
 
 def sinhc_gap_scaled(p, x):
@@ -322,27 +324,23 @@ def sinhc_gap_scaled(p, x):
     p = _check(float(p), False)
     if p <= _LIMIT_FAMILY_CUTOFF:
         raise ValueError("scaled gap needs p well above 0")
-    w = 1.0 / (6.0 * p * p)
-
-    def _scalar(xv: float) -> float:
-        if xv <= 0.0:
-            raise ValueError("x must be positive")
-        t = (1.0 - p) * xv
-        if t > 700.0:
-            return math.inf
-        grow = math.exp(t) * -math.expm1(-2.0 * xv) / (2.0 * xv)
-        return grow - w * (1.0 + math.exp(-2.0 * p * xv)) - (1.0 - 2.0 * w) * math.exp(-p * xv)
-
-    if isinstance(x, (float, int)) or _zero_dim(x):
-        return _scalar(float(x))
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    x, xp = _converted(x)
+    if (x <= 0.0) if xp is math else xp.any(x <= 0.0):
         raise ValueError("x must be positive")
     t = (1.0 - p) * x
-    out = np.full_like(x, np.inf)
-    ok = t <= 700.0
-    xo = x[ok]
-    grow = np.exp(t[ok]) * -np.expm1(-2.0 * xo) / (2.0 * xo)
-    out[ok] = grow - w * (1.0 + np.exp(-2.0 * p * xo)) - (1.0 - 2.0 * w) * np.exp(-p * xo)
+    if xp is math:
+        if t > 700.0:
+            return math.inf
+    else:
+        # only the kept points are computed: on the far grids of the
+        # sharpness scan most points lie past the cut
+        out = xp.full_like(x, xp.inf)
+        kept = t <= 700.0
+        x, t = x[kept], t[kept]
+    w = 1.0 / (6.0 * p * p)
+    grow = xp.exp(t) * -xp.expm1(-2.0 * x) / (2.0 * x)
+    v = grow - w * (1.0 + xp.exp(-2.0 * p * x)) - (1.0 - 2.0 * w) * xp.exp(-p * x)
+    if xp is math:
+        return v
+    out[kept] = v
     return out

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import core, constants, integrals, means
+from .core import _UPPER_EDGE
 from .verifier import (
     HYP_DOMAIN,
     TRIG_DOMAIN,
@@ -38,7 +39,6 @@ from .verifier import (
 )
 
 _HALF_PI = math.pi / 2.0
-_UPPER_EDGE = math.sqrt(15.0) / 5.0
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ import sys
 from dataclasses import dataclass
 
 from .constants import quartic_constants
+from .core import _UPPER_EDGE
 
 _HALF_PI = math.pi / 2.0
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
-_UPPER_EDGE = _SQRT15 / 5.0
 _PI2_OVER_4 = math.pi ** 2 / 4.0  # within 2 ulps of pi^2/4
 
 # QUADPACK's qk21 (Piessens et al., 1983): the 21-point Kronrod abscissae on
@@ -254,7 +254,7 @@ def catalan_enclosure() -> Enclosure:
     r2 = math.sqrt(2.0)
     a = 11.0 * math.sqrt(2.0 - r2)
     b = 3.0 * _SQRT15 * math.sqrt(r2 + 2.0)
-    hi = _SQRT15 / 5.0 * math.log((a + b + 32.0) / (a - b + 32.0))
+    hi = _UPPER_EDGE * math.log((a + b + 32.0) / (a - b + 32.0))
     return Enclosure(lo, hi)
 
 

@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
 
-from .core import _LIMIT_FAMILY_CUTOFF, _cosh_family, cosh_bound
+from .core import _LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _cosh_family, cosh_bound
 from .integrals import Enclosure
 
-_SQRT15_5 = math.sqrt(15.0) / 5.0
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
 _SB_SCALE = 8.0 * math.sqrt(2.0) / 27.0
 _MIN_NORMAL = sys.float_info.min
@@ -55,25 +55,6 @@ class MeanPoint:
         _check_positive(self.a, self.b)
 
 
-def _pair(m, sb: bool = False):
-    """Validated (a, b): two floats, or two float64 arrays for an array pair.
-
-    Finite and positive; with sb=True, a >= 0 and b > 0.
-    """
-    if isinstance(m, MeanPoint):
-        return m.a, m.b
-    a, b = m
-    if (isinstance(a, np.ndarray) and a.ndim) or (isinstance(b, np.ndarray) and b.ndim):
-        return _array_pair(a, b, sb)
-    a, b = float(a), float(b)
-    if sb:
-        if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
-            raise ValueError(f"need a >= 0 and b > 0, got ({a!r}, {b!r})")
-    else:
-        _check_positive(a, b)
-    return a, b
-
-
 def _array_pair(a, b, sb: bool) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -90,15 +71,23 @@ def _array_pair(a, b, sb: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply(m, scalar_kernel, array_kernel, *args, sb: bool = False):
-    """Validate m once, then run the kernel that matches its form."""
+    """Validate m once (finite and positive; with sb=True, a >= 0 and
+    b > 0), then run the kernel that matches its form."""
     if isinstance(m, MeanPoint):  # validated on construction
         return scalar_kernel(m.a, m.b, *args)
-    a, b = _pair(m, sb)
-    if isinstance(a, np.ndarray):
+    a, b = m
+    if (isinstance(a, np.ndarray) and a.ndim) or (isinstance(b, np.ndarray) and b.ndim):
+        a, b = _array_pair(a, b, sb)
         # overflow, inf/inf and the like give the same inf or nan as in the
         # scalar kernels; numpy would also warn about them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return array_kernel(a, b, *args)
+    a, b = float(a), float(b)
+    if sb:
+        if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
+            raise ValueError(f"need a >= 0 and b > 0, got ({a!r}, {b!r})")
+    else:
+        _check_positive(a, b)
     return scalar_kernel(a, b, *args)
 
 
@@ -216,7 +205,7 @@ def _log_mean_sandwich(a: float, b: float) -> Enclosure:
         return Enclosure(a, a)
     g = _geo(a, b)
     x = abs(_half_log_ratio(a, b))
-    lo = _family_times(g, _SQRT15_5, x)
+    lo = _family_times(g, _UPPER_EDGE, x)
     hi = _family_times(g, 1.0, x)
     return Enclosure(lo - 16.0 * math.ulp(lo), hi + 16.0 * math.ulp(hi))
 
@@ -283,19 +272,11 @@ def _sb_lower_bound_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _SB_SCALE * np.sqrt(inner) * _libm(pow, b, repeat(0.25)) + 11.0 * b / 27.0
 
 
-def _cosh_family_arrays(p: float, x: np.ndarray) -> np.ndarray:
-    if p <= _LIMIT_FAMILY_CUTOFF:
-        return 1.0 + x * x / 6.0
-    w = 2.0 / (3.0 * p * p)
-    s = _libm(math.sinh, 0.5 * p * x)
-    return 1.0 + w * s * s
-
-
 def _family_times_arrays(g: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
     """_family_times of each element: the product, and the scalar kernel
     where that overflows."""
     try:
-        v = g * _cosh_family_arrays(p, x)
+        v = g * _cosh_family(p, x, partial(_libm, math.sinh))
     except OverflowError:  # sinh(px/2) beyond the double range somewhere
         return _libm(_family_times, g, repeat(p), x.tolist())
     over = np.isinf(v)
@@ -311,7 +292,7 @@ def _mean_family_arrays(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
 def _log_mean_sandwich_arrays(a: np.ndarray, b: np.ndarray) -> Enclosure:
     g = _geo_arrays(a, b)
     x = np.abs(_half_log_ratio_arrays(a, b))
-    lo = _family_times_arrays(g, _SQRT15_5, x)
+    lo = _family_times_arrays(g, _UPPER_EDGE, x)
     hi = _family_times_arrays(g, 1.0, x)
     lo = lo - 16.0 * _ulps(lo)
     hi = hi + 16.0 * _ulps(hi)
@@ -408,7 +389,7 @@ def comparison_coeff(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p, q = _SQRT15_5, _INV_SQRT5
+    p, q = _UPPER_EDGE, _INV_SQRT5
     t = 2.0 * q / p
     return (
         (3.0 * p * q - 1.0) * (1.0 + t) ** (2 * n - 1)
@@ -459,7 +440,7 @@ def lower_bound_comparison(x: float) -> float:
         return total
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return cosh_bound(_SQRT15_5, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
+    return cosh_bound(_UPPER_EDGE, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
 
 
 def _random_pair_arrays(n: int, seed: int, ratio_span=(1e-6, 1e6),

@@ -428,7 +428,7 @@ def verify_leibniz_ratio(p, n_max: int, points: int = 256) -> VerificationReport
     """
     p = _core._check(float(p), True)
     c = p * p
-    if not 0.0 < c <= 0.6 * (1.0 + 1e-12):
+    if not 0.0 < c <= _core._C_MAX:
         raise ValueError("p^2 must lie in (0, 3/5]")
     if n_max < 4:
         raise ValueError("n_max must be >= 4")

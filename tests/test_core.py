@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -136,13 +137,14 @@ def test_family_parameter_validation(fn, p, x):
 
 # float.hex of each function at np.int64(1), np.float32(0.25), np.array(0.7)
 # and np.array(2), as it was when every x went through np.ndim; None where
-# it raises ValueError.  The limit p = 1e-9 squares x as given.
+# it raises ValueError.  The limit p = 1e-9 converts x to a float first, as
+# every other p does, so np.float32(0.25) gives the value at the double 0.25.
 NUMPY_NUMBER_VALUES = {
-    (cos_power_bound, 1e-9): ("0x1.b1660d7a223b1p-1", "0x1.fab1c0cbd67a1p-1",
+    (cos_power_bound, 1e-9): ("0x1.b1660d7a223b1p-1", "0x1.fab1c0ce7a11bp-1",
                               "0x1.d7d93742f6ebbp-1", "0x1.06de9bcee72dep-1"),
     (cos_power_bound, 0.6): ("0x1.ac9fa2efeda89p-1", "0x1.faaca7dbb88afp-1",
                              "0x1.d6a9282cac437p-1", "0x1.9008047973592p-2"),
-    (cosh_power_bound, 1e-9): ("0x1.2e6da2d20c08ap+0", "0x1.02ae3c1019c51p+0",
+    (cosh_power_bound, 1e-9): ("0x1.2e6da2d20c08ap+0", "0x1.02ae3c0ec0dccp+0",
                                "0x1.15c8b9485fbfdp+0", "0x1.f29eb2b7a2c0cp+0"),
     (cosh_power_bound, 0.6): ("0x1.2badafe63a117p+0", "0x1.02aba9cb6173fp+0",
                               "0x1.1525cb39bef95p+0", "0x1.bb95c2fbb286ep+0"),
@@ -171,8 +173,34 @@ def test_numpy_numbers_keep_their_values(fn, p):
 ], ids=["sinc", "sinhc", "cos_bound", "cosh_bound", "cos_power_bound", "cosh_power_bound",
         "sinhc_gap_scaled"])
 def test_a_list_takes_the_array_path(fn):
-    got = fn(0.6, [0.25, 1, 1.5])
-    assert isinstance(got, np.ndarray) and np.array_equal(got, fn(0.6, np.array([0.25, 1.0, 1.5])))
+    # at the p -> 0 limits too; a p outside fn's range raises for both forms
+    for p in (0.6, 0.0, 1e-9):
+        try:
+            want = fn(p, np.array([0.25, 1.0, 1.5]))
+        except ValueError:
+            for x in ([0.25, 1, 1.5], (0.25, 1, 1.5)):
+                with pytest.raises(ValueError):
+                    fn(p, x)
+            continue
+        for x in ([0.25, 1, 1.5], (0.25, 1, 1.5)):
+            got = fn(p, x)
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want), (p, x)
+
+
+@pytest.mark.parametrize("fn", [cos_bound, cosh_bound])
+@pytest.mark.parametrize("p", [0.0, 1e-9])
+def test_a_float32_array_at_the_limit_is_computed_in_doubles(fn, p):
+    x = np.array([0.25, 1.0, 2.5], dtype=np.float32)
+    got = fn(p, x)
+    assert got.dtype == np.float64 and np.array_equal(got, fn(p, x.astype(float)))
+
+
+def test_a_float32_number_at_the_limit_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cos_bound(0.0, np.float32(1e20))
+    x = float(np.float32(1e20))
+    assert type(got) is float and math.isfinite(got) and got == 1.0 - x * x / 6.0
 
 
 @given(
@@ -380,6 +408,7 @@ def test_scaled_gap_consistent_with_direct():
 OVERFLOWING = [
     (cos_bound, 0.0, 1e200), (cos_bound, 1e-9, 1e200), (cosh_bound, 0.0, 1e200),
     (cosh_bound, 2.0, 700.0), (cosh_power_bound, 1e-9, 1e200), (cosh_power_bound, 1e-4, 5e6),
+    (cosh_power_bound, 2.0, 1e308),  # p*x itself overflows to inf
 ]
 
 
@@ -473,6 +502,7 @@ def _old_sinhc(x):
 def _old_cos_bound(p, x):
     p = _old_param(p, True)
     if p <= 1e-8:
+        x = float(x)
         return 1.0 - x * x / 6.0
     w = 2.0 / (3.0 * p * p)
     s = math.sin(0.5 * p * float(x))
@@ -482,6 +512,7 @@ def _old_cos_bound(p, x):
 def _old_cosh_bound(p, x):
     p = _old_param(p, False)
     if p <= 1e-8:
+        x = float(x)
         return 1.0 + x * x / 6.0
     w = 2.0 / (3.0 * p * p)
     s = math.sinh(0.5 * p * float(x))
