@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 from . import core as _core
-from .core import cos_bound, quartic_gap_coeff
+from .core import _HALF_PI, cos_bound, quartic_gap_coeff
 
-_HALF_PI = math.pi / 2.0
+LEIBNIZ_RATIO_BOUND = 11.0 * math.pi ** 2 / 360.0
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ SERIES_SWITCH = 0.5
 
 _SERIES_MAX_TERMS = 80
 
+_HALF_PI = math.pi / 2.0
+
 # sqrt(15)/5, the root of quartic_gap_coeff and the sharp edge of both families
 _UPPER_EDGE = math.sqrt(15.0) / 5.0
 
@@ -318,8 +320,9 @@ def sinhc_gap_scaled(p, x):
 
         e^{(1-p)x} (1 - e^{-2x})/(2x) - (1 + e^{-2px})/(6p^2) - (1 - 1/(3p^2)) e^{-px}
 
-    Limits at x -> inf: -1/(6p^2) for p > 1, -1/6 at p = 1, +inf for 0 < p < 1.
-    Returns +inf instead of overflowing when the first term exceeds double range.
+    Limits at x -> inf: -1/(6p^2) for p > 1, -1/6 at p = 1, +inf for 0 < p < 1;
+    x = inf gives the limit and a NaN x gives nan.  Returns +inf instead of
+    overflowing when the first term exceeds double range.
     """
     p = _check(float(p), False)
     if p <= _LIMIT_FAMILY_CUTOFF:
@@ -327,15 +330,18 @@ def sinhc_gap_scaled(p, x):
     x, xp = _converted(x)
     if (x <= 0.0) if xp is math else xp.any(x <= 0.0):
         raise ValueError("x must be positive")
-    t = (1.0 - p) * x
+    if p == 1.0:  # (1-p)x is 0 * inf = nan at x = inf, where the limit is -1/6
+        t = 0.0 if xp is math else xp.zeros_like(x)
+    else:
+        t = (1.0 - p) * x
     if xp is math:
         if t > 700.0:
             return math.inf
     else:
         # only the kept points are computed: on the far grids of the
-        # sharpness scan most points lie past the cut
+        # sharpness scan most points lie past the cut; a NaN x is kept
         out = xp.full_like(x, xp.inf)
-        kept = t <= 700.0
+        kept = ~(t > 700.0)
         x, t = x[kept], t[kept]
     w = 1.0 / (6.0 * p * p)
     grow = xp.exp(t) * -xp.expm1(-2.0 * x) / (2.0 * x)

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import core, constants, integrals, means
-from .core import _UPPER_EDGE
+from .core import _HALF_PI, _UPPER_EDGE
 from .verifier import (
     HYP_DOMAIN,
     TRIG_DOMAIN,
@@ -37,8 +37,6 @@ from .verifier import (
     verify_param_monotone,
     verify_sharpness,
 )
-
-_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ import sys
 from dataclasses import dataclass
 
 from .constants import quartic_constants
-from .core import _UPPER_EDGE
+from .core import _HALF_PI, _UPPER_EDGE
 
-_HALF_PI = math.pi / 2.0
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
 _PI2_OVER_4 = math.pi ** 2 / 4.0  # within 2 ulps of pi^2/4

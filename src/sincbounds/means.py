@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import _LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _cosh_family, cosh_bound
+from .core import _LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, cosh_bound
 from .integrals import Enclosure
 
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
@@ -155,12 +155,37 @@ def _sb_mean(a: float, b: float) -> float:
     e = -u
     # arccosh(1+e) = log1p(e + sqrt(e(2+e))), exact for small e
     t = math.sqrt(e * (2.0 + e))
-    return b * t / math.log1p(e + t)
+    v = b * t / math.log1p(e + t)
+    return v if math.isfinite(v) else _sb_mean_far(a, b)
+
+
+def _sb_mean_far(a: float, b: float) -> float:
+    """sb_mean for a > b where e = a/b - 1 or e(2+e) overflows (a/b above
+    about 1.3e154): sqrt(a^2-b^2) = a s and arccosh(a/b) = ln a - ln b +
+    log1p(s), s = sqrt(1 - (b/a)^2)."""
+    r = b / a
+    s = math.sqrt(1.0 - r * r)
+    return a * s / ((math.log(a) - math.log(b)) + math.log1p(s))
 
 
 def _sb_lower_bound(a: float, b: float) -> float:
     inner = (2.0 * a - b) * math.sqrt(0.5 * (a + b)) + b * math.sqrt(b)
-    return _SB_SCALE * math.sqrt(inner) * b ** 0.25 + 11.0 * b / 27.0
+    v = _SB_SCALE * math.sqrt(inner) * b ** 0.25 + 11.0 * b / 27.0
+    return v if math.isfinite(v) and inner >= _MIN_NORMAL else _sb_lower_bound_scaled(a, b)
+
+
+def _sb_lower_bound_scaled(a: float, b: float) -> float:
+    """_sb_lower_bound where the inner term leaves the normal range.
+
+    The inner term is homogeneous of degree 3/2, so it is taken on (a, b)
+    2^(-4k), with max(a, b) 2^(-4k) in [1/2, 8), and its square root is
+    scaled back by 2^(3k).  b^(1/4) and (11/27) b keep the unscaled b, which
+    the scaling could push below the double range; 11 b would overflow.
+    """
+    k = math.frexp(max(a, b))[1] // 4
+    x, y = math.ldexp(a, -4 * k), math.ldexp(b, -4 * k)
+    inner = (2.0 * x - y) * math.sqrt(0.5 * (x + y)) + y * math.sqrt(y)
+    return _SB_SCALE * math.ldexp(math.sqrt(inner), 3 * k) * b ** 0.25 + 11.0 / 27.0 * b
 
 
 def _family_times(g: float, p: float, x: float) -> float:
@@ -264,12 +289,19 @@ def _sb_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     e = -u[hyp]
     t = np.sqrt(e * (2.0 + e))
     out[hyp] = b[hyp] * t / _libm(math.log1p, e + t)
+    far = ~np.isfinite(out)
+    if far.any():
+        out[far] = _libm(_sb_mean_far, a[far], b[far].tolist())
     return out
 
 
 def _sb_lower_bound_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner = (2.0 * a - b) * np.sqrt(0.5 * (a + b)) + b * np.sqrt(b)
-    return _SB_SCALE * np.sqrt(inner) * _libm(pow, b, repeat(0.25)) + 11.0 * b / 27.0
+    out = _SB_SCALE * np.sqrt(inner) * _libm(pow, b, repeat(0.25)) + 11.0 * b / 27.0
+    odd = ~(np.isfinite(out) & (inner >= _MIN_NORMAL))
+    if odd.any():
+        out[odd] = _libm(_sb_lower_bound_scaled, a[odd], b[odd].tolist())
+    return out
 
 
 def _family_times_arrays(g: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
@@ -350,14 +382,7 @@ def mean_family(p: float, m):
     on p >= 0.  Where that product overflows but the mean does not, it is
     evaluated in a scaled form (see _family_times).
     """
-    return _apply(m, _mean_family, _mean_family_arrays, _family_order(p))
-
-
-def _family_order(p) -> float:
-    p = abs(float(p))
-    if not math.isfinite(p):
-        raise ValueError(f"parameter must be finite and >= 0, got {p!r}")
-    return p
+    return _apply(m, _mean_family, _mean_family_arrays, _check(abs(float(p)), False))
 
 
 def _mean_family_rows(p_grid, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +394,7 @@ def _mean_family_rows(p_grid, a, b) -> tuple[np.ndarray, np.ndarray]:
         g = _geo_arrays(a, b)
         h = _half_log_ratio_arrays(a, b)
         x = np.abs(h)
-        return h, np.array([_family_times_arrays(g, _family_order(p), x) for p in p_grid])
+        return h, np.array([_family_times_arrays(g, _check(abs(float(p)), False), x) for p in p_grid])
 
 
 def log_mean_sandwich(m) -> Enclosure:

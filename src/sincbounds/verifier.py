@@ -13,8 +13,9 @@ min_margin and argmin_x come from the first minimum in x order, where a NaN
 margin counts as the minimum, as np.argmin has it; violations are the first
 50 in x order.  Points with equal x keep the order of their rounds (the base
 grid, then each refinement round) and, within a round, the order in which
-they were evaluated.  verify reduces each round on its own and merges the
-few points each round keeps, so it never sorts all the points.  The one
+they were evaluated.  verify reduces each block of the base grid on its
+own and keeps the few points that can decide the report, keeps each
+refinement round whole, and sorts the kept points once.  The one
 exception is a failed evaluation, which makes the report INCONCLUSIVE: its
 diagnostic names the first exception in evaluation order (round by round,
 block by block, and lhs before rhs within a block).
@@ -55,6 +56,7 @@ import numpy as np
 from . import constants as _constants
 from . import core as _core
 from . import means as _means
+from .constants import LEIBNIZ_RATIO_BOUND
 
 _EPS = math.ulp(1.0)
 FLOOR_ULPS = 64.0
@@ -63,7 +65,7 @@ _BLOCK = 8192  # points per lhs/rhs call; see the module docstring
 _DEADBAND = FLOOR_ULPS * _EPS  # the smallest floor
 _SMALL = 256  # _smallest5 sorts arrays up to this size outright
 
-TRIG_DOMAIN = (0.0, math.pi / 2.0)
+TRIG_DOMAIN = (0.0, _core._HALF_PI)
 HYP_DOMAIN = (0.0, 50.0)  # cosh overflow margin; large-x behaviour is
                           # delegated to the exponentially scaled gap scan
 
@@ -225,9 +227,9 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     spacing = (hi - lo) / (points + 1)
     xs = _interior_grid(lo, hi, points)
     grid_points = 0
-    # Each block keeps, in x order, the points that can decide the report:
-    # its first minimum and its first violations.  The report is read off
-    # those points in x order.
+    # Each block of the base grid, which is in x order, keeps the points that
+    # can decide the report: its first minimum and its first violations.  A
+    # refinement round (at most 5 windows of 13 points) is kept whole.
     n_bad = 0
     any_good = False
     picks = []
@@ -243,10 +245,6 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
                 i = int(margin.argmin())
                 if refining:
                     cx, cm = _take5(cx, cm, x, margin, margin[i])
-                if round_no:  # the base grid is in x order already
-                    order = np.argsort(x, kind="stable")
-                    x, lv, rv, margin = x[order], lv[order], rv[order], margin[order]
-                    i = int(margin.argmin())
                 # Every floor is at least _DEADBAND, so a block whose smallest
                 # margin is not below -_DEADBAND has no violation, and a margin
                 # above the block's largest floor is a hold.  A block with a
@@ -261,7 +259,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
                     n_bad += idx.size
                     any_good = any_good or bool(good.any())
                     keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], i)
-                picks.append((x[keep], lv[keep], rv[keep]))
+                picks.append((x, lv, rv) if round_no else (x[keep], lv[keep], rv[keep]))
             grid_points += xs.size
             if not refining:
                 break
@@ -417,9 +415,6 @@ def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float
     return report
 
 
-LEIBNIZ_RATIO_BOUND = 11.0 * math.pi ** 2 / 360.0
-
-
 def verify_leibniz_ratio(p, n_max: int, points: int = 256) -> VerificationReport:
     """Ratio of consecutive derivative-series terms stays below 11 pi^2/360.
 
@@ -432,7 +427,7 @@ def verify_leibniz_ratio(p, n_max: int, points: int = 256) -> VerificationReport
         raise ValueError("p^2 must lie in (0, 3/5]")
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    xs = _interior_grid(0.0, math.pi / 2.0, points)
+    xs = _interior_grid(*TRIG_DOMAIN, points)
     x2 = xs * xs
     worst = -math.inf
     worst_x = xs[0]

@@ -275,6 +275,27 @@ def test_special_sb_admits_a_zero(capsys):
     assert run(capsys, "special", "--name", "sb", "--a", "1", "--b", "0")[0] == 2
 
 
+@pytest.mark.parametrize("a, b", [("1e200", "1e200"), ("1e210", "1e210"), ("1", "5e-324"),
+                                  ("0", "1e308")])
+def test_special_sb_decides_within_rounding_and_range(capsys, a, b):
+    # the bound is tight at a = b, where rounding may put it an ulp or two
+    # above the mean; the far pairs once gave inf or nan
+    code, out, err = run(capsys, "special", "--name", "sb", "--a", a, "--b", b)
+    assert (code, err) == (0, "")
+    assert out.startswith("sb(") and out.endswith(" : ok\n")
+
+
+@pytest.mark.parametrize("name, explicit", [
+    ("si", ("--t", "1.5707963267948966", "--p", "0.6666666666666666")),
+    ("sh", ("--t", "1")),
+    ("catalan", ("--terms", "1000000")),
+])
+def test_special_defaults_equal_the_explicit_options(capsys, name, explicit):
+    implicit = run(capsys, "special", "--name", name)
+    assert implicit[0] == 0
+    assert run(capsys, "special", "--name", name, *explicit) == implicit
+
+
 GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
 
 

@@ -394,6 +394,12 @@ def test_scaled_gap_limits():
     assert sinhc_gap_scaled(0.999, 1e7) == math.inf  # diverges below 1
     finite = sinhc_gap_scaled(0.999, 2e4)
     assert math.isfinite(finite) and finite > 0.0
+    # x = inf gives the limit and a NaN x gives nan, for a number and an array alike
+    for p in (0.5, 1.0, 2.0):
+        limit = math.inf if p < 1.0 else -1.0 / (6.0 * p * p)
+        for x, want in ((math.inf, limit), (math.nan, math.nan)):
+            for got in (sinhc_gap_scaled(p, x), sinhc_gap_scaled(p, np.array([x]))[0]):
+                assert got == want or (math.isnan(got) and math.isnan(want)), (p, x, got)
 
 
 def test_scaled_gap_consistent_with_direct():

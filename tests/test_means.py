@@ -138,6 +138,29 @@ def test_sb_lower_bound_below_mean_on_pairs():
         assert sb_lower_bound(m) <= sb_mean(m)
 
 
+# pairs where a direct formula of sb_mean or sb_lower_bound leaves the
+# double range (overflow, or an inner term below the smallest normal)
+SB_EDGE_PAIRS = [(1e200, 1e-100), (1.0, 5e-324), (1e210, 1e210), (0.0, 1e308),
+                 (1e308, 1.7e308), (1e300, 1e-300), (1e-300, 1e-300)]
+
+
+@pytest.mark.parametrize("a, b", SB_EDGE_PAIRS)
+def test_sb_edges_within_8_ulps_of_mpmath(a, b):
+    with mp.workdps(50):
+        am, bm = mp.mpf(a), mp.mpf(b)
+        if a == b:
+            mean = bm
+        elif a < b:
+            mean = mp.sqrt(bm ** 2 - am ** 2) / mp.acos(am / bm)
+        else:
+            mean = mp.sqrt(am ** 2 - bm ** 2) / mp.acosh(am / bm)
+        inner = (2 * am - bm) * mp.sqrt((am + bm) / 2) + bm * mp.sqrt(bm)
+        bound = 8 * mp.sqrt(2) / 27 * mp.sqrt(inner) * mp.root(bm, 4) + 11 * bm / 27
+    for fn, truth in ((sb_mean, float(mean)), (sb_lower_bound, float(bound))):
+        for got in (fn((a, b)), fn((np.array([a]), np.array([b])))[0]):
+            assert math.isfinite(got) and abs(got - truth) <= 8.0 * math.ulp(truth), fn
+
+
 @given(m=pairs_strategy, lam=st.floats(1e-3, 1e3))
 def test_sb_homogeneous(m, lam):
     scaled = MeanPoint(lam * m.a, lam * m.b)
