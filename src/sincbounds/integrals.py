@@ -4,14 +4,15 @@ quadrature or series oracle.
 
 Every enclosure comes from integrating a two-sided family bound, so the
 endpoints are elementary closed forms; the oracles are one 21-point
-Gauss-Kronrod panel (QUADPACK's qk21, here in pure Python), an accelerated
-alternating series, or, for the x/sinh x integral beyond t = 4, its
-exponential tail series below the closed form pi^2/4.
+Gauss-Kronrod panel (QUADPACK's qk21, here in pure Python), at most 21 terms
+of the Cohen-Rodriguez Villegas-Zagier sum for Catalan's constant (error at
+most 2G/(3+sqrt8)^n after n terms), or, for the x/sinh x integral beyond
+t = 4, its exponential tail series below the closed form pi^2/4.  The
+x/sinh x ends are forms that do not cancel, widened outward by 4 ulps.
 
-Nothing here imports scipy: the panel repeats qk21's nodes, weights and
-order of operations, so it gives the doubles scipy's quad gives wherever
-quad accepts its first panel, and raises wherever quad would bisect.  Only
-catalan_reference imports numpy.
+Nothing here imports scipy or numpy: the panel repeats qk21's nodes, weights
+and order of operations, so it gives the doubles scipy's quad gives wherever
+quad accepts its first panel, and raises wherever quad would bisect.
 """
 
 from __future__ import annotations
@@ -215,27 +216,21 @@ def si_enclosure(t: float, p) -> Enclosure:
 def sh_enclosure(t: float) -> Enclosure:
     """Two-sided closed form for integral of x/sinh x over [0, t], t > 0.
 
-    t = inf is allowed and gives the analytic limits; the value there is
+    lo = sqrt3 log((r + e^-t)/(1 + r e^-t)), r = 2 + sqrt3, is taken as
+    sqrt3 log1p((r - 1) d/(1 + r(1 - d))), d = -expm1(-t), and hi =
+    2 sqrt15 (atan((5 e^{at} + 4)/3) - atan 3), a = sqrt(15)/5, as
+    2 sqrt15 atan(tanh(at/2)/3).  Each is within 3 ulps of its exact value
+    for t from 1e-300 to inf and is widened outward by 4 ulps.  t = inf gives
     half of trigamma(1/2).
     """
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    # lower: sqrt(3) * [log(2+sqrt3) + log1p((2-sqrt3) e^-t) - log1p((2+sqrt3) e^-t)]
-    et = math.exp(-t) if t != math.inf else 0.0
-    lo = _SQRT3 * (
-        math.log(2.0 + _SQRT3)
-        + math.log1p((2.0 - _SQRT3) * et)
-        - math.log1p((2.0 + _SQRT3) * et)
-    )
-    # upper: 2 sqrt(15) * [atan((5 e^{at} + 4)/3) - atan 3], a = sqrt(15)/5
-    at = _UPPER_EDGE * t
-    if at > 500.0:  # atan argument beyond any double resolution of pi/2
-        lead = _HALF_PI
-    else:
-        lead = math.atan((5.0 * math.exp(at) + 4.0) / 3.0)
-    hi = 2.0 * _SQRT15 * (lead - math.atan(3.0))
-    return Enclosure(lo, hi)
+    r = 2.0 + _SQRT3
+    d = -math.expm1(-t)
+    lo = _SQRT3 * math.log1p((r - 1.0) * d / (1.0 + r * (1.0 - d)))
+    hi = 2.0 * _SQRT15 * math.atan(math.tanh(0.5 * _UPPER_EDGE * t) / 3.0)
+    return Enclosure(lo - 4.0 * math.ulp(lo), hi + 4.0 * math.ulp(hi))
 
 
 def trigamma_half_enclosure() -> Enclosure:
@@ -267,38 +262,23 @@ def bound_reciprocal_integrals() -> tuple[float, float]:
     return 2.0 * e.lo, 2.0 * e.hi
 
 
-def _alternating_terms(start: int, stop: int):
-    """(-1)^k / (2k+1)^2 for start <= k < stop, as a numpy array.
-
-    Negating every odd term after the division equals dividing -1 by the
-    square bit for bit, since rounding is symmetric in sign; it avoids an
-    elementwise float pow.
-    """
-    import numpy as np
-    k = np.arange(start, stop, dtype=float)
-    t = 1.0 / (2.0 * k + 1.0) ** 2
-    t[(start + 1) % 2::2] *= -1.0  # the odd k
-    return t
-
-
 def catalan_reference(terms: int) -> float:
-    """Partial sum of sum (-1)^n / (2n+1)^2 with iterated averaging.
-
-    Before acceleration the alternating-series remainder is below
-    1/(2*terms)^2; the averaging of the last partial sums pushes this to
-    ~1e-15 once a few dozen terms are available.
+    """Catalan's constant G = sum (-1)^k/(2k+1)^2 from n = min(terms, 21) terms
+    of Algorithm 1 of Cohen, Rodriguez Villegas and Zagier (Experimental
+    Math. 9, 2000).  1/(2k+1)^2 is the k-th moment of the positive weight
+    -x^(-1/2) log(x)/4 on [0, 1], so the truncation error is at most
+    2G/(3+sqrt8)^n, 1.5e-16 at n = 21; rounding adds at most 4 ulps, checked
+    against mpmath for each n.  Every terms >= 21 gives the same double.
     """
     terms = int(terms)
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if terms <= 2:
-        return sum((-1.0) ** k / (2 * k + 1) ** 2 for k in range(terms))
-    import numpy as np
-    window = min(terms, 48)
-    base = terms - window
-    head = float(np.sum(_alternating_terms(0, base)))
-    tail_terms = _alternating_terms(base, terms)
-    partials = head + np.cumsum(tail_terms)
-    while partials.size > 1:
-        partials = 0.5 * (partials[:-1] + partials[1:])
-    return float(partials[0])
+    n = min(terms, 21)
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = (d + 1.0 / d) / 2.0
+    b, c, s = -1.0, -d, 0.0
+    for k in range(n):
+        c = b - c
+        s += c / (2 * k + 1) ** 2
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
+    return s / d

@@ -125,12 +125,20 @@ def _geo(a: float, b: float) -> float:
     return math.sqrt(a) * math.sqrt(b)
 
 
+def _log_ratio(a: float, b: float, q: float) -> float:
+    # ln(a/b): log(q), q = a/b, where q is normal; ln a - ln b cancels at large a
+    if _MIN_NORMAL <= q < math.inf:
+        return math.log(q)
+    return math.log(a) - math.log(b)
+
+
 def _half_log_ratio(a: float, b: float) -> float:
     if a == b:
         return 0.0
-    if 0.5 < a / b < 2.0:
+    q = a / b
+    if 0.5 < q < 2.0:
         return 0.5 * math.log1p((a - b) / b)
-    return 0.5 * (math.log(a) - math.log(b))
+    return 0.5 * _log_ratio(a, b, q)
 
 
 def _log_mean(a: float, b: float) -> float:
@@ -140,9 +148,10 @@ def _log_mean(a: float, b: float) -> float:
     if abs(r) < 1e-4:
         # r/ln(1+r) = 1 + r/2 - r^2/12 + r^3/24 - O(r^4); next term ~19r^4/720
         return b * (1.0 + r * (0.5 + r * (-1.0 / 12.0 + r / 24.0)))
-    if 0.5 < a / b < 2.0:
+    q = a / b
+    if 0.5 < q < 2.0:
         return (a - b) / math.log1p(r)
-    return (a - b) / (math.log(a) - math.log(b))
+    return (a - b) / _log_ratio(a, b, q)
 
 
 def _sb_mean(a: float, b: float) -> float:
@@ -247,6 +256,13 @@ def _geo_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_ratio_arrays(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    wide = ~((_MIN_NORMAL <= q) & (q < np.inf))
+    out = _libm(math.log, np.where(wide, a, q))
+    out[wide] -= _libm(math.log, b[wide])
+    return out
+
+
 def _half_log_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros_like(a)
     q = a / b
@@ -255,7 +271,7 @@ def _half_log_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     far = ne & ~near
     an, bn = a[near], b[near]
     out[near] = 0.5 * _libm(math.log1p, (an - bn) / bn)
-    out[far] = 0.5 * (_libm(math.log, a[far]) - _libm(math.log, b[far]))
+    out[far] = 0.5 * _log_ratio_arrays(a[far], b[far], q[far])
     return out
 
 
@@ -271,7 +287,7 @@ def _log_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rs = r[series]
     out[series] = b[series] * (1.0 + rs * (0.5 + rs * (-1.0 / 12.0 + rs / 24.0)))
     out[near] = (a[near] - b[near]) / _libm(math.log1p, r[near])
-    out[far] = (a[far] - b[far]) / (_libm(math.log, a[far]) - _libm(math.log, b[far]))
+    out[far] = (a[far] - b[far]) / _log_ratio_arrays(a[far], b[far], q[far])
     return out
 
 

@@ -316,6 +316,8 @@ def verify_param_monotone(p_grid: Sequence[float], pairs) -> VerificationReport:
     (a, b) pair of equal-length 1-D arrays; one merged report, whose
     witness coordinate is the pair's half log ratio."""
     p_grid = [float(p) for p in p_grid]
+    if len(p_grid) < 2:
+        raise ValueError("p_grid needs at least 2 values")
     if any(q <= p for p, q in zip(p_grid, p_grid[1:])):
         raise ValueError("p_grid must be strictly increasing")
     a, b = pairs

@@ -266,6 +266,14 @@ def test_special_sh_beyond_the_panel(capsys, t):
     assert out.startswith("sh: enclosure [") and out.endswith(" : contained\n")
 
 
+@pytest.mark.parametrize("t", ["1e-3", "1e-8", "1e-300"])
+def test_special_sh_at_small_t(capsys, t):
+    # the ends once cancelled here: 1e-3 gave an empty enclosure, 1e-8 missed
+    code, out, err = run(capsys, "special", "--name", "sh", "--t", t)
+    assert (code, err) == (0, "")
+    assert out.startswith("sh: enclosure [") and out.endswith(" : contained\n")
+
+
 def test_special_sb_admits_a_zero(capsys):
     code, out, _ = run(capsys, "special", "--name", "sb", "--a", "0", "--b", "1")
     assert code == 0

@@ -161,6 +161,26 @@ def test_sb_edges_within_8_ulps_of_mpmath(a, b):
             assert math.isfinite(got) and abs(got - truth) <= 8.0 * math.ulp(truth), fn
 
 
+# ln a - ln b cancelled where a/b is near 2 and a is large; a/b overflows or
+# underflows in the last four
+LOG_RATIO_PAIRS = [(2.03e100, 1e100), (5.2e29, 2.56e29), (1e100, 2.03e100), (3e250, 1e250),
+                   (1e300, 1e-9), (1e-300, 1e8), (1.0, 5e-324), (1.7e308, 1e-300)]
+
+
+@pytest.mark.parametrize("fn", [half_log_ratio, log_mean])
+def test_log_ratio_means_within_4_ulps_of_mpmath(fn):
+    a, b = 10.0 ** np.random.default_rng(12).uniform(-307.0, 308.0, (2, 1000))
+    a = np.concatenate([[x for x, _ in LOG_RATIO_PAIRS], a])
+    b = np.concatenate([[y for _, y in LOG_RATIO_PAIRS], b])
+    arr = fn((a, b))
+    for x, y, got_arr in zip(a.tolist(), b.tolist(), arr.tolist()):
+        with mp.workdps(50):
+            ln = mp.log(mp.mpf(x) / mp.mpf(y))
+            truth = float(ln / 2 if fn is half_log_ratio else (mp.mpf(x) - mp.mpf(y)) / ln)
+        for got in (fn((x, y)), got_arr):
+            assert abs(got - truth) <= 4.0 * math.ulp(truth), (x, y)
+
+
 @given(m=pairs_strategy, lam=st.floats(1e-3, 1e3))
 def test_sb_homogeneous(m, lam):
     scaled = MeanPoint(lam * m.a, lam * m.b)
@@ -470,7 +490,8 @@ def _branch_edge_pairs():
             out.append((b * (1.0 + r), b))
             out.append((b, b * (1.0 + r)))
     out += [(1e200, 1e200), (1e200, 1e150), (1e300, 1e10),     # a*b overflows in _geo
-            (1e-200, 1e-150), (1e-310, 1e-300), (5e-324, 1.0)]  # a*b underflows
+            (1e-200, 1e-150), (1e-310, 1e-300), (5e-324, 1.0),  # a*b underflows
+            (1e300, 1e-8), (1e300, 1e-9), (1e-300, 1e7), (1e-300, 1e8)]  # a/b leaves the range
     return out
 
 

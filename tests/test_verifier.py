@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sincbounds import corpus, means, verifier
+from sincbounds import constants, corpus, means, verifier
 from sincbounds.constants import solve_sinc_lower_edge
 from sincbounds.core import cos_bound, cos_power_bound, sinc, sinhc
 from sincbounds.corpus import cos_chain_members, cosh_chain_members
@@ -160,6 +160,12 @@ def test_param_monotone_detects_decrease():
         verify_param_monotone([0.5, 0.5], pairs)
 
 
+@pytest.mark.parametrize("p_grid", [[0.5], []], ids=["one", "none"])
+def test_param_monotone_needs_two_orders(p_grid):
+    with pytest.raises(ValueError, match="p_grid needs at least 2 values"):
+        verify_param_monotone(p_grid, _random_pair_arrays(5, seed=5))
+
+
 def test_param_monotone_takes_an_array_pair():
     grid = np.linspace(0.0, 3.0, 7)
     a, b = np.array([1.0, 3.0]), np.array([2.0, 4.0])
@@ -198,6 +204,48 @@ def test_sharpness_witness_locations():
     rep = verify_sharpness(SharpnessFamily.SINHC_UPPER, ThresholdSide.BELOW, 1e-3, points=2048)
     assert rep.verdict is Verdict.FAILS
     assert all(v.x > 100.0 for v in rep.violations)
+
+
+def _iv_value(name, p, x):
+    """core.<name> at the exact doubles p and x in mpmath.iv, sinh and cosh
+    from iv.exp."""
+    from mpmath import iv
+    x = iv.mpf(x)
+    if name == "sinc":
+        return iv.sin(x) / x
+    if name == "sinhc":
+        return (iv.exp(x) - iv.exp(-x)) / (2 * x)
+    p = iv.mpf(p)
+    w = 1 / (3 * p * p)
+    even = iv.cos(p * x) if name == "cos_bound" else (iv.exp(p * x) + iv.exp(-p * x)) / 2
+    return w * even + 1 - w
+
+
+def test_every_fails_witness_is_certified():
+    # lhs - rhs > 0 in 110-bit interval arithmetic at the first violation of
+    # each FAILS report proves that the inequality fails at that parameter;
+    # the scaled-gap witness of sinhc_upper is checked as sinhc - cosh_bound
+    from mpmath import iv
+    cases, witnesses = {}, []
+    for family, (lhs, rhs, _, edge) in verifier._SHARP_EDGES.items():
+        for side in ThresholdSide:
+            for offset in (1e-3, 1e-5, 1e-7, 1e-9):
+                rep = verify_sharpness(family, side, offset)
+                if rep.verdict is Verdict.FAILS:
+                    step = offset if side is ThresholdSide.ABOVE else -offset
+                    cases[rep.case_id] = lhs, rhs, getattr(constants, edge)().value + step
+                    witnesses.append((rep.case_id, rep.violations[0].x))
+    witnesses += [(r.report.case_id, r.report.violations[0].x) for r in corpus.run_suite("all")
+                  if r.report is not None and r.report.verdict is Verdict.FAILS]
+    assert len(witnesses) == 14  # 10 cells and 4 corpus lines
+    prec, iv.prec = iv.prec, 110
+    try:
+        for case_id, x in witnesses:
+            lhs, rhs, param = cases[case_id]
+            gap = _iv_value(lhs, param, x) - _iv_value(rhs, param, x)
+            assert gap.a > 0, (case_id, x, gap)
+    finally:
+        iv.prec = prec
 
 
 def test_sharpness_offset_validation():
