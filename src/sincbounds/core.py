@@ -198,12 +198,6 @@ class CoefficientSeq:
         num = self.c ** (n - 1) * ((2 * n + 1) - (2 * n + 3) * self.c)
         return num / self.term(n)
 
-    def __iter__(self):
-        n = 1
-        while True:
-            yield self.term(n)
-            n += 1
-
 
 def _gap_series(p: float, x: float, hyperbolic: bool):
     """Even power series of the gap at |x| <= SERIES_SWITCH.

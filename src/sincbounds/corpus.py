@@ -30,6 +30,7 @@ from .verifier import (
     ThresholdSide,
     Verdict,
     VerificationReport,
+    _at_most,
     expected_sharpness_verdict,
     family_case,
     verify,
@@ -159,10 +160,10 @@ def _value_result(suite: str, name: str, ok: bool, expected: str, observed: str,
 
 def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     out = []
+    refs = {t: integrals.si_reference(t) for t in (0.3, 0.8, 1.2, _HALF_PI)}
     for p in (0.0, 1.0 / 3.0, 2.0 / 3.0, _UPPER_EDGE):
-        for t in (0.3, 0.8, 1.2, _HALF_PI):
+        for t, ref in refs.items():
             enc = integrals.si_enclosure(t, p)
-            ref = integrals.si_reference(t)
             out.append(_enclosure_result(
                 "propositions", f"si_enclosure(t={t:.6g}, p={p:.6g})", enc, ref.value,
                 extra=f"oracle err<={ref.error_estimate:.1e}"))
@@ -179,7 +180,7 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     for name, closed, p in (("reciprocal integral (tight side)", lo_closed, _UPPER_EDGE),
                             ("reciprocal integral (loose side)", hi_closed, 0.75)):
         quad_val = integrals._quad(lambda x: 1.0 / core.cos_bound(p, x), 0.0, _HALF_PI)
-        ok = abs(quad_val.value - closed) < 1e-9
+        ok = abs(quad_val.value - closed) <= quad_val.error_estimate
         out.append(_value_result("propositions", name, ok,
                                  f"{closed:.10g}", f"{quad_val.value:.10g}"))
     # x/sin x sandwiched between reciprocals of the 4th/5th chain members
@@ -191,9 +192,11 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
                        lambda x: 1.0 / core.cos_bound(0.75, x), TRIG_DOMAIN)], points)
 
     pair = means._random_pair_arrays(10_000, seed)
-    worst = float(np.min((means.sb_mean(pair) - means.sb_lower_bound(pair)) / pair[1]))
+    bound, mean = means.sb_lower_bound(pair), means.sb_mean(pair)
+    worst = float(np.min((mean - bound) / pair[1]))
     out.append(_value_result("propositions", "sb_lower_bound <= sb_mean (1e4 pairs)",
-                             worst >= 0.0, ">= 0", f"worst rel gap {worst:.3e}"))
+                             bool(_at_most(bound, mean).all()), ">= 0",
+                             f"worst rel gap {worst:.3e}"))
     miss = int(np.count_nonzero(~means.log_mean_sandwich(pair).contains(means.log_mean(pair))))
     out.append(_value_result("propositions", "log_mean_sandwich contains L (1e4 pairs)",
                              miss == 0, "0 misses", f"{miss} misses"))

@@ -268,7 +268,8 @@ def catalan_reference(terms: int) -> float:
     Math. 9, 2000).  1/(2k+1)^2 is the k-th moment of the positive weight
     -x^(-1/2) log(x)/4 on [0, 1], so the truncation error is at most
     2G/(3+sqrt8)^n, 1.5e-16 at n = 21; rounding adds at most 4 ulps, checked
-    against mpmath for each n.  Every terms >= 21 gives the same double.
+    against mpmath for each n.  _catalan_error states the sum of the two.
+    Every terms >= 21 gives the same double.
     """
     terms = int(terms)
     if terms < 1:
@@ -282,3 +283,9 @@ def catalan_reference(terms: int) -> float:
         s += c / (2 * k + 1) ** 2
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
     return s / d
+
+
+def _catalan_error(terms: int, value: float) -> float:
+    """The proven bound on |G - value|, value = catalan_reference(terms):
+    2/(3+sqrt8)^n with n = min(terms, 21), as G < 1, plus 4 ulps of value."""
+    return 2.0 / (3.0 + math.sqrt(8.0)) ** min(terms, 21) + 4.0 * math.ulp(value)

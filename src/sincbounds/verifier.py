@@ -1,12 +1,16 @@
 """Grid-based inequality verification with local refinement.
 
-Semantics: a sampled margin below -floor (floor = 64 ulps of the local
-magnitude) is a trustworthy violation; margins inside the +-floor deadband
-are indeterminate at double precision and are tolerated, because every
-true inequality in this corpus has margin -> 0 at a domain endpoint.  A
-HOLDS verdict therefore means "no violation found and positive evidence
-exists somewhere"; it is evidence, not proof.  FAILS always carries a
-concrete witness.
+Semantics: _definite gives every point one floor, 64 ulps of
+max(1, |lhs|, |rhs|).  A sampled margin below -floor is a trustworthy
+violation; margins inside the +-floor deadband are indeterminate at double
+precision and are tolerated, because every true inequality in this corpus
+has margin -> 0 at a domain endpoint.  A HOLDS verdict therefore means "no
+violation found and positive evidence exists somewhere"; it is evidence,
+not proof.  FAILS always carries a concrete witness.  _report builds every
+grid report, of verify and of verify_param_monotone, from its points.  A
+bound tight where rounding alone may put it an ulp past its target (the
+Schwab-Borchardt lower bound at a = b) is checked by _at_most: lhs <= rhs
+up to 64 ulps of the larger magnitude, both finite.
 
 A report does not depend on the order in which points were evaluated.
 min_margin and argmin_x come from the first minimum in x order, where a NaN
@@ -66,8 +70,8 @@ _DEADBAND = FLOOR_ULPS * _EPS  # the smallest floor
 _SMALL = 256  # _smallest5 sorts arrays up to this size outright
 
 TRIG_DOMAIN = (0.0, _core._HALF_PI)
-HYP_DOMAIN = (0.0, 50.0)  # cosh overflow margin; large-x behaviour is
-                          # delegated to the exponentially scaled gap scan
+HYP_DOMAIN = (0.0, 50.0)  # cosh overflow margin; only verify_sharpness(SINHC_UPPER)
+                          # looks beyond it, by a scan of the scaled gap
 
 
 class Verdict(enum.Enum):
@@ -177,6 +181,17 @@ def _definite(margin: np.ndarray, lv: np.ndarray, rv: np.ndarray) -> tuple[np.nd
     return margin < scratch, margin > floor
 
 
+def _at_most(lhs, rhs):
+    """lhs <= rhs up to 64 ulps of the larger magnitude, both finite; for
+    numbers or elementwise for arrays.  The rule of a bound that is tight
+    where rounding alone may put it a few ulps past its target."""
+    # an inf or NaN fails the finite test, and a difference that overflows
+    # to +-inf still compares right
+    with np.errstate(invalid="ignore", over="ignore"):
+        close = lhs - rhs <= _DEADBAND * np.maximum(abs(lhs), abs(rhs))
+    return close & np.isfinite(lhs) & np.isfinite(rhs)
+
+
 def _largest_floor(lv: np.ndarray, rv: np.ndarray) -> float:
     """The largest floor _definite gives a point of a block without NaN."""
     return _DEADBAND * min(max(1.0, np.abs(lv).max(), np.abs(rv).max()), _MAX_DOUBLE)
@@ -215,6 +230,23 @@ def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
 def _side(f: Callable, x: np.ndarray) -> np.ndarray:
     v = np.asarray(f(x), dtype=float)
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+
+
+def _report(case_id: str, grid_points: int, x: np.ndarray, lv: np.ndarray, rv: np.ndarray,
+            n_bad: int | None = None, any_good: bool | None = None) -> VerificationReport:
+    """The report on the points x with sides lv < rv, given in tie-breaking
+    order.  n_bad and any_good, when given, count points beyond these."""
+    margin = rv - lv
+    bad, good = _definite(margin, lv, rv)
+    if n_bad is None:
+        n_bad, any_good = int(np.count_nonzero(bad)), bool(good.any())
+    imin = int(np.argmin(margin))
+    violations = [Violation(float(x[i]), float(lv[i]), float(rv[i]))
+                  for i in np.flatnonzero(bad)[:_MAX_STORED_VIOLATIONS]]
+    return VerificationReport(case_id=case_id, grid_points=grid_points,
+                              min_margin=float(margin[imin]), argmin_x=float(x[imin]),
+                              violations=violations, verdict=_verdict(n_bad, any_good),
+                              n_violations=n_bad)
 
 
 def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
@@ -270,33 +302,14 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             if xs.size == 0:
                 break
     except (ArithmeticError, ValueError) as exc:  # evaluation failure -> inconclusive
-        return VerificationReport(
-            case_id=case.id,
-            grid_points=grid_points,
-            min_margin=math.nan,
-            argmin_x=math.nan,
-            violations=[],
-            verdict=Verdict.INCONCLUSIVE,
-            diagnostic=f"evaluation failed: {exc!r}",
-        )
+        return VerificationReport(case_id=case.id, grid_points=grid_points,
+                                  min_margin=math.nan, argmin_x=math.nan, violations=[],
+                                  verdict=Verdict.INCONCLUSIVE,
+                                  diagnostic=f"evaluation failed: {exc!r}")
 
     x, lv, rv = (np.concatenate(col) for col in zip(*picks))
     order = np.argsort(x, kind="stable")  # equal x keeps round order
-    x, lv, rv = x[order], lv[order], rv[order]
-    margin = rv - lv
-    bad, _ = _definite(margin, lv, rv)
-    imin = int(np.argmin(margin))
-    violations = [Violation(float(x[i]), float(lv[i]), float(rv[i]))
-                  for i in np.flatnonzero(bad)[:_MAX_STORED_VIOLATIONS]]
-    return VerificationReport(
-        case_id=case.id,
-        grid_points=grid_points,
-        min_margin=float(margin[imin]),
-        argmin_x=float(x[imin]),
-        violations=violations,
-        verdict=_verdict(n_bad, any_good),
-        n_violations=n_bad,
-    )
+    return _report(case.id, grid_points, x[order], lv[order], rv[order], n_bad, any_good)
 
 
 def verify_chain(members: Sequence[tuple[str, Callable]], domain: tuple[float, float],
@@ -323,23 +336,9 @@ def verify_param_monotone(p_grid: Sequence[float], pairs) -> VerificationReport:
     a, b = pairs
     coords, values = _means._mean_family_rows(p_grid, a, b)
 
-    diffs = values[1:] - values[:-1]            # (len(p)-1, len(x))
-    floor = _DEADBAND * np.maximum(1.0, np.abs(values).max(axis=0))
-    bad = diffs < -floor
-    good = diffs > floor
-    row, col = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
-    viol_rows, viol_cols = np.nonzero(bad)
-    violations = [Violation(float(coords[c]), float(values[r][c]), float(values[r + 1][c]))
-                  for r, c in list(zip(viol_rows, viol_cols))[:_MAX_STORED_VIOLATIONS]]
-    return VerificationReport(
-        case_id="monotone:means",
-        grid_points=int(values.size),
-        min_margin=float(diffs[row, col]),
-        argmin_x=float(coords[col]),
-        violations=violations,
-        verdict=_verdict(bad.any(), good.any()),
-        n_violations=int(bad.sum()),
-    )
+    # the points row by row, each adjacent pair of p at each pair of means
+    return _report("monotone:means", int(values.size), np.tile(coords, len(p_grid) - 1),
+                   values[:-1].ravel(), values[1:].ravel())
 
 
 class SharpnessFamily(enum.Enum):
@@ -410,18 +409,20 @@ def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float
         scaled_case = InequalityCase(
             id=f"scaled gap({param:.9g}) < 0 at large x",
             lhs=lambda x: _core.sinhc_gap_scaled(param, x),
-            rhs=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            rhs=lambda x: 0.0,
             domain=(1.0, 1e12),
         )
         report = _merge(report, verify(scaled_case, points=points, refine_rounds=0))
     return report
 
 
-def verify_leibniz_ratio(p, n_max: int, points: int = 256) -> VerificationReport:
+def verify_leibniz_ratio(p, n_max: int) -> VerificationReport:
     """Ratio of consecutive derivative-series terms stays below 11 pi^2/360.
 
     Terms u_n(x) = (2n-4) a_n(p^2) x^{2n-5} / (3 (2n+1)!) for n >= 3; the
-    bound < 1 is what makes the alternating series argument work.
+    bound < 1 is what makes the alternating series argument work.  Each
+    ratio is a positive multiple of x^2, so its supremum on (0, pi/2) is its
+    value at pi/2, where each order n = 3 ... n_max is checked.
     """
     p = _core._check(float(p), True)
     c = p * p
@@ -429,27 +430,12 @@ def verify_leibniz_ratio(p, n_max: int, points: int = 256) -> VerificationReport
         raise ValueError("p^2 must lie in (0, 3/5]")
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    xs = _interior_grid(*TRIG_DOMAIN, points)
-    x2 = xs * xs
-    worst = -math.inf
-    worst_x = xs[0]
-    bad = 0
-    for n in range(3, n_max + 1):
-        a_n = _core.gap_series_coeff(n, c)
-        a_n1 = _core.gap_series_coeff(n + 1, c)
-        factor = (2 * n - 2) / ((2 * n - 4) * (2 * n + 2) * (2 * n + 3))
-        ratios = factor * (a_n1 / a_n) * x2
-        i = int(np.argmax(ratios))
-        if ratios[i] > worst:
-            worst, worst_x = float(ratios[i]), float(xs[i])
-        bad += int(np.count_nonzero(ratios >= LEIBNIZ_RATIO_BOUND))
-    verdict = Verdict.HOLDS if bad == 0 else Verdict.FAILS
-    return VerificationReport(
-        case_id=f"leibniz-ratio p={p:.9g} n<={n_max}",
-        grid_points=points * (n_max - 2),
-        min_margin=LEIBNIZ_RATIO_BOUND - worst,
-        argmin_x=worst_x,
-        violations=[],
-        verdict=verdict,
-        n_violations=bad,
-    )
+    x2 = _core._HALF_PI * _core._HALF_PI
+    ratios = [(2 * n - 2) / ((2 * n - 4) * (2 * n + 2) * (2 * n + 3))
+              * (_core.gap_series_coeff(n + 1, c) / _core.gap_series_coeff(n, c)) * x2
+              for n in range(3, n_max + 1)]
+    bad = sum(r >= LEIBNIZ_RATIO_BOUND for r in ratios)
+    return VerificationReport(case_id=f"leibniz-ratio p={p:.9g} n<={n_max}",
+                              grid_points=len(ratios), min_margin=LEIBNIZ_RATIO_BOUND - max(ratios),
+                              argmin_x=_core._HALF_PI, violations=[],
+                              verdict=_verdict(bad, True), n_violations=bad)

@@ -341,3 +341,27 @@ def test_special_json(capsys):
     row = json.loads(out)[0]
     assert row["contained"] is True
     assert row["lo"] <= row["oracle"] <= row["hi"]
+
+
+@pytest.mark.parametrize("terms, word, code", [
+    ("1", "INCONCLUSIVE", 1),   # oracle 0.667 +- 0.34 straddles the enclosure
+    ("5", "INCONCLUSIVE", 1),   # oracle +- 3e-4 straddles its lower end
+    ("6", "contained", 0),
+    (None, "contained", 0),
+])
+def test_special_catalan_decides_with_the_oracle_error(capsys, terms, word, code):
+    args = ("special", "--name", "catalan") + (("--terms", terms) if terms else ())
+    got, out, _ = run(capsys, *args)
+    assert got == code and out.endswith(f" : {word}\n"), out
+    got, out, _ = run(capsys, *args, "--format", "json")
+    assert got == code
+    assert json.loads(out)[0]["contained"] == {"INCONCLUSIVE": None, "contained": True}[word]
+
+
+def test_verify_propositions_at_seed_807(capsys):
+    # a pair of this seed puts sb_lower_bound 0.92 ulp above sb_mean
+    code, out, _ = run(capsys, "verify", "--suite", "propositions", "--seed", "807")
+    assert code == 0 and out.endswith("\n29/29 checks ok\n")
+    a, b = 278.22567442627735, 278.22573278923375
+    code, out, _ = run(capsys, "special", "--name", "sb", "--a", repr(a), "--b", repr(b))
+    assert code == 0 and out.endswith(" : ok\n")

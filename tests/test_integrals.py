@@ -16,6 +16,7 @@ from sincbounds.core import cos_bound, sinc_gap
 from sincbounds.integrals import (
     Enclosure,
     QuadratureBudgetError,
+    _catalan_error,
     _quad,
     _sh_series,
     bound_reciprocal_integrals,
@@ -363,3 +364,11 @@ def test_integrand_ordering_all_margins_positive():
 def test_si_enclosure_wellformed(t, p):
     e = si_enclosure(t, p)
     assert e.lo <= e.hi
+
+
+def test_catalan_error_bounds_the_reference():
+    import mpmath as mp
+    with mp.workdps(40):
+        for n in (*range(1, 26), 1_000_000):
+            got = catalan_reference(n)
+            assert abs(mp.mpf(got) - mp.catalan) <= _catalan_error(n, got), n
