@@ -17,7 +17,16 @@ log_mean_sandwich returns one Enclosure whose lo and hi are arrays.  Each
 call validates its input once (finite and positive; a >= 0, b > 0 for the
 Schwab-Borchardt pair) and then runs one kernel: the scalar kernel for
 numbers, the array kernel for arrays.  The two kernels take the same
-branches and give the same results bit for bit.
+branches; the array kernels run numpy's ufuncs where the scalar kernels
+call the C library, so the two may differ in the last bits.  The contract,
+in ulps of the scalar result:
+
+- geometric_mean, half_log_ratio, log_mean, sb_mean and sb_lower_bound:
+  within 4 ulps;
+- mean_family(p, .) and both ends of log_mean_sandwich (p = sqrt(15)/5
+  and p = 1): within 8 + 2|p|x ulps, x = |half_log_ratio|.  The family's
+  condition in x, |p|x coth(|p|x/2) <= 2 + |p|x, carries the last-bit
+  difference of x into the mean.
 """
 
 from __future__ import annotations
@@ -25,8 +34,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -91,30 +98,6 @@ def _apply(m, scalar_kernel, array_kernel, *args, sb: bool = False):
     return scalar_kernel(a, b, *args)
 
 
-def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn, a C-library routine from math (or pow), applied to each element.
-
-    The array kernels must match the scalar kernels bit for bit: the CLI
-    output of `verify --seed 3` includes monotone:means min_margin=1.622e-16,
-    the difference of two mean_family values, which moves with the last
-    bit.  numpy's vectorised sinh, log1p, arcsin, exp and power differ from
-    the C library in the last bit on a few percent of inputs, so every
-    transcendental function in an array kernel goes through here.  numpy
-    is used only for sqrt, + - * /, comparisons and masks, which IEEE 754
-    rounds correctly in both.
-    """
-    return np.fromiter(map(fn, x.tolist(), *args), float, x.size)
-
-
-def _ulps(x: np.ndarray) -> np.ndarray:
-    """math.ulp of each element."""
-    u = np.spacing(np.abs(x))
-    odd = ~np.isfinite(u)  # x = inf, nan, or the largest double
-    if odd.any():
-        u[odd] = _libm(math.ulp, x[odd])
-    return u
-
-
 # ------------------------------------------------------------- scalar kernels
 
 def _geo(a: float, b: float) -> float:
@@ -168,13 +151,14 @@ def _sb_mean(a: float, b: float) -> float:
     return v if math.isfinite(v) else _sb_mean_far(a, b)
 
 
-def _sb_mean_far(a: float, b: float) -> float:
+def _sb_mean_far(a, b, xp=math):
     """sb_mean for a > b where e = a/b - 1 or e(2+e) overflows (a/b above
     about 1.3e154): sqrt(a^2-b^2) = a s and arccosh(a/b) = ln a - ln b +
-    log1p(s), s = sqrt(1 - (b/a)^2)."""
+    log1p(s), s = sqrt(1 - (b/a)^2).  Floats with xp=math, arrays with
+    xp=np."""
     r = b / a
-    s = math.sqrt(1.0 - r * r)
-    return a * s / ((math.log(a) - math.log(b)) + math.log1p(s))
+    s = xp.sqrt(1.0 - r * r)
+    return a * s / ((xp.log(a) - xp.log(b)) + xp.log1p(s))
 
 
 def _sb_lower_bound(a: float, b: float) -> float:
@@ -246,7 +230,10 @@ def _log_mean_sandwich(a: float, b: float) -> Enclosure:
 
 # -------------------------------------------------------------- array kernels
 # Each mirrors the scalar kernel above: one mask per branch, tested in the
-# same order, and the same operations in the same order inside each branch.
+# same order, and the same operations in the same order inside each branch,
+# with numpy's ufuncs for the C library's functions.  The rare rescues
+# (_family_times where the product overflows, _sb_lower_bound_scaled) run
+# the scalar kernel on the elements that need them.
 
 def _geo_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ab = a * b
@@ -258,8 +245,8 @@ def _geo_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _log_ratio_arrays(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     wide = ~((_MIN_NORMAL <= q) & (q < np.inf))
-    out = _libm(math.log, np.where(wide, a, q))
-    out[wide] -= _libm(math.log, b[wide])
+    out = np.log(np.where(wide, a, q))
+    out[wide] -= np.log(b[wide])
     return out
 
 
@@ -270,7 +257,7 @@ def _half_log_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     near = ne & (0.5 < q) & (q < 2.0)
     far = ne & ~near
     an, bn = a[near], b[near]
-    out[near] = 0.5 * _libm(math.log1p, (an - bn) / bn)
+    out[near] = 0.5 * np.log1p((an - bn) / bn)
     out[far] = 0.5 * _log_ratio_arrays(a[far], b[far], q[far])
     return out
 
@@ -286,7 +273,7 @@ def _log_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     far = rest & ~near
     rs = r[series]
     out[series] = b[series] * (1.0 + rs * (0.5 + rs * (-1.0 / 12.0 + rs / 24.0)))
-    out[near] = (a[near] - b[near]) / _libm(math.log1p, r[near])
+    out[near] = (a[near] - b[near]) / np.log1p(r[near])
     out[far] = (a[far] - b[far]) / _log_ratio_arrays(a[far], b[far], q[far])
     return out
 
@@ -301,35 +288,29 @@ def _sb_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[series] = b[series] * (1.0 + us * (-1.0 / 3.0 + us * (-1.0 / 45.0 + us * (
         -1.0 / 189.0 - 23.0 * us / 14175.0))))
     uc = u[circ]
-    out[circ] = b[circ] * np.sqrt(uc * (2.0 - uc)) / (2.0 * _libm(math.asin, np.sqrt(0.5 * uc)))
+    out[circ] = b[circ] * np.sqrt(uc * (2.0 - uc)) / (2.0 * np.arcsin(np.sqrt(0.5 * uc)))
     e = -u[hyp]
     t = np.sqrt(e * (2.0 + e))
-    out[hyp] = b[hyp] * t / _libm(math.log1p, e + t)
+    out[hyp] = b[hyp] * t / np.log1p(e + t)
     far = ~np.isfinite(out)
-    if far.any():
-        out[far] = _libm(_sb_mean_far, a[far], b[far].tolist())
+    out[far] = _sb_mean_far(a[far], b[far], np)
     return out
 
 
 def _sb_lower_bound_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner = (2.0 * a - b) * np.sqrt(0.5 * (a + b)) + b * np.sqrt(b)
-    out = _SB_SCALE * np.sqrt(inner) * _libm(pow, b, repeat(0.25)) + 11.0 * b / 27.0
+    out = _SB_SCALE * np.sqrt(inner) * b ** 0.25 + 11.0 * b / 27.0
     odd = ~(np.isfinite(out) & (inner >= _MIN_NORMAL))
-    if odd.any():
-        out[odd] = _libm(_sb_lower_bound_scaled, a[odd], b[odd].tolist())
+    out[odd] = [_sb_lower_bound_scaled(x, y) for x, y in zip(a[odd].tolist(), b[odd].tolist())]
     return out
 
 
 def _family_times_arrays(g: np.ndarray, p: float, x: np.ndarray) -> np.ndarray:
     """_family_times of each element: the product, and the scalar kernel
-    where that overflows."""
-    try:
-        v = g * _cosh_family(p, x, partial(_libm, math.sinh))
-    except OverflowError:  # sinh(px/2) beyond the double range somewhere
-        return _libm(_family_times, g, repeat(p), x.tolist())
+    where that overflows (np.sinh gives inf where math.sinh raises)."""
+    v = g * _cosh_family(p, x, np.sinh)
     over = np.isinf(v)
-    if over.any():
-        v[over] = _libm(_family_times, g[over], repeat(p), x[over].tolist())
+    v[over] = [_family_times(y, p, z) for y, z in zip(g[over].tolist(), x[over].tolist())]
     return v
 
 
@@ -342,8 +323,9 @@ def _log_mean_sandwich_arrays(a: np.ndarray, b: np.ndarray) -> Enclosure:
     x = np.abs(_half_log_ratio_arrays(a, b))
     lo = _family_times_arrays(g, _UPPER_EDGE, x)
     hi = _family_times_arrays(g, 1.0, x)
-    lo = lo - 16.0 * _ulps(lo)
-    hi = hi + 16.0 * _ulps(hi)
+    # both ends lie in [G, max(a, b)], so their spacing is finite
+    lo = lo - 16.0 * np.spacing(lo)
+    hi = hi + 16.0 * np.spacing(hi)
     eq = a == b
     lo[eq] = hi[eq] = a[eq]
     return Enclosure(lo, hi)

@@ -334,6 +334,8 @@ def verify_param_monotone(p_grid: Sequence[float], pairs) -> VerificationReport:
     if any(q <= p for p, q in zip(p_grid, p_grid[1:])):
         raise ValueError("p_grid must be strictly increasing")
     a, b = pairs
+    if np.size(a) == np.size(b) == 0:
+        raise ValueError("pairs needs at least 1 (a, b) pair")
     coords, values = _means._mean_family_rows(p_grid, a, b)
 
     # the points row by row, each adjacent pair of p at each pair of means

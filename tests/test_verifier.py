@@ -166,6 +166,14 @@ def test_param_monotone_needs_two_orders(p_grid):
         verify_param_monotone(p_grid, _random_pair_arrays(5, seed=5))
 
 
+def test_param_monotone_needs_a_pair():
+    for pairs in ((np.array([]), np.array([])), ([], [])):
+        with pytest.raises(ValueError, match="pairs needs at least 1"):
+            verify_param_monotone([0.0, 1.0], pairs)
+    with pytest.raises(ValueError, match="got shapes"):
+        verify_param_monotone([0.0, 1.0], (np.array([]), np.array([1.0])))
+
+
 def test_param_monotone_takes_an_array_pair():
     grid = np.linspace(0.0, 3.0, 7)
     a, b = np.array([1.0, 3.0]), np.array([2.0, 4.0])
