@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -228,6 +229,22 @@ def test_table_meanchain_pair(capsys):
     assert vals[4] < L < vals[6]  # family members bracket the log mean
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--points", "300"), "d79e4d5161ff6ed07c5ed8be52824717da2218f5bf13a2b67737742a829208c6"),
+    (("--points", "64", "--seed", "5"),
+     "08388f0fb21fe2b52f635641350daaed538760d916e89d7ba4810e2ed22fd0ba"),
+])
+def test_table_meanchain_random_pairs_bytes(capsys, argv, digest):
+    # the seeded pairs path of the mean chain, which no golden command runs
+    code, out, _ = run(capsys, "table", "--chain", "meanchain", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_table_meanchain_rejects_a_bad_pair(capsys):
+    code, out, err = run(capsys, "table", "--chain", "meanchain", "--pair", "-1", "4")
+    assert (code, out, err) == (2, "", "mean arguments must be finite and positive, got -1.0\n")
+
+
 def test_special_commands(capsys):
     code, out, _ = run(capsys, "special", "--name", "si")
     assert code == 0 and "contained" in out
@@ -317,6 +334,14 @@ def test_verify_matches_golden_bytes(capsys):
     for g in entries:
         code, out, _ = run(capsys, *g["args"])
         assert (code, out) == (g["exit"], g["stdout"]), g["args"]
+
+
+def test_run_suite_all_digest_unchanged():
+    # every result of the corpus at six seeds, repr for repr
+    h = hashlib.sha256()
+    for seed in (20250810, 1, 2, 3, 7, 42):
+        h.update(repr(corpus.run_suite("all", seed=seed)).encode())
+    assert h.hexdigest()[:16] == "0fa2b868da750def"
 
 
 def test_run_suite_all_calls_each_suite_through_module_attribute(monkeypatch):
