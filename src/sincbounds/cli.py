@@ -128,7 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
     """Header and rows (x, or a and b, then member values and adjacent
-    margins) for a chain; the mean chain takes MeanPoints or (a, b) pairs."""
+    margins) for a chain; the mean chain takes (a, b) pairs of numbers."""
     from . import corpus, means
     chain = chain.lower()
     if chain in corpus.CHAINS:
@@ -136,8 +136,8 @@ def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
         points = [([float(x)], float(x)) for x in xs]
     elif chain == "meanchain":
         members, head = corpus.mean_chain_members(), ["a", "b"]
-        pts = [m if isinstance(m, means.MeanPoint) else means.MeanPoint(*map(float, m)) for m in xs]
-        points = [([float(m.a), float(m.b)], m) for m in pts]
+        pts = [means.MeanPoint(float(a), float(b)) for a, b in xs]  # validated once, not per member
+        points = [([m.a, m.b], m) for m in pts]
     else:
         raise ValueError(f"unknown chain {chain!r}")
     names = [name for name, _ in members]
@@ -153,19 +153,15 @@ def cmd_table(args: argparse.Namespace) -> int:
     import numpy as np
     from . import corpus, means
 
-    chain = args.chain.lower()
-    if chain in corpus.CHAINS:
+    if args.chain in corpus.CHAINS:
         if args.pair is not None:
-            raise ValueError(f"{chain} reads no --pair")
-        lo, hi = corpus.CHAINS[chain][1]
-        header, rows = chain_table(chain, np.linspace(lo, hi, args.points))
+            raise ValueError(f"{args.chain} reads no --pair")
+        lo, hi = corpus.CHAINS[args.chain][1]
+        header, rows = chain_table(args.chain, np.linspace(lo, hi, args.points))
     else:
-        if args.pair is not None:
-            pts = [means.MeanPoint(*args.pair)]
-        else:
-            pts = means.random_pairs(args.points, args.seed, ratio_span=(1e-3, 1e3),
-                                     scale_span=(0.5, 2.0))
-        header, rows = chain_table(chain, pts)
+        pairs = [args.pair] if args.pair is not None else zip(*means.random_pairs(
+            args.points, args.seed, ratio_span=(1e-3, 1e3), scale_span=(0.5, 2.0)))
+        header, rows = chain_table(args.chain, pairs)
     print(",".join(header))
     for row in rows:
         print(",".join(_fmt(v) for v in row))
@@ -180,9 +176,7 @@ _SPECIAL_OPTIONS = {"si": {"t": _HALF_PI, "p": 2.0 / 3.0}, "sh": {"t": 1.0}, "tr
 
 
 def cmd_special(args: argparse.Namespace) -> int:
-    name = args.name.lower()
-    if name not in _SPECIAL_OPTIONS:
-        raise ValueError(f"unknown special quantity {name!r}")
+    name = args.name
     unread = [f"--{o}" for o in ("t", "p", "a", "b", "terms")
               if getattr(args, o) is not None and o not in _SPECIAL_OPTIONS[name]]
     if unread:

@@ -17,8 +17,9 @@ expressions of the two families; a number runs them with math and never
 imports numpy, an array with numpy, which the array branches import for
 themselves.  Overflow is signalled, not returned as inf: a result that
 overflows at a finite x raises OverflowError for a number and
-FloatingPointError for an array.  sinhc_gap_scaled keeps its documented
-+inf.
+FloatingPointError for an array, and an infinite x where the result has
+no limit raises ValueError or FloatingPointError.  sinhc_gap_scaled
+keeps its documented +inf.
 """
 
 from __future__ import annotations
@@ -102,17 +103,20 @@ def sinc(x):
         return math.sin(x) / x if x != 0.0 else 1.0
     import numpy as np
     x = np.asarray(x, dtype=float)
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    with np.errstate(invalid="raise"):
+        return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def sinhc(x):
     """sinh(x)/x, 1 at x = 0.  Overflow is signalled, not silently inf."""
     if isinstance(x, (float, int)) or _zero_dim(x):
         x = float(x)
+        if math.isinf(x):
+            raise ValueError(f"sinhc needs a finite x, got {x!r}")
         return math.sinh(x) / x if x != 0.0 else 1.0
     import numpy as np
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise", invalid="raise"):
         return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
@@ -150,7 +154,7 @@ def cos_bound(p, x):
         return _no_overflow(_cos_family(p, float(x)), x, "cos_bound")
     import numpy as np
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise", invalid="raise"):
         return _cos_family(p, x, np.sin)
 
 
@@ -285,7 +289,8 @@ def cos_power_bound(p: float, x):
     x, xp = _converted(x)
     if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(-x^2/6)
         return xp.exp(-x * x / 6.0)
-    cx = xp.cos(p * x)
+    with nullcontext() if xp is math else xp.errstate(invalid="raise"):
+        cx = xp.cos(p * x)
     if xp is math and cx <= 0.0:
         raise ValueError(f"cos(p*x) must be positive, got {cx!r} at x={x!r}")
     if xp is not math and xp.any(cx <= 0.0):

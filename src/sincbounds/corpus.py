@@ -191,7 +191,7 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
         InequalityCase("x/sin(x) < 1/cos_bound(3/4)", lambda x: 1.0 / core.sinc(x),
                        lambda x: 1.0 / core.cos_bound(0.75, x), TRIG_DOMAIN)], points)
 
-    pair = means._random_pair_arrays(10_000, seed)
+    pair = means.random_pairs(10_000, seed)
     bound, mean = means.sb_lower_bound(pair), means.sb_mean(pair)
     worst = float(np.min((mean - bound) / pair[1]))
     out.append(_value_result("propositions", "sb_lower_bound <= sb_mean (1e4 pairs)",
@@ -200,7 +200,7 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     miss = int(np.count_nonzero(~means.log_mean_sandwich(pair).contains(means.log_mean(pair))))
     out.append(_value_result("propositions", "log_mean_sandwich contains L (1e4 pairs)",
                              miss == 0, "0 misses", f"{miss} misses"))
-    a, b = means._random_pair_arrays(1000, seed + 1)
+    a, b = means.random_pairs(1000, seed + 1)
     rep = verify_param_monotone(np.linspace(0.0, 3.0, 21), (a, b))
     out.append(_verdict_result("propositions", rep, Verdict.HOLDS))
     return out

@@ -58,9 +58,10 @@ class QuadratureBudgetError(RuntimeError):
 class Enclosure:
     """Closed interval [lo, hi] certifying lo <= value <= hi.
 
-    lo and hi may also be equal-shape arrays, one interval per element (as
-    means.log_mean_sandwich returns for an array pair); contains then
-    returns a boolean array.
+    contains(value, slack) tests value against [lo - slack, hi + slack]; a
+    negative slack narrows the interval.  lo and hi may also be equal-shape
+    arrays, one interval per element (as means.log_mean_sandwich returns
+    for an array pair); contains then returns a boolean array.
     """
 
     lo: float
@@ -73,14 +74,6 @@ class Enclosure:
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return (self.lo - slack <= value) & (value <= self.hi + slack)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 @dataclass(frozen=True)

@@ -466,19 +466,13 @@ def lower_bound_comparison(x: float) -> float:
     return cosh_bound(_UPPER_EDGE, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
 
 
-def _random_pair_arrays(n: int, seed: int, ratio_span=(1e-6, 1e6),
-                        scale_span=(1e-3, 1e3)) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) arrays behind random_pairs, for the array kernels."""
+def random_pairs(n: int, seed: int, ratio_span=(1e-6, 1e6),
+                 scale_span=(1e-3, 1e3)) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (a, b) float64 array pair, a = ratio * b, with log-uniform
+    ratios and scales b; exercises near-equal and extreme pairs alike."""
     rng = np.random.default_rng(seed)
     lo_r, hi_r = math.log10(ratio_span[0]), math.log10(ratio_span[1])
     lo_s, hi_s = math.log10(scale_span[0]), math.log10(scale_span[1])
     ratios = 10.0 ** rng.uniform(lo_r, hi_r, n)
     scales = 10.0 ** rng.uniform(lo_s, hi_s, n)
     return ratios * scales, scales
-
-
-def random_pairs(n: int, seed: int, ratio_span=(1e-6, 1e6), scale_span=(1e-3, 1e3)) -> list[MeanPoint]:
-    """Seeded pairs with log-uniform ratios; exercises near-equal and
-    extreme pairs alike."""
-    a, b = _random_pair_arrays(n, seed, ratio_span, scale_span)
-    return [MeanPoint(x, y) for x, y in zip(a.tolist(), b.tolist())]

@@ -436,6 +436,21 @@ def test_gap_overflow_is_signalled():
     assert cosh_bound(0.0, math.inf) == math.inf
 
 
+@pytest.mark.parametrize("fn", [sinc, sinhc, lambda x: cos_bound(0.5, x),
+                                lambda x: cos_power_bound(0.5, x)],
+                         ids=["sinc", "sinhc", "cos_bound", "cos_power_bound"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+@pytest.mark.parametrize("form", ["number", "array"])
+def test_an_infinite_x_without_a_limit_raises(fn, x, form):
+    # as on overflow: ValueError for a number, FloatingPointError for an array
+    if form == "number":
+        with pytest.raises(ValueError):
+            fn(x)
+    else:
+        with pytest.raises(FloatingPointError):
+            fn(np.array([1.0, x]))
+
+
 # ----------------------------------------------------- scalar path record
 
 def test_gap_evaluation_record():
@@ -588,6 +603,9 @@ def test_scalar_path_matches_inline_reference():
         if _overflowed(want, float(args[-1])):
             overflowed += 1
             assert got[:2] == ("raises", OverflowError), (new.__name__, args)
+        elif new is sinhc and math.isinf(float(args[0])):
+            # the old silent nan at x = +-inf is now a ValueError, as for sinc
+            assert got[:2] == ("raises", ValueError), args
         else:
             assert got == want, (new.__name__, args)
     assert len(cases) > 5000 and 0 < overflowed < 200

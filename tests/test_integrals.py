@@ -44,8 +44,8 @@ def test_enclosure_type():
     e = Enclosure(1.0, 2.0)
     assert e.contains(1.5) and not e.contains(2.5)
     assert e.contains(2.0 + 1e-9, slack=1e-8)
-    assert e.width == 1.0
-    assert e.midpoint == 1.5
+    assert e.hi - e.lo == 1.0
+    assert not e.contains(1.0, slack=-1e-9)  # a negative slack narrows
     with pytest.raises(ValueError):
         Enclosure(2.0, 1.0)
 
@@ -285,7 +285,7 @@ def test_trigamma_half_enclosure():
     assert round(e.lo, 4) == 4.5621
     assert round(e.hi, 4) == 4.9845
     assert e.contains(math.pi ** 2 / 2.0)
-    assert e.width < 0.43
+    assert e.hi - e.lo < 0.43
 
 
 def test_catalan_enclosure():

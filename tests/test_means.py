@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -25,6 +26,12 @@ from sincbounds.means import (
 )
 
 UPPER_EDGE = math.sqrt(15.0) / 5.0
+
+def _points(n, seed, **spans):
+    """random_pairs as a list of MeanPoint, for the scalar kernels."""
+    a, b = random_pairs(n, seed, **spans)
+    return [MeanPoint(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
 
 pairs_strategy = st.tuples(
     st.floats(1e-3, 1e3), st.floats(-6.0, 6.0)
@@ -134,7 +141,7 @@ def test_sb_lower_bound_is_chain_member_composed():
 
 
 def test_sb_lower_bound_below_mean_on_pairs():
-    for m in random_pairs(2000, seed=7):
+    for m in _points(2000, seed=7):
         assert sb_lower_bound(m) <= sb_mean(m)
 
 
@@ -238,7 +245,7 @@ def test_mean_family_even_in_p():
 
 def test_mean_family_increasing_on_pairs():
     ps = np.linspace(0.0, 3.0, 21)
-    for m in random_pairs(300, seed=11):
+    for m in _points(300, seed=11):
         vals = [mean_family(float(p), m) for p in ps]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -256,7 +263,7 @@ def test_log_mean_sandwich():
 
 
 def test_log_mean_sandwich_on_pairs():
-    for m in random_pairs(3000, seed=13):
+    for m in _points(3000, seed=13):
         assert log_mean_sandwich(m).contains(log_mean(m))
 
 
@@ -283,7 +290,7 @@ def test_log_mean_sandwich_survives_factor_overflow():
 
 def test_log_mean_sandwich_unchanged_where_products_are_finite():
     # wherever G * family factor is finite, the ends are that product widened
-    pairs = [(m.a, m.b) for m in random_pairs(500, seed=3)] + _branch_edge_pairs()
+    pairs = [(m.a, m.b) for m in _points(500, seed=3)] + _branch_edge_pairs()
     pairs += [(a, b) for _, a, b in _overflow_rescue_cases()]
     for a, b in pairs:
         if a == b:
@@ -455,23 +462,27 @@ def test_comparison_series_coeffs_frozen():
 
 
 def test_random_pairs_deterministic():
-    a = random_pairs(50, seed=3)
-    b = random_pairs(50, seed=3)
-    assert a == b
-    assert any(m.a > m.b for m in a) and any(m.a < m.b for m in a)
+    a, b = random_pairs(50, seed=3)
+    again = random_pairs(50, seed=3)
+    assert _same_bits(again[0], a) and _same_bits(again[1], b)
+    assert (a > b).any() and (a < b).any()
 
 
 def test_random_pairs_values_unchanged():
-    # the list-building reference random_pairs had before it was built
-    # from an array generator
+    # the reference random_pairs had when it built a list of MeanPoint
     for seed, spans in ((3, ((1e-6, 1e6), (1e-3, 1e3))), (8, ((1e-3, 1e3), (0.5, 2.0)))):
         rng = np.random.default_rng(seed)
         ratios = 10.0 ** rng.uniform(math.log10(spans[0][0]), math.log10(spans[0][1]), 40)
         scales = 10.0 ** rng.uniform(math.log10(spans[1][0]), math.log10(spans[1][1]), 40)
-        want = [MeanPoint(float(r * s), float(s)) for r, s in zip(ratios, scales)]
-        got = random_pairs(40, seed, ratio_span=spans[0], scale_span=spans[1])
-        assert all(type(m) is MeanPoint for m in got)
-        assert got == want
+        a, b = random_pairs(40, seed, ratio_span=spans[0], scale_span=spans[1])
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape == (40,)
+        assert _same_bits(a, [float(r * s) for r, s in zip(ratios, scales)])
+        assert _same_bits(b, scales.tolist())
+    # the corpus's sb pairs and the seeded mean-chain table's pairs, bit for bit
+    for args, digest in (((10_000, 20250810), "ed05f2bbeb53bbb6"),
+                         ((1000, 20250811, (1e-3, 1e3), (0.5, 2.0)), "1e45072088449d21")):
+        a, b = random_pairs(*args)
+        assert hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest()[:16] == digest
 
 
 # ------------------------------------------------------------ array pairs
@@ -541,8 +552,8 @@ def _assert_arrays_within_contract(a, b):
 
 @pytest.mark.parametrize("seed", [20250810, 1, 2, 3, 7])
 def test_array_kernels_match_scalar_on_random_pairs(seed):
-    pairs = random_pairs(2000, seed)
-    _assert_arrays_within_contract([m.a for m in pairs], [m.b for m in pairs])
+    a, b = random_pairs(2000, seed)
+    _assert_arrays_within_contract(a, b)
 
 
 def test_array_kernels_match_scalar_on_branch_edges():
@@ -669,11 +680,11 @@ def test_array_pair_validation(bad_a, bad_b):
 
 
 def test_array_sandwich_contains_is_elementwise():
-    pairs = random_pairs(500, seed=21)
-    m = (np.array([p.a for p in pairs]), np.array([p.b for p in pairs]))
+    m = random_pairs(500, seed=21)
     hits = log_mean_sandwich(m).contains(log_mean(m))
     assert hits.dtype == bool and hits.all()
-    assert type(log_mean_sandwich(pairs[0]).contains(log_mean(pairs[0]))) is bool
+    one = MeanPoint(float(m[0][0]), float(m[1][0]))
+    assert type(log_mean_sandwich(one).contains(log_mean(one))) is bool
 
 
 class _CountingMath:
@@ -696,7 +707,7 @@ class _CountingMath:
 def test_array_kernels_make_no_per_element_math_calls(monkeypatch):
     # ordinary pairs run on numpy's ufuncs alone; only the rare rescues
     # go through the scalar kernels
-    m = means._random_pair_arrays(10_000, seed=4)
+    m = random_pairs(10_000, seed=4)
     counter = _CountingMath()
     monkeypatch.setattr(means, "math", counter)
     log_mean(m), sb_mean(m), sb_lower_bound(m), mean_family(UPPER_EDGE, m), log_mean_sandwich(m)
@@ -708,8 +719,8 @@ def test_array_kernels_make_no_per_element_math_calls(monkeypatch):
 def test_array_sandwich_contains_the_50_digit_log_mean():
     # the 16-ulp slack covers the ends' rounding with numpy's ufuncs; at
     # nearly equal pairs the unwidened ends fall up to ~2 ulps outside L
-    a, b = means._random_pair_arrays(2000, seed=19)
-    near_a, near_b = means._random_pair_arrays(1000, seed=19, ratio_span=(1.0 - 1e-3, 1.0 + 1e-3))
+    a, b = random_pairs(2000, seed=19)
+    near_a, near_b = random_pairs(1000, seed=19, ratio_span=(1.0 - 1e-3, 1.0 + 1e-3))
     edges = _branch_edge_pairs()
     a = np.concatenate([a, near_a, [x for x, _ in edges]])
     b = np.concatenate([b, near_b, [y for _, y in edges]])

@@ -8,7 +8,7 @@ from sincbounds import constants, corpus, means, verifier
 from sincbounds.constants import solve_sinc_lower_edge
 from sincbounds.core import cos_bound, cos_power_bound, sinc, sinhc
 from sincbounds.corpus import cos_chain_members, cosh_chain_members
-from sincbounds.means import _random_pair_arrays, half_log_ratio, mean_family
+from sincbounds.means import half_log_ratio, mean_family, random_pairs
 from sincbounds.verifier import (
     FLOOR_ULPS,
     InequalityCase,
@@ -146,14 +146,14 @@ def test_full_chains_hold():
 
 
 def test_param_monotone_families():
-    pairs = _random_pair_arrays(200, seed=5)
+    pairs = random_pairs(200, seed=5)
     rep = verify_param_monotone(np.linspace(0.0, 3.0, 11), pairs)
     assert rep.verdict is Verdict.HOLDS
 
 
 def test_param_monotone_detects_decrease():
     # the mean family is even in p, hence decreasing on negative orders
-    pairs = _random_pair_arrays(50, seed=5)
+    pairs = random_pairs(50, seed=5)
     rep = verify_param_monotone(np.linspace(-2.0, -0.5, 5), pairs)
     assert rep.verdict is Verdict.FAILS
     with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ def test_param_monotone_detects_decrease():
 @pytest.mark.parametrize("p_grid", [[0.5], []], ids=["one", "none"])
 def test_param_monotone_needs_two_orders(p_grid):
     with pytest.raises(ValueError, match="p_grid needs at least 2 values"):
-        verify_param_monotone(p_grid, _random_pair_arrays(5, seed=5))
+        verify_param_monotone(p_grid, random_pairs(5, seed=5))
 
 
 def test_param_monotone_needs_a_pair():
@@ -792,7 +792,7 @@ def _stacked_rows(p_grid, a, b):
                                     np.linspace(-2.0, -0.5, 5)])
 @pytest.mark.parametrize("seed", [0, 5, 20250810])
 def test_param_monotone_mean_rows_match_per_p_stack(p_grid, seed, monkeypatch):
-    a, b = _random_pair_arrays(1000, seed)
+    a, b = random_pairs(1000, seed)
     b[::9] = a[::9]  # equal pairs
     got_h, got_rows = means._mean_family_rows(p_grid, a, b)
     want_h, want_rows = _stacked_rows(p_grid, a, b)
@@ -821,7 +821,7 @@ def _column_floor_report(coords, values):
 def test_param_monotone_matches_the_column_floor_reduction(p_grid, monkeypatch):
     mean_family_rows = means._mean_family_rows
     for seed in range(1, 301):
-        a, b = _random_pair_arrays(1000, seed + 1)
+        a, b = random_pairs(1000, seed + 1)
         rows = mean_family_rows(p_grid, a, b)
         monkeypatch.setattr(means, "_mean_family_rows", lambda *args: rows)  # made once
         assert verify_param_monotone(p_grid, (a, b)) == _column_floor_report(*rows), seed
