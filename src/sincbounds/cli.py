@@ -73,17 +73,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-_EVAL_FNS = {
-    "sinc": lambda p, x: core.sinc(x),
-    "sinhc": lambda p, x: core.sinhc(x),
-    "cos-bound": lambda p, x: core.cos_bound(p, x),
-    "cosh-bound": lambda p, x: core.cosh_bound(p, x),
-    "cos-power": lambda p, x: core.cos_power_bound(p, x),
-    "cosh-power": lambda p, x: core.cosh_power_bound(p, x),
-    "sinc-gap": lambda p, x: core.sinc_gap(p, x),
-    "sinhc-gap": lambda p, x: core.sinhc_gap(p, x),
-    "scaled-gap": lambda p, x: core.sinhc_gap_scaled(p, x),
-}
+# the --fn choices: the names of core's one name map that need no numpy
+_EVAL_FNS = tuple(sorted(n.replace("_", "-") for n, f in core.FUNCTIONS.items() if "." not in f))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -95,7 +86,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if needs_p == (p is None):
         raise ValueError(f"--p is required for {fn}" if needs_p else f"{fn} reads no --p")
     try:
-        result = _EVAL_FNS[fn](p, x)
+        result = core.member(fn.replace("-", "_"), p)[1](x)
     except (ValueError, OverflowError, FloatingPointError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
@@ -249,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("constants", cmd_constants, "print the sharp constants", ("--format", "--tol"))
 
     sp = command("eval", cmd_eval, "evaluate one function at a point", ("--format",))
-    sp.add_argument("--fn", choices=sorted(_EVAL_FNS), required=True)
+    sp.add_argument("--fn", choices=_EVAL_FNS, required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--p", type=float, default=None)
 
@@ -281,6 +272,8 @@ def main(argv=None) -> int:
     try:
         if "points" in args and args.points < 64:
             raise ValueError("--points must be >= 64")
+        if "seed" in args and args.seed < 0:
+            raise ValueError("--seed must be >= 0")
         if "tol" in args and not 1e-15 <= args.tol <= 1e-3:
             raise ValueError("--tol must lie in [1e-15, 1e-3]")
         code = args.run(args)

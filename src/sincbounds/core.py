@@ -25,9 +25,11 @@ keeps its documented +inf.
 from __future__ import annotations
 
 import enum
+import importlib
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 _EPS = math.ulp(1.0)
@@ -100,7 +102,10 @@ def sinc(x):
     """sin(x)/x with the removable singularity filled in (1 at x = 0)."""
     if isinstance(x, (float, int)) or _zero_dim(x):
         x = float(x)
-        return math.sin(x) / x if x != 0.0 else 1.0
+        try:
+            return math.sin(x) / x if x != 0.0 else 1.0
+        except ValueError:  # math.sin at x = +-inf
+            raise ValueError(f"sinc needs a finite x, got {x!r}") from None
     import numpy as np
     x = np.asarray(x, dtype=float)
     with np.errstate(invalid="raise"):
@@ -151,7 +156,11 @@ def cos_bound(p, x):
     """Trig bound family (1/(3p^2)) cos(px) + 1 - 1/(3p^2); 1 - x^2/6 at p = 0."""
     p = _check(float(p), True)
     if isinstance(x, (float, int)) or _zero_dim(x):
-        return _no_overflow(_cos_family(p, float(x)), x, "cos_bound")
+        v = float(x)
+        try:
+            return _no_overflow(_cos_family(p, v), x, "cos_bound")
+        except ValueError:  # math.sin at x = +-inf
+            raise ValueError(f"cos_bound needs a finite x, got {v!r}") from None
     import numpy as np
     x = np.asarray(x, dtype=float)
     with np.errstate(over="raise", invalid="raise"):
@@ -290,7 +299,10 @@ def cos_power_bound(p: float, x):
     if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(-x^2/6)
         return xp.exp(-x * x / 6.0)
     with nullcontext() if xp is math else xp.errstate(invalid="raise"):
-        cx = xp.cos(p * x)
+        try:
+            cx = xp.cos(p * x)
+        except ValueError:  # math.cos at x = +-inf
+            raise ValueError(f"cos_power_bound needs a finite x, got {x!r}") from None
     if xp is math and cx <= 0.0:
         raise ValueError(f"cos(p*x) must be positive, got {cx!r} at x={x!r}")
     if xp is not math and xp.any(cx <= 0.0):
@@ -349,3 +361,22 @@ def sinhc_gap_scaled(p, x):
         return v
     out[kept] = v
     return out
+
+
+# The one map from a member name to its function: a function of core, or of
+# means after "means.".  member looks it up when it builds a member, never at
+# import, so a wrapper put on the module sees every call.
+FUNCTIONS = {"sinc": "sinc", "sinhc": "sinhc", "cos_bound": "cos_bound", "cosh_bound": "cosh_bound",
+             "cos_power": "cos_power_bound", "cosh_power": "cosh_power_bound", "sinc_gap": "sinc_gap",
+             "sinhc_gap": "sinhc_gap", "scaled_gap": "sinhc_gap_scaled",
+             "mean_family": "means.mean_family", "log_mean": "means.log_mean"}
+
+
+def member(name: str, p=None, label=None):
+    """(id, function) of a name of FUNCTIONS: (name, function), or with p
+    (name(label), partial(function, p)), the label p to 9 digits by default."""
+    module, _, attr = FUNCTIONS[name].rpartition(".")
+    fn = getattr(importlib.import_module(f"{__package__}.{module or 'core'}"), attr)
+    if p is None:
+        return name, fn
+    return f"{name}({format(p, '.9g') if label is None else label})", partial(fn, p)

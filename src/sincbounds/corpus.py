@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import core, constants, integrals, means
-from .core import _HALF_PI, _UPPER_EDGE
+from .core import _HALF_PI, _UPPER_EDGE, member
 from .verifier import (
     HYP_DOMAIN,
     TRIG_DOMAIN,
@@ -59,24 +58,23 @@ _LOW = (("1/sqrt3", 1.0 / math.sqrt(3.0)), ("2/3", 2.0 / 3.0), ("1/sqrt2", 1.0 /
 _HIGH = (("1", 1.0), ("2/sqrt3", 2.0 / math.sqrt(3.0)))
 
 
-def _chain(module, family, rows, target, at: int) -> list[tuple[str, object]]:
-    """The members family(label) = partial(module.family, p), one per
-    (label, p) row in order, with the target (name, function) at index at."""
-    fn = getattr(module, family)
-    members = [(f"{family}({label})", partial(fn, p)) for label, p in rows]
-    members.insert(at, target)
+def _chain(family, rows, target, at: int) -> list[tuple[str, object]]:
+    """The members core.member(family, p, label), one per (label, p) row in
+    order, with the member target at index at."""
+    members = [member(family, p, label) for label, p in rows]
+    members.insert(at, member(target))
     return members
 
 
 def cos_chain_members() -> list[tuple[str, object]]:
     """The nine-member trig chain on (0, pi/2), increasing order."""
     above = (("sqrt(2/3)", math.sqrt(2.0 / 3.0)), ("sqrt3/2", math.sqrt(3.0) / 2.0), ("1", 1.0))
-    return _chain(core, "cos_bound", _LOW + above, ("sinc", core.sinc), 4)
+    return _chain("cos_bound", _LOW + above, "sinc", 4)
 
 
 def cosh_chain_members() -> list[tuple[str, object]]:
     """The eight-member hyperbolic chain, increasing order."""
-    return _chain(core, "cosh_bound", _LOW + _HIGH, ("sinhc", core.sinhc), 5)
+    return _chain("cosh_bound", _LOW + _HIGH, "sinhc", 5)
 
 
 # the fixed-parameter chains in x: name -> (members, domain)
@@ -86,7 +84,7 @@ CHAINS = {"m1c": (cos_chain_members, TRIG_DOMAIN), "m2c": (cosh_chain_members, (
 def mean_chain_members() -> list[tuple[str, object]]:
     """Family members below the log mean, then the log mean, then the two above."""
     rows = tuple((f"{p:.6g}", p) for _, p in _LOW) + _HIGH
-    return _chain(means, "mean_family", rows, ("log_mean", means.log_mean), 5)
+    return _chain("mean_family", rows, "log_mean", 5)
 
 
 def _verdict_result(suite: str, report: VerificationReport, expected: Verdict) -> CheckResult:
@@ -112,8 +110,8 @@ def _theorem(suite: str, family: str, target: str, domain, lower, upper,
              points: int) -> list[CheckResult]:
     """family(p) < target for p in lower, target < family(q) for q in upper,
     and each sharp edge failing just past it."""
-    out = _holds(suite, [family_case(family, p, target, None, domain) for p in lower]
-                 + [family_case(target, None, family, q, domain) for q in upper], points)
+    out = _holds(suite, [family_case(member(family, p), member(target), domain) for p in lower]
+                 + [family_case(member(target), member(family, q), domain) for q in upper], points)
     for fam, side in ((lower_edge, ThresholdSide.ABOVE), (upper_edge, ThresholdSide.BELOW)):
         rep = verify_sharpness(fam, side, 1e-3, points=points)
         out.append(_verdict_result(suite, rep, expected_sharpness_verdict(fam, side)))
@@ -206,22 +204,21 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     return out
 
 
-# family, target, domain, p where the power form is the sharper lower bound,
-# p where the additive form is (the two swap at 1/sqrt3)
+# power form, additive form, target, domain, p where the power form is the
+# sharper lower bound, p where the additive form is (the two swap at 1/sqrt3)
 _REMARKS = (
-    ("cos", "sinc", TRIG_DOMAIN, (0.46, 0.5, 0.55), (0.6, 0.7, 0.77)),
-    ("cosh", "sinhc", HYP_DOMAIN, (0.45, 0.5, 0.55), (0.6, 0.7, 0.76)),
+    ("cos_power", "cos_bound", "sinc", TRIG_DOMAIN, (0.46, 0.5, 0.55), (0.6, 0.7, 0.77)),
+    ("cosh_power", "cosh_bound", "sinhc", HYP_DOMAIN, (0.45, 0.5, 0.55), (0.6, 0.7, 0.76)),
 )
 
 
 def _suite_remarks(points: int, seed: int) -> list[CheckResult]:
     cases = []
-    for family, target, domain, power_wins, additive_wins in _REMARKS:
-        power, additive = family + "_power", family + "_bound"
+    for power, additive, target, domain, power_wins, additive_wins in _REMARKS:
         for best, other, ps in ((power, additive, power_wins), (additive, power, additive_wins)):
             for p in ps:
-                cases += [family_case(best, p, target, None, domain),
-                          family_case(other, p, best, p, domain)]
+                cases += [family_case(member(best, p), member(target), domain),
+                          family_case(member(other, p), member(best, p), domain)]
     out = _holds("remarks", cases, points)
     # closing comparison: D(x) >= 0 and its odd-series coefficients
     grid = np.geomspace(1e-3, 30.0, 200)

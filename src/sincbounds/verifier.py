@@ -52,7 +52,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,14 +102,10 @@ class InequalityCase:
             raise ValueError(f"domain must satisfy xmin < xmax, got {self.domain!r}")
 
 
-def family_case(lhs: str, p: float | None, rhs: str, q: float | None, domain) -> InequalityCase:
-    """lhs < rhs on domain.  A side with a parameter is the family member
-    partial(core.<name>, p); cos_power and cosh_power name the power forms."""
-    def side(name, p):
-        fn = getattr(_core, name + "_bound" if name.endswith("_power") else name)
-        return (name, fn) if p is None else (f"{name}({p:.9g})", partial(fn, p))
-
-    (a, f), (b, g) = side(lhs, p), side(rhs, q)
+def family_case(lhs, rhs, domain) -> InequalityCase:
+    """lhs < rhs on domain, for two (id, function) members, each as
+    core.member builds it from the one name map; the id is "lhs < rhs"."""
+    (a, f), (b, g) = lhs, rhs
     return InequalityCase(f"{a} < {b}", f, g, domain)
 
 
@@ -290,7 +285,9 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
                     idx = np.flatnonzero(bad)
                     n_bad += idx.size
                     any_good = any_good or bool(good.any())
-                    keep = np.union1d(idx[:_MAX_STORED_VIOLATIONS], i)
+                    # the sorted union of keep and i; np.union1d would import numpy.ma
+                    keep = idx[:_MAX_STORED_VIOLATIONS]
+                    keep = keep if i in keep else np.sort(np.append(keep, i))
                 picks.append((x, lv, rv) if round_no else (x[keep], lv[keep], rv[keep]))
             grid_points += xs.size
             if not refining:
@@ -314,14 +311,10 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
 
 def verify_chain(members: Sequence[tuple[str, Callable]], domain: tuple[float, float],
                  points: int = 4096) -> list[VerificationReport]:
-    """One report per adjacent pair of the ordered member list."""
+    """One report per adjacent pair of the ordered (id, function) members."""
     if len(members) < 2:
         raise ValueError("a chain needs at least 2 members")
-    reports = []
-    for (name_a, fa), (name_b, fb) in zip(members, members[1:]):
-        case = InequalityCase(id=f"{name_a} < {name_b}", lhs=fa, rhs=fb, domain=domain)
-        reports.append(verify(case, points=points))
-    return reports
+    return [verify(family_case(a, b, domain), points=points) for a, b in zip(members, members[1:])]
 
 
 def verify_param_monotone(p_grid: Sequence[float], pairs) -> VerificationReport:
@@ -355,19 +348,20 @@ class ThresholdSide(enum.Enum):
     ABOVE = "above"
 
 
-# family -> lhs, rhs, domain, and the constants function that gives its edge
-# (looked up on each call, so that a wrapper put on the module sees it)
+# family -> bound, target, domain, and the constants function that gives its
+# edge (looked up on each call, so that a wrapper put on the module sees it)
 _SHARP_EDGES = {
     SharpnessFamily.SINC_LOWER: ("cos_bound", "sinc", TRIG_DOMAIN, "solve_sinc_lower_edge"),
-    SharpnessFamily.SINC_UPPER: ("sinc", "cos_bound", TRIG_DOMAIN, "sinc_upper_edge"),
+    SharpnessFamily.SINC_UPPER: ("cos_bound", "sinc", TRIG_DOMAIN, "sinc_upper_edge"),
     SharpnessFamily.SINHC_LOWER: ("cosh_bound", "sinhc", HYP_DOMAIN, "sinc_upper_edge"),
-    SharpnessFamily.SINHC_UPPER: ("sinhc", "cosh_bound", HYP_DOMAIN, "sinhc_upper_edge"),
+    SharpnessFamily.SINHC_UPPER: ("cosh_bound", "sinhc", HYP_DOMAIN, "sinhc_upper_edge"),
 }
+_LOWER = (SharpnessFamily.SINC_LOWER, SharpnessFamily.SINHC_LOWER)  # the bound is the lhs
 
 
 def expected_sharpness_verdict(family: SharpnessFamily, side: ThresholdSide) -> Verdict:
     """The if-and-only-if content: valid side holds, other side fails."""
-    valid_below = family in (SharpnessFamily.SINC_LOWER, SharpnessFamily.SINHC_LOWER)
+    valid_below = family in _LOWER
     below = side is ThresholdSide.BELOW
     return Verdict.HOLDS if below == valid_below else Verdict.FAILS
 
@@ -399,21 +393,18 @@ def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float
     certified radius, or one that puts the parameter outside its family (p
     in [0, 1] on the trig side, p >= 0 on the hyperbolic), raises ValueError.
     """
-    lhs, rhs, domain, edge = _SHARP_EDGES[family]
+    bound, target, domain, edge = _SHARP_EDGES[family]
     threshold = getattr(_constants, edge)()
     if not offset >= 10.0 * threshold.certified_radius:
         raise ValueError("offset must be >= 10x the threshold's certified radius")
     param = _core._check(threshold.value + (offset if side is ThresholdSide.ABOVE else -offset),
                          domain is TRIG_DOMAIN)
-    p, q = (param, None) if lhs.endswith("_bound") else (None, param)
-    report = verify(family_case(lhs, p, rhs, q, domain), points=points)
+    fam, tgt = _core.member(bound, param), _core.member(target)
+    case = family_case(fam, tgt, domain) if family in _LOWER else family_case(tgt, fam, domain)
+    report = verify(case, points=points)
     if family is SharpnessFamily.SINHC_UPPER:
-        scaled_case = InequalityCase(
-            id=f"scaled gap({param:.9g}) < 0 at large x",
-            lhs=lambda x: _core.sinhc_gap_scaled(param, x),
-            rhs=lambda x: 0.0,
-            domain=(1.0, 1e12),
-        )
+        scaled_case = InequalityCase(f"scaled gap({param:.9g}) < 0 at large x",
+                                     _core.member("scaled_gap", param)[1], lambda x: 0.0, (1.0, 1e12))
         report = _merge(report, verify(scaled_case, points=points, refine_rounds=0))
     return report
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sincbounds
-from sincbounds import corpus
+from sincbounds import core, corpus
 from sincbounds.cli import build_parser, chain_table, main
 from sincbounds.corpus import CheckResult
 from sincbounds.means import MeanPoint, log_mean
@@ -85,6 +85,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "eval", "--fn", "cos-bound", "--x", "1.0")[0] == 2  # missing --p
     assert run(capsys, "special", "--name", "sb", "--a", "1.0")[0] == 2   # missing --b
+    for argv in (("verify", "--suite", "theorem1"), ("verify", "--suite", "propositions"),
+                 ("table", "--chain", "meanchain")):
+        assert run(capsys, *argv, "--seed", "-1") == (2, "", "--seed must be >= 0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,6 +131,15 @@ def test_suite_and_chain_choices_match_the_corpus():
     choices = {a.dest: a.choices for name in ("verify", "table") for a in sub[name]._actions}
     assert choices["suite"] == ("all",) + corpus.SUITES
     assert choices["chain"] == (*corpus.CHAINS, "meanchain")
+
+
+def test_eval_fn_choices_are_the_numpy_free_names_of_the_map():
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices
+    (fn,) = [a.choices for a in sub["eval"]._actions if a.dest == "fn"]
+    numpy_free = {n for n in core.FUNCTIONS if core.member(n)[1].__module__ == "sincbounds.core"}
+    assert set(fn) == {n.replace("_", "-") for n in numpy_free}
+    assert list(fn) == ["cos-bound", "cos-power", "cosh-bound", "cosh-power", "scaled-gap",
+                        "sinc", "sinc-gap", "sinhc", "sinhc-gap"]
 
 
 def test_a_closed_pipe_ends_quietly():

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -436,15 +437,16 @@ def test_gap_overflow_is_signalled():
     assert cosh_bound(0.0, math.inf) == math.inf
 
 
-@pytest.mark.parametrize("fn", [sinc, sinhc, lambda x: cos_bound(0.5, x),
-                                lambda x: cos_power_bound(0.5, x)],
+@pytest.mark.parametrize("fn", [sinc, sinhc, partial(cos_bound, 0.5), partial(cos_power_bound, 0.5)],
                          ids=["sinc", "sinhc", "cos_bound", "cos_power_bound"])
 @pytest.mark.parametrize("x", [math.inf, -math.inf])
 @pytest.mark.parametrize("form", ["number", "array"])
 def test_an_infinite_x_without_a_limit_raises(fn, x, form):
-    # as on overflow: ValueError for a number, FloatingPointError for an array
+    # as on overflow: ValueError for a number, naming the function and x,
+    # and FloatingPointError for an array
     if form == "number":
-        with pytest.raises(ValueError):
+        name = getattr(fn, "func", fn).__name__
+        with pytest.raises(ValueError, match=rf"^{name} needs a finite x, got {x!r}$"):
             fn(x)
     else:
         with pytest.raises(FloatingPointError):
@@ -606,6 +608,10 @@ def test_scalar_path_matches_inline_reference():
         elif new is sinhc and math.isinf(float(args[0])):
             # the old silent nan at x = +-inf is now a ValueError, as for sinc
             assert got[:2] == ("raises", ValueError), args
+        elif want == ("raises", ValueError, "math domain error"):
+            # math.sin's message at x = +-inf now names the function and x
+            assert got == ("raises", ValueError,
+                           f"{new.__name__} needs a finite x, got {float(args[-1])!r}"), args
         else:
             assert got == want, (new.__name__, args)
     assert len(cases) > 5000 and 0 < overflowed < 200

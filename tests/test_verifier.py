@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sincbounds import constants, corpus, means, verifier
+from sincbounds import constants, core, corpus, means, verifier
 from sincbounds.constants import solve_sinc_lower_edge
 from sincbounds.core import cos_bound, cos_power_bound, sinc, sinhc
 from sincbounds.corpus import cos_chain_members, cosh_chain_members
@@ -138,6 +138,35 @@ def test_verify_chain_degenerate_pair_matches_verify():
         verify_chain(members[:1], (0.0, 1.0))
 
 
+def test_each_name_of_the_map_resolves_to_a_callable():
+    for name in core.FUNCTIONS:
+        ident, fn = core.member(name)
+        assert ident == name and callable(fn)
+        ident, fn = core.member(name, 0.7)
+        assert ident == f"{name}(0.7)" and callable(fn) and fn.args == (0.7,)
+    assert core.member("cos_bound", 1.0 / math.sqrt(3.0), "1/sqrt3")[0] == "cos_bound(1/sqrt3)"
+
+
+def test_a_wrapper_on_core_sees_every_member_call(monkeypatch):
+    # members look their function up when they are built, so a wrapper put
+    # on the module (as the benchmark's tracer does) sees the calls
+    seen = []
+
+    def traced(p, x):
+        seen.append(p)
+        return cos_bound(p, x)
+
+    monkeypatch.setattr(core, "cos_bound", traced)
+    corpus.run_suite("theorem1", points=64)
+    assert {0.1, 0.5, 0.7, LOWER_EDGE - 1e-6, UPPER_EDGE, 0.9, 1.0} <= set(seen)
+    seen.clear()
+    verify_chain(cos_chain_members(), (0.0, HALF_PI), points=64)
+    assert len(set(seen)) == 8
+    seen.clear()
+    verify_sharpness(SharpnessFamily.SINC_LOWER, ThresholdSide.ABOVE, 1e-3, points=64)
+    assert set(seen) == {LOWER_EDGE + 1e-3}
+
+
 def test_full_chains_hold():
     for rep in verify_chain(cos_chain_members(), (0.0, HALF_PI), points=1024):
         assert rep.verdict is Verdict.HOLDS, rep
@@ -235,7 +264,8 @@ def test_every_fails_witness_is_certified():
     # the scaled-gap witness of sinhc_upper is checked as sinhc - cosh_bound
     from mpmath import iv
     cases, witnesses = {}, []
-    for family, (lhs, rhs, _, edge) in verifier._SHARP_EDGES.items():
+    for family, (bound, target, _, edge) in verifier._SHARP_EDGES.items():
+        lhs, rhs = (bound, target) if family in verifier._LOWER else (target, bound)
         for side in ThresholdSide:
             for offset in (1e-3, 1e-5, 1e-7, 1e-9):
                 rep = verify_sharpness(family, side, offset)
