@@ -80,16 +80,14 @@ _EVAL_FNS = tuple(sorted(n.replace("_", "-") for n, f in core.FUNCTIONS.items() 
 def cmd_eval(args: argparse.Namespace) -> int:
     fn, x, p = args.fn, args.x, args.p
     if not math.isfinite(x):
-        print(f"--x must be finite, got {x!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--x must be finite, got {x!r}")
     needs_p = fn not in ("sinc", "sinhc")
     if needs_p == (p is None):
         raise ValueError(f"--p is required for {fn}" if needs_p else f"{fn} reads no --p")
     try:
         result = core.member(fn.replace("-", "_"), p)[1](x)
     except (ValueError, OverflowError, FloatingPointError) as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"evaluation error: {exc}") from None
     if isinstance(result, core.GapEvaluation):
         rows = [{"fn": fn, "x": x, "value": result.value,
                  "method": result.method.value, "tail_bound": result.tail_bound}]
@@ -175,8 +173,7 @@ def cmd_special(args: argparse.Namespace) -> int:
     opts = {o: default if getattr(args, o) is None else getattr(args, o)
             for o, default in _SPECIAL_OPTIONS[name].items()}
     if None in opts.values():
-        print(f"--a and --b are required for {name}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--a and --b are required for {name}")
     err = 0.0  # the oracle's proven error, where one is stated
     if name == "si":
         enc = integrals.si_enclosure(opts["t"], opts["p"])

@@ -31,7 +31,7 @@ def sinc_gap_at_half_pi(p: float) -> float:
 
     Strictly decreasing in p; positive at p = 1/2, negative at p = 1.
     """
-    p = float(p)
+    p = _core._check(float(p), True)
     if p <= _core._LIMIT_FAMILY_CUTOFF:
         return 2.0 / math.pi - 1.0 + math.pi * math.pi / 24.0
     s = math.sin(p * math.pi / 4.0)

@@ -16,10 +16,11 @@ to a float64 array.  _cos_family and _cosh_family are the only
 expressions of the two families; a number runs them with math and never
 imports numpy, an array with numpy, which the array branches import for
 themselves.  Overflow is signalled, not returned as inf: a result that
-overflows at a finite x raises OverflowError for a number and
-FloatingPointError for an array, and an infinite x where the result has
-no limit raises ValueError or FloatingPointError.  sinhc_gap_scaled
-keeps its documented +inf.
+overflows at a finite x raises OverflowError for a number, whose message
+names the function and x also where math.sinh, math.cosh or a power
+overflows inside it, and FloatingPointError for an array; an infinite x
+where the result has no limit raises ValueError or FloatingPointError.
+sinhc_gap_scaled keeps its documented +inf.
 """
 
 from __future__ import annotations
@@ -118,7 +119,10 @@ def sinhc(x):
         x = float(x)
         if math.isinf(x):
             raise ValueError(f"sinhc needs a finite x, got {x!r}")
-        return math.sinh(x) / x if x != 0.0 else 1.0
+        try:
+            return math.sinh(x) / x if x != 0.0 else 1.0
+        except OverflowError:  # math.sinh beyond the double range: raises with a message
+            return _no_overflow(math.inf, x, "sinhc")
     import numpy as np
     x = np.asarray(x, dtype=float)
     with np.errstate(over="raise", invalid="raise"):
@@ -171,7 +175,11 @@ def cosh_bound(p, x):
     """Hyperbolic bound family (1/(3p^2)) cosh(px) + 1 - 1/(3p^2); 1 + x^2/6 at p = 0."""
     p = _check(float(p), False)
     if isinstance(x, (float, int)) or _zero_dim(x):
-        return _no_overflow(_cosh_family(p, float(x)), x, "cosh_bound")
+        try:
+            v = _cosh_family(p, float(x))
+        except OverflowError:  # math.sinh beyond the double range
+            v = math.inf
+        return _no_overflow(v, x, "cosh_bound")
     import numpy as np
     x = np.asarray(x, dtype=float)
     with np.errstate(over="raise"):
@@ -182,7 +190,7 @@ def gap_series_coeff(n: int, c: float) -> float:
     """Coefficient 3 - (2n+1) c^(n-1) of the gap series, c = p^2 (n >= 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if c < 0.0:
+    if not c >= 0.0:  # nan too
         raise ValueError("c must be >= 0")
     return 3.0 - (2 * n + 1) * c ** (n - 1)
 
@@ -267,7 +275,10 @@ def sinhc_gap(p, x) -> GapEvaluation:
         return GapEvaluation(x, value, _SERIES, tail)
     if not math.isfinite(ax):  # nan and inf both miss the series branch
         raise ValueError(f"x must be finite, got {x!r}")
-    value = math.sinh(ax) / ax - _cosh_family(p, ax)
+    try:
+        value = math.sinh(ax) / ax - _cosh_family(p, ax)
+    except OverflowError:  # math.sinh beyond the double range
+        value = math.inf
     return GapEvaluation(x, _no_overflow(value, x, "sinhc_gap"), _DIRECT)
 
 
@@ -317,10 +328,13 @@ def cosh_power_bound(p: float, x):
         raise ValueError(f"p must be positive, got {p!r}")
     x, xp = _converted(x)
     with nullcontext() if xp is math else xp.errstate(over="raise"):
-        if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(x^2/6)
-            v = xp.exp(x * x / 6.0)
-        else:
-            v = xp.cosh(p * x) ** (1.0 / (3.0 * p * p))
+        try:
+            if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(x^2/6)
+                v = xp.exp(x * x / 6.0)
+            else:
+                v = xp.cosh(p * x) ** (1.0 / (3.0 * p * p))
+        except OverflowError:  # math.exp, math.cosh or the float power beyond the double range
+            v = math.inf
     return _no_overflow(v, x, "cosh_power_bound") if xp is math else v
 
 

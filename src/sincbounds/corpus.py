@@ -29,6 +29,7 @@ from .verifier import (
     ThresholdSide,
     Verdict,
     VerificationReport,
+    _SHARP_EDGES,
     _at_most,
     expected_sharpness_verdict,
     family_case,
@@ -105,11 +106,12 @@ def _holds(suite: str, cases: list[InequalityCase], points: int) -> list[CheckRe
     return [_verdict_result(suite, verify(case, points), Verdict.HOLDS) for case in cases]
 
 
-def _theorem(suite: str, family: str, target: str, domain, lower, upper,
-             lower_edge: SharpnessFamily, upper_edge: SharpnessFamily,
-             points: int) -> list[CheckResult]:
+def _theorem(suite: str, lower, upper, lower_edge: SharpnessFamily,
+             upper_edge: SharpnessFamily, points: int) -> list[CheckResult]:
     """family(p) < target for p in lower, target < family(q) for q in upper,
-    and each sharp edge failing just past it."""
+    on the family, target and domain of the edges, and each sharp edge
+    failing just past it."""
+    family, target, domain, _ = _SHARP_EDGES[lower_edge]
     out = _holds(suite, [family_case(member(family, p), member(target), domain) for p in lower]
                  + [family_case(member(target), member(family, q), domain) for q in upper], points)
     for fam, side in ((lower_edge, ThresholdSide.ABOVE), (upper_edge, ThresholdSide.BELOW)):
@@ -120,15 +122,13 @@ def _theorem(suite: str, family: str, target: str, domain, lower, upper,
 
 def _suite_theorem1(points: int, seed: int) -> list[CheckResult]:
     edge = constants.solve_sinc_lower_edge(1e-12).value
-    return _theorem("theorem1", "cos_bound", "sinc", TRIG_DOMAIN, (0.1, 0.5, 0.7, edge - 1e-6),
-                    (_UPPER_EDGE, 0.9, 1.0), SharpnessFamily.SINC_LOWER,
-                    SharpnessFamily.SINC_UPPER, points)
+    return _theorem("theorem1", (0.1, 0.5, 0.7, edge - 1e-6), (_UPPER_EDGE, 0.9, 1.0),
+                    SharpnessFamily.SINC_LOWER, SharpnessFamily.SINC_UPPER, points)
 
 
 def _suite_theorem2(points: int, seed: int) -> list[CheckResult]:
-    return _theorem("theorem2", "cosh_bound", "sinhc", HYP_DOMAIN, (0.3, 0.6, _UPPER_EDGE),
-                    (1.0, 1.2, 2.0), SharpnessFamily.SINHC_LOWER,
-                    SharpnessFamily.SINHC_UPPER, points)
+    return _theorem("theorem2", (0.3, 0.6, _UPPER_EDGE), (1.0, 1.2, 2.0),
+                    SharpnessFamily.SINHC_LOWER, SharpnessFamily.SINHC_UPPER, points)
 
 
 def _suite_chains(points: int, seed: int) -> list[CheckResult]:
@@ -148,12 +148,6 @@ def _enclosure_result(suite: str, name: str, enc: integrals.Enclosure, value: fl
         observed=f"{value:.12g}",
         detail=extra,
     )
-
-
-def _value_result(suite: str, name: str, ok: bool, expected: str, observed: str,
-                  detail: str = "") -> CheckResult:
-    return CheckResult(suite=suite, id=name, kind="value", ok=ok,
-                       expected=expected, observed=observed, detail=detail)
 
 
 def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
@@ -179,8 +173,8 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
                             ("reciprocal integral (loose side)", hi_closed, 0.75)):
         quad_val = integrals._quad(lambda x: 1.0 / core.cos_bound(p, x), 0.0, _HALF_PI)
         ok = abs(quad_val.value - closed) <= quad_val.error_estimate
-        out.append(_value_result("propositions", name, ok,
-                                 f"{closed:.10g}", f"{quad_val.value:.10g}"))
+        out.append(CheckResult("propositions", name, "value", ok,
+                               f"{closed:.10g}", f"{quad_val.value:.10g}"))
     # x/sin x sandwiched between reciprocals of the 4th/5th chain members
     out += _holds("propositions", [
         InequalityCase("1/cos_bound(sqrt15/5) < x/sin(x)",
@@ -192,12 +186,11 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     pair = means.random_pairs(10_000, seed)
     bound, mean = means.sb_lower_bound(pair), means.sb_mean(pair)
     worst = float(np.min((mean - bound) / pair[1]))
-    out.append(_value_result("propositions", "sb_lower_bound <= sb_mean (1e4 pairs)",
-                             bool(_at_most(bound, mean).all()), ">= 0",
-                             f"worst rel gap {worst:.3e}"))
+    out.append(CheckResult("propositions", "sb_lower_bound <= sb_mean (1e4 pairs)", "value",
+                           bool(_at_most(bound, mean).all()), ">= 0", f"worst rel gap {worst:.3e}"))
     miss = int(np.count_nonzero(~means.log_mean_sandwich(pair).contains(means.log_mean(pair))))
-    out.append(_value_result("propositions", "log_mean_sandwich contains L (1e4 pairs)",
-                             miss == 0, "0 misses", f"{miss} misses"))
+    out.append(CheckResult("propositions", "log_mean_sandwich contains L (1e4 pairs)", "value",
+                           miss == 0, "0 misses", f"{miss} misses"))
     a, b = means.random_pairs(1000, seed + 1)
     rep = verify_param_monotone(np.linspace(0.0, 3.0, 21), (a, b))
     out.append(_verdict_result("propositions", rep, Verdict.HOLDS))
@@ -224,13 +217,13 @@ def _suite_remarks(points: int, seed: int) -> list[CheckResult]:
     grid = np.geomspace(1e-3, 30.0, 200)
     dvals = [means.lower_bound_comparison(float(x)) for x in grid]
     dmin = min(dvals)
-    out.append(_value_result("remarks", "lower_bound_comparison >= 0 on [1e-3, 30]",
-                             dmin >= 0.0, ">= 0", f"min {dmin:.3e}"))
+    out.append(CheckResult("remarks", "lower_bound_comparison >= 0 on [1e-3, 30]", "value",
+                           dmin >= 0.0, ">= 0", f"min {dmin:.3e}"))
     coeffs = [means.comparison_coeff(n) for n in range(1, 51)]
     ok = (abs(coeffs[0]) < 1e-12 and abs(coeffs[1]) < 1e-12
           and all(c > 0.0 for c in coeffs[2:]))
-    out.append(_value_result("remarks", "comparison coefficients: 0, 0, then positive",
-                             ok, "d1=d2=0, d_n>0", f"d3={coeffs[2]:.12g}"))
+    out.append(CheckResult("remarks", "comparison coefficients: 0, 0, then positive", "value",
+                           ok, "d1=d2=0, d_n>0", f"d3={coeffs[2]:.12g}"))
     return out
 
 

@@ -7,10 +7,13 @@ one-parameter family
 
 which sandwiches the logarithmic mean between p = sqrt(15)/5 and p = 1.
 The family equals G * cosh_bound(p, x) at x = (1/2) ln(a/b), which is how
-it is evaluated here (stable at a ~ b, smooth at p = 0, even in p).
+it is evaluated here (stable at a ~ b, smooth at p = 0, even in p).  The
+logarithmic mean is (a - b)/(2x) at the same x, so the half log ratio is
+the one place that chooses how to take the log.
 
-The pair argument m is a MeanPoint, an (a, b) pair of numbers, or an
-(a, b) pair of equal-length 1-D float64 arrays.  For an array pair,
+The pair argument m is a MeanPoint or an (a, b) pair, read by core's rule:
+two numbers (each a float, an int or 0-d), or else two equal-length 1-D
+arrays, lists or tuples, taken as float64 arrays.  For an array pair,
 geometric_mean, half_log_ratio, log_mean, sb_mean, sb_lower_bound and
 mean_family return an array of the values, one per element pair, and
 log_mean_sandwich returns one Enclosure whose lo and hi are arrays.  Each
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, cosh_bound
+from .core import _LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, _zero_dim, cosh_bound
 from .integrals import Enclosure
 
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
@@ -83,19 +86,20 @@ def _apply(m, scalar_kernel, array_kernel, *args, sb: bool = False):
     if isinstance(m, MeanPoint):  # validated on construction
         return scalar_kernel(m.a, m.b, *args)
     a, b = m
-    if (isinstance(a, np.ndarray) and a.ndim) or (isinstance(b, np.ndarray) and b.ndim):
-        a, b = _array_pair(a, b, sb)
-        # overflow, inf/inf and the like give the same inf or nan as in the
-        # scalar kernels; numpy would also warn about them
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return array_kernel(a, b, *args)
-    a, b = float(a), float(b)
-    if sb:
-        if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
-            raise ValueError(f"need a >= 0 and b > 0, got ({a!r}, {b!r})")
-    else:
-        _check_positive(a, b)
-    return scalar_kernel(a, b, *args)
+    # core's rule: a float, an int or a 0-d value is a number, anything else an array
+    if (isinstance(a, (float, int)) or _zero_dim(a)) and (isinstance(b, (float, int)) or _zero_dim(b)):
+        a, b = float(a), float(b)
+        if sb:
+            if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
+                raise ValueError(f"need a >= 0 and b > 0, got ({a!r}, {b!r})")
+        else:
+            _check_positive(a, b)
+        return scalar_kernel(a, b, *args)
+    a, b = _array_pair(a, b, sb)
+    # overflow, inf/inf and the like give the same inf or nan as in the
+    # scalar kernels; numpy would also warn about them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return array_kernel(a, b, *args)
 
 
 # ------------------------------------------------------------- scalar kernels
@@ -108,20 +112,16 @@ def _geo(a: float, b: float) -> float:
     return math.sqrt(a) * math.sqrt(b)
 
 
-def _log_ratio(a: float, b: float, q: float) -> float:
-    # ln(a/b): log(q), q = a/b, where q is normal; ln a - ln b cancels at large a
-    if _MIN_NORMAL <= q < math.inf:
-        return math.log(q)
-    return math.log(a) - math.log(b)
-
-
 def _half_log_ratio(a: float, b: float) -> float:
     if a == b:
         return 0.0
     q = a / b
     if 0.5 < q < 2.0:
         return 0.5 * math.log1p((a - b) / b)
-    return 0.5 * _log_ratio(a, b, q)
+    # log(q) where q is normal; ln a - ln b cancels at large a
+    if _MIN_NORMAL <= q < math.inf:
+        return 0.5 * math.log(q)
+    return 0.5 * (math.log(a) - math.log(b))
 
 
 def _log_mean(a: float, b: float) -> float:
@@ -131,10 +131,8 @@ def _log_mean(a: float, b: float) -> float:
     if abs(r) < 1e-4:
         # r/ln(1+r) = 1 + r/2 - r^2/12 + r^3/24 - O(r^4); next term ~19r^4/720
         return b * (1.0 + r * (0.5 + r * (-1.0 / 12.0 + r / 24.0)))
-    q = a / b
-    if 0.5 < q < 2.0:
-        return (a - b) / math.log1p(r)
-    return (a - b) / _log_ratio(a, b, q)
+    # L = (a - b)/(2x) at x, the half log ratio, where the log is chosen; 2x is exact
+    return (a - b) / (2.0 * _half_log_ratio(a, b))
 
 
 def _sb_mean(a: float, b: float) -> float:
@@ -243,38 +241,29 @@ def _geo_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_ratio_arrays(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    wide = ~((_MIN_NORMAL <= q) & (q < np.inf))
-    out = np.log(np.where(wide, a, q))
-    out[wide] -= np.log(b[wide])
-    return out
-
-
 def _half_log_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros_like(a)
     q = a / b
     ne = a != b
     near = ne & (0.5 < q) & (q < 2.0)
     far = ne & ~near
+    wide = far & ~((_MIN_NORMAL <= q) & (q < np.inf))
     an, bn = a[near], b[near]
     out[near] = 0.5 * np.log1p((an - bn) / bn)
-    out[far] = 0.5 * _log_ratio_arrays(a[far], b[far], q[far])
+    out[far] = 0.5 * np.log(q[far])
+    out[wide] = 0.5 * (np.log(a[wide]) - np.log(b[wide]))
     return out
 
 
 def _log_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = a.copy()
+    # the whole pair, then the series and a = b overwritten; cheaper than a gather
+    out = (a - b) / (2.0 * _half_log_ratio_arrays(a, b))
     r = (a - b) / b
-    q = a / b
-    ne = a != b
-    series = ne & (np.abs(r) < 1e-4)
-    rest = ne & ~series
-    near = rest & (0.5 < q) & (q < 2.0)
-    far = rest & ~near
+    series = np.abs(r) < 1e-4
     rs = r[series]
     out[series] = b[series] * (1.0 + rs * (0.5 + rs * (-1.0 / 12.0 + rs / 24.0)))
-    out[near] = (a[near] - b[near]) / np.log1p(r[near])
-    out[far] = (a[far] - b[far]) / _log_ratio_arrays(a[far], b[far], q[far])
+    eq = a == b
+    out[eq] = a[eq]
     return out
 
 

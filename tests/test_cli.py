@@ -88,6 +88,12 @@ def test_usage_errors(capsys):
     for argv in (("verify", "--suite", "theorem1"), ("verify", "--suite", "propositions"),
                  ("table", "--chain", "meanchain")):
         assert run(capsys, *argv, "--seed", "-1") == (2, "", "--seed must be >= 0\n")
+    assert run(capsys, "special", "--name", "sb", "--a", "1") == (
+        2, "", "--a and --b are required for sb\n")
+    assert run(capsys, "eval", "--fn", "sinc", "--x", "nan") == (
+        2, "", "--x must be finite, got nan\n")
+    assert run(capsys, "eval", "--fn", "cosh-bound", "--p", "2", "--x", "700") == (
+        2, "", "evaluation error: cosh_bound overflows the double range at x=700.0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -176,12 +182,16 @@ def test_eval_rejects_non_finite_x(capsys, fn, x):
 @pytest.mark.parametrize("fn, p, x", [
     ("cosh-bound", "2", "700"), ("sinhc-gap", "2", "700"), ("cos-bound", "0", "1e200"),
     ("sinc-gap", "0", "1e200"), ("cosh-power", "1e-9", "1e200"),
+    # math.sinh, math.cosh or a float power overflows inside the function
+    ("cosh-bound", "1", "1500"), ("sinhc", None, "800"), ("sinhc-gap", "1", "800"),
+    ("cosh-power", "1", "1e308"),
 ])
 def test_eval_signals_overflow(capsys, fn, p, x):
-    code, out, err = run(capsys, "eval", "--fn", fn, "--p", p, "--x", x)
+    code, out, err = run(capsys, "eval", "--fn", fn, *(("--p", p) if p else ()), "--x", x)
     assert code == 2
     assert out == ""
-    assert err.startswith("evaluation error: ") and "overflows" in err
+    name = core.FUNCTIONS[fn.replace("-", "_")]
+    assert err == f"evaluation error: {name} overflows the double range at x={float(x)!r}\n"
 
 
 @pytest.mark.parametrize("fn", ["cos-bound", "cosh-bound", "cos-power", "cosh-power", "sinc-gap",

@@ -81,6 +81,12 @@ def test_lower_edge_bracket_endpoint_signs():
     assert sinc_gap_at_half_pi(1.0) < 0.0
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -1.0, 2.0])
+def test_gap_at_half_pi_rejects_a_parameter_outside_the_trig_family(p):
+    with pytest.raises(ValueError, match="parameter"):
+        sinc_gap_at_half_pi(p)
+
+
 def test_lower_edge_tolerance_validation_and_speed():
     with pytest.raises(ValueError):
         solve_sinc_lower_edge(1e-16)

@@ -322,6 +322,9 @@ def test_gap_series_coeff_basics():
     assert ratio == pytest.approx(11.0 / 5.0, rel=1e-13)
     with pytest.raises(ValueError):
         gap_series_coeff(0, 0.5)
+    for c in (-0.5, math.nan):  # nan is neither < 0 nor >= 0
+        with pytest.raises(ValueError, match="c must be >= 0"):
+            gap_series_coeff(2, c)
 
 
 def test_coefficient_seq_invariants():
@@ -612,6 +615,10 @@ def test_scalar_path_matches_inline_reference():
             # math.sin's message at x = +-inf now names the function and x
             assert got == ("raises", ValueError,
                            f"{new.__name__} needs a finite x, got {float(args[-1])!r}"), args
+        elif want == ("raises", OverflowError, "math range error"):
+            # math.sinh's message now names the function and x
+            assert got[:2] == ("raises", OverflowError), args
+            assert got[2].startswith(f"{new.__name__} overflows the double range at x="), args
         else:
             assert got == want, (new.__name__, args)
     assert len(cases) > 5000 and 0 < overflowed < 200

@@ -730,3 +730,139 @@ def test_array_sandwich_contains_the_50_digit_log_mean():
             am, bm = mp.mpf(x), mp.mpf(y)
             truth = am if x == y else (am - bm) / mp.log(am / bm)
             assert lo <= truth <= hi, (x, y)
+
+
+# ------------------------------------------------- the log kernels' reference
+# The log kernels as written with a separate ln(a/b) helper, each form
+# choosing its log on its own; the kernels derived from the half log ratio
+# must keep their bits.
+
+def _ref_log_ratio(a, b, q):
+    if means._MIN_NORMAL <= q < math.inf:
+        return math.log(q)
+    return math.log(a) - math.log(b)
+
+
+def _ref_half_log_ratio(a, b):
+    if a == b:
+        return 0.0
+    q = a / b
+    if 0.5 < q < 2.0:
+        return 0.5 * math.log1p((a - b) / b)
+    return 0.5 * _ref_log_ratio(a, b, q)
+
+
+def _ref_log_mean(a, b):
+    if a == b:
+        return a
+    r = (a - b) / b
+    if abs(r) < 1e-4:
+        return b * (1.0 + r * (0.5 + r * (-1.0 / 12.0 + r / 24.0)))
+    q = a / b
+    if 0.5 < q < 2.0:
+        return (a - b) / math.log1p(r)
+    return (a - b) / _ref_log_ratio(a, b, q)
+
+
+def _ref_log_ratio_arrays(a, b, q):
+    wide = ~((means._MIN_NORMAL <= q) & (q < np.inf))
+    out = np.log(np.where(wide, a, q))
+    out[wide] -= np.log(b[wide])
+    return out
+
+
+def _ref_half_log_ratio_arrays(a, b):
+    out = np.zeros_like(a)
+    q = a / b
+    ne = a != b
+    near = ne & (0.5 < q) & (q < 2.0)
+    far = ne & ~near
+    an, bn = a[near], b[near]
+    out[near] = 0.5 * np.log1p((an - bn) / bn)
+    out[far] = 0.5 * _ref_log_ratio_arrays(a[far], b[far], q[far])
+    return out
+
+
+def _ref_log_mean_arrays(a, b):
+    out = a.copy()
+    r = (a - b) / b
+    q = a / b
+    ne = a != b
+    series = ne & (np.abs(r) < 1e-4)
+    rest = ne & ~series
+    near = rest & (0.5 < q) & (q < 2.0)
+    far = rest & ~near
+    rs = r[series]
+    out[series] = b[series] * (1.0 + rs * (0.5 + rs * (-1.0 / 12.0 + rs / 24.0)))
+    out[near] = (a[near] - b[near]) / np.log1p(r[near])
+    out[far] = (a[far] - b[far]) / _ref_log_ratio_arrays(a[far], b[far], q[far])
+    return out
+
+
+def _log_sweep_pairs(n=4500):
+    """Seeded pairs over every branch of the log kernels: ratios across the
+    0.5/2 switch, within 1e-12 of 1 and across the 1e-4 series switch;
+    scales near 1e-320 and 1.7e308; far ratios between any two scales that
+    send a/b out of the normal range; and a = b."""
+    rng = np.random.default_rng(20250810)
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi, n)
+
+    b = log_uniform(-3.0, 3.0)
+    groups = [random_pairs(n, 22, ratio_span=(0.25, 4.0)),
+              (b * (1.0 + rng.uniform(-1e-12, 1e-12, n)), b),
+              (b * (1.0 + rng.uniform(-1e-3, 1e-3, n)), b),
+              (1e-320 * log_uniform(0.0, 1.3), 1e-320 * log_uniform(0.0, 1.3)),
+              (1.7e308 * log_uniform(-1.3, 0.0), 1.7e308 * log_uniform(-1.3, 0.0)),
+              (log_uniform(-320.0, 308.2), log_uniform(-320.0, 308.2))]
+    same = log_uniform(-320.0, 308.2)
+    groups.append((same, same.copy()))
+    a, b = (np.concatenate(side) for side in zip(*groups))
+    return a, b
+
+
+def _log_sweep_results(a, b):
+    """log_mean, half_log_ratio, mean_family at four p and both sandwich
+    ends, of the array pair and of each number pair."""
+    numbers = list(zip(a.tolist(), b.tolist()))
+    fns = {"half_log_ratio": half_log_ratio, "log_mean": log_mean,
+           **{p: lambda m, p=p: mean_family(p, m) for p in (0.0, 0.5, UPPER_EDGE, 1.0)}}
+    out = {}
+    for name, fn in fns.items():
+        out[name, "array"] = fn((a, b))
+        out[name, "number"] = [fn(m) for m in numbers]
+    enc = log_mean_sandwich((a, b))
+    encs = [log_mean_sandwich(m) for m in numbers]
+    out["lo", "array"], out["hi", "array"] = enc.lo, enc.hi
+    out["lo", "number"], out["hi", "number"] = [e.lo for e in encs], [e.hi for e in encs]
+    return out
+
+
+def test_log_kernels_keep_the_reference_bits(monkeypatch):
+    a, b = _log_sweep_pairs()
+    assert len(a) >= 30_000 and (a > 0.0).all() and (b > 0.0).all()
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    assert (a == b).sum() >= 4500 and (a < 1e-319).any() and (b > 1.6e308).any()
+    got = _log_sweep_results(a, b)
+    for name in ("_half_log_ratio", "_half_log_ratio_arrays", "_log_mean", "_log_mean_arrays"):
+        monkeypatch.setattr(means, name, globals()[f"_ref{name}"])
+    want = _log_sweep_results(a, b)
+    for key, values in got.items():
+        assert _same_bits(np.asarray(values, dtype=float), want[key]), key
+
+
+@pytest.mark.parametrize("name", ARRAY_FUNCTIONS + ("mean_family", "log_mean_sandwich"))
+def test_a_list_pair_gives_the_bits_of_its_array_pair(name):
+    # core's rule: a pair that is not two numbers is an array pair
+    fn = (lambda m: mean_family(UPPER_EDGE, m)) if name == "mean_family" else globals()[name]
+    a, b = random_pairs(200, seed=5)
+    want = fn((a, b))
+    for pair in ((a.tolist(), b.tolist()), [tuple(a.tolist()), tuple(b.tolist())]):
+        got = fn(pair)
+        if name == "log_mean_sandwich":
+            assert _same_bits(got.lo, want.lo) and _same_bits(got.hi, want.hi)
+        else:
+            assert _same_bits(got, want)
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        fn(([1.0, 2.0], 1.0))
