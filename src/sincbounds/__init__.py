@@ -4,8 +4,8 @@ engine for every inequality in the corpus.
 
 core, constants and integrals are imported with the package and need no
 numpy for a number.  The names of means, verifier and corpus, which import
-numpy, resolve and are bound on first access (PEP 562), so a process that
-only computes numbers never loads it.
+numpy, resolve on first access (PEP 562), so a process that only computes
+numbers never loads it.
 """
 
 __version__ = "0.1.0"
@@ -72,13 +72,10 @@ __all__ = sorted({n for n in globals() if not n.startswith("_")}
 def __getattr__(name: str):
     import importlib
     if name in _MODULE_OF.values():
-        value = importlib.import_module(f"{__name__}.{name}")
-    elif name in _MODULE_OF:
-        value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value  # bound as an eager name is, so later accesses skip this function
-    return value
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

@@ -10,17 +10,17 @@ sinc - bound and sinhc - bound vanish to fourth order at the origin, so
 this module evaluates them through their even power series near 0 (with
 a certified truncation bound) and directly elsewhere.
 
-x is a number or an array, and each call converts it once, before any
-branch and at the p -> 0 limits too: a number to a float, anything else
-to a float64 array.  _cos_family and _cosh_family are the only
-expressions of the two families; a number runs them with math and never
-imports numpy, an array with numpy, which the array branches import for
-themselves.  Overflow is signalled, not returned as inf: a result that
-overflows at a finite x raises OverflowError for a number, whose message
-names the function and x also where math.sinh, math.cosh or a power
-overflows inside it, and FloatingPointError for an array; an infinite x
-where the result has no limit raises ValueError or FloatingPointError.
-sinhc_gap_scaled keeps its documented +inf.
+x is a number or an array, as _is_number tells, and each call converts
+it once, before any branch and at the p -> 0 limits too: a number to a
+float, anything else to a float64 array.  _cos_family and _cosh_family
+are the only expressions of the two families; a number runs them with
+math and never imports numpy, an array with numpy, which the array
+branches import for themselves.  Overflow is signalled, not returned as
+inf: a result that overflows at a finite x raises OverflowError for a
+number, whose message names the function and x also where math.sinh,
+math.cosh or a power overflows inside it, and FloatingPointError for an
+array; an infinite x where the result has no limit raises ValueError or
+FloatingPointError.  sinhc_gap_scaled keeps its documented +inf.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ class GapEvaluation(NamedTuple):
     tail_bound: float = 0.0
 
 
-def _zero_dim(x) -> bool:
-    """Whether x, which is not a float or int, still takes the scalar path:
-    np.ndim(x) == 0, reading x.ndim first as np.ndim itself does."""
+def _is_number(x) -> bool:
+    """The number-or-array rule: a float, an int or a 0-d value (x.ndim read
+    first, as np.ndim does) is a number; anything else is an array."""
+    if isinstance(x, (float, int)):
+        return True
     try:
         return x.ndim == 0
     except AttributeError:
@@ -101,7 +103,7 @@ def _no_overflow(v, x, name: str):
 
 def sinc(x):
     """sin(x)/x with the removable singularity filled in (1 at x = 0)."""
-    if isinstance(x, (float, int)) or _zero_dim(x):
+    if _is_number(x):
         x = float(x)
         try:
             return math.sin(x) / x if x != 0.0 else 1.0
@@ -115,13 +117,13 @@ def sinc(x):
 
 def sinhc(x):
     """sinh(x)/x, 1 at x = 0.  Overflow is signalled, not silently inf."""
-    if isinstance(x, (float, int)) or _zero_dim(x):
+    if _is_number(x):
         x = float(x)
         if math.isinf(x):
             raise ValueError(f"sinhc needs a finite x, got {x!r}")
         try:
             return math.sinh(x) / x if x != 0.0 else 1.0
-        except OverflowError:  # math.sinh beyond the double range: raises with a message
+        except OverflowError:  # math.sinh beyond the double range
             return _no_overflow(math.inf, x, "sinhc")
     import numpy as np
     x = np.asarray(x, dtype=float)
@@ -159,10 +161,10 @@ def _cosh_family(p: float, x, sinh=math.sinh):
 def cos_bound(p, x):
     """Trig bound family (1/(3p^2)) cos(px) + 1 - 1/(3p^2); 1 - x^2/6 at p = 0."""
     p = _check(float(p), True)
-    if isinstance(x, (float, int)) or _zero_dim(x):
+    if _is_number(x):
         v = float(x)
         try:
-            return _no_overflow(_cos_family(p, v), x, "cos_bound")
+            return _no_overflow(_cos_family(p, v), v, "cos_bound")
         except ValueError:  # math.sin at x = +-inf
             raise ValueError(f"cos_bound needs a finite x, got {v!r}") from None
     import numpy as np
@@ -174,9 +176,10 @@ def cos_bound(p, x):
 def cosh_bound(p, x):
     """Hyperbolic bound family (1/(3p^2)) cosh(px) + 1 - 1/(3p^2); 1 + x^2/6 at p = 0."""
     p = _check(float(p), False)
-    if isinstance(x, (float, int)) or _zero_dim(x):
+    if _is_number(x):
+        x = float(x)
         try:
-            v = _cosh_family(p, float(x))
+            v = _cosh_family(p, x)
         except OverflowError:  # math.sinh beyond the double range
             v = math.inf
         return _no_overflow(v, x, "cosh_bound")
@@ -295,7 +298,7 @@ def quartic_gap_coeff(p) -> float:
 def _converted(x):
     """x converted once, with the namespace of its formulas: a float and
     math for a number, a float64 array and numpy otherwise."""
-    if isinstance(x, (float, int)) or _zero_dim(x):
+    if _is_number(x):
         return float(x), math
     import numpy as np
     return np.asarray(x, dtype=float), np

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, _zero_dim, cosh_bound
+from .core import (_LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, _is_number,
+                   _no_overflow, cosh_bound)
 from .integrals import Enclosure
 
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
@@ -86,8 +87,7 @@ def _apply(m, scalar_kernel, array_kernel, *args, sb: bool = False):
     if isinstance(m, MeanPoint):  # validated on construction
         return scalar_kernel(m.a, m.b, *args)
     a, b = m
-    # core's rule: a float, an int or a 0-d value is a number, anything else an array
-    if (isinstance(a, (float, int)) or _zero_dim(a)) and (isinstance(b, (float, int)) or _zero_dim(b)):
+    if _is_number(a) and _is_number(b):  # core's rule
         a, b = float(a), float(b)
         if sb:
             if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
@@ -452,7 +452,10 @@ def lower_bound_comparison(x: float) -> float:
         return total
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return cosh_bound(_UPPER_EDGE, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
+    try:
+        return cosh_bound(_UPPER_EDGE, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
+    except OverflowError:  # either term beyond the double range
+        return _no_overflow(math.inf, x, "lower_bound_comparison")
 
 
 def random_pairs(n: int, seed: int, ratio_span=(1e-6, 1e6),

@@ -424,6 +424,14 @@ def test_lower_bound_comparison_rejects_a_non_finite_x(x):
         lower_bound_comparison(x)
 
 
+@pytest.mark.parametrize("x", [2000.0, 1e308])
+def test_lower_bound_comparison_names_itself_on_overflow(x):
+    # its cosh_bound term overflows first; the message names the function called
+    with pytest.raises(OverflowError) as info:
+        lower_bound_comparison(x)
+    assert str(info.value) == f"lower_bound_comparison overflows the double range at x={x!r}"
+
+
 def test_lower_bound_comparison_quartic_term_vanishes():
     # leading behaviour is x^6/40500, so D(x)/x^4 -> 0
     for x in (1e-3, 1e-2):

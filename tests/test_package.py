@@ -52,10 +52,3 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from sincbounds import no_such_name", {})
 
-
-@pytest.mark.parametrize("name, module", [("log_mean", "means"), ("verify", "verifier"),
-                                          ("run_suite", "corpus")])
-def test_a_lazy_name_is_bound_on_first_access(monkeypatch, name, module):
-    monkeypatch.delitem(vars(sincbounds), name, raising=False)
-    got = getattr(sincbounds, name)
-    assert vars(sincbounds)[name] is got is getattr(importlib.import_module(f"sincbounds.{module}"), name)
