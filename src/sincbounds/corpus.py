@@ -29,8 +29,8 @@ from .verifier import (
     ThresholdSide,
     Verdict,
     VerificationReport,
-    _SHARP_EDGES,
     _at_most,
+    edge_case,
     expected_sharpness_verdict,
     family_case,
     verify,
@@ -108,12 +108,10 @@ def _holds(suite: str, cases: list[InequalityCase], points: int) -> list[CheckRe
 
 def _theorem(suite: str, lower, upper, lower_edge: SharpnessFamily,
              upper_edge: SharpnessFamily, points: int) -> list[CheckResult]:
-    """family(p) < target for p in lower, target < family(q) for q in upper,
-    on the family, target and domain of the edges, and each sharp edge
-    failing just past it."""
-    family, target, domain, _ = _SHARP_EDGES[lower_edge]
-    out = _holds(suite, [family_case(member(family, p), member(target), domain) for p in lower]
-                 + [family_case(member(target), member(family, q), domain) for q in upper], points)
+    """The edge_case of lower_edge at each p in lower and of upper_edge at
+    each q in upper, and each sharp edge failing just past it."""
+    out = _holds(suite, [edge_case(lower_edge, p) for p in lower]
+                 + [edge_case(upper_edge, q) for q in upper], points)
     for fam, side in ((lower_edge, ThresholdSide.ABOVE), (upper_edge, ThresholdSide.BELOW)):
         rep = verify_sharpness(fam, side, 1e-3, points=points)
         out.append(_verdict_result(suite, rep, expected_sharpness_verdict(fam, side)))

@@ -18,6 +18,7 @@ quad accepts its first panel, and raises wherever quad would bisect.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -264,9 +265,8 @@ def catalan_reference(terms: int) -> float:
     against mpmath for each n.  _catalan_error states the sum of the two.
     Every terms >= 21 gives the same double.
     """
-    terms = int(terms)
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if not (isinstance(terms, numbers.Integral) and terms >= 1):
+        raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
     n = min(terms, 21)
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0

@@ -35,6 +35,7 @@ in ulps of the scalar result:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -57,12 +58,14 @@ def _check_positive(a: float, b: float) -> None:
 
 @dataclass(frozen=True)
 class MeanPoint:
-    """A pair of positive reals."""
+    """A pair of positive reals, held as floats."""
 
     a: float
     b: float
 
     def __post_init__(self):
+        object.__setattr__(self, "a", float(self.a))  # as _apply reads two numbers
+        object.__setattr__(self, "b", float(self.b))
         _check_positive(self.a, self.b)
 
 
@@ -399,15 +402,18 @@ def comparison_coeff(n: int) -> float:
 
     d_1 = d_2 = 0, d_3 = 64/45, positive afterwards.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     p, q = _UPPER_EDGE, _INV_SQRT5
     t = 2.0 * q / p
-    return (
-        (3.0 * p * q - 1.0) * (1.0 + t) ** (2 * n - 1)
-        + (3.0 * p * q + 1.0) * (t - 1.0) ** (2 * n - 1)
-        - 2.0 * (6.0 * q * q - 1.0)
-    )
+    try:
+        return (
+            (3.0 * p * q - 1.0) * (1.0 + t) ** (2 * n - 1)
+            + (3.0 * p * q + 1.0) * (t - 1.0) ** (2 * n - 1)
+            - 2.0 * (6.0 * q * q - 1.0)
+        )
+    except OverflowError:  # (1 + t)^(2n - 1) beyond the double range, from n = 463
+        raise OverflowError(f"comparison_coeff overflows the double range at n={n}") from None
 
 
 def _comparison_series_coeffs(n_max: int = 16) -> list[float]:
@@ -451,7 +457,7 @@ def lower_bound_comparison(x: float) -> float:
             xp *= x2
         return total
     if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+        raise ValueError(f"lower_bound_comparison needs a finite x, got {x!r}")
     try:
         return cosh_bound(_UPPER_EDGE, x) - math.cosh(x * _INV_SQRT5) ** (5.0 / 3.0)
     except OverflowError:  # either term beyond the double range

@@ -10,7 +10,8 @@ not proof.  FAILS always carries a concrete witness.  _report builds every
 grid report, of verify and of verify_param_monotone, from its points.  A
 bound tight where rounding alone may put it an ulp past its target (the
 Schwab-Borchardt lower bound at a = b) is checked by _at_most: lhs <= rhs
-up to 64 ulps of the larger magnitude, both finite.
+up to 64 ulps of the larger magnitude, both finite.  edge_case builds each
+sharp edge's inequality, for verify_sharpness and the theorem suites.
 
 A report does not depend on the order in which points were evaluated.
 min_margin and argmin_x come from the first minimum in x order, where a NaN
@@ -366,6 +367,14 @@ def expected_sharpness_verdict(family: SharpnessFamily, side: ThresholdSide) -> 
     return Verdict.HOLDS if below == valid_below else Verdict.FAILS
 
 
+def edge_case(family: SharpnessFamily, p) -> InequalityCase:
+    """bound(p) < target for the two lower families, target < bound(p) for
+    the two upper, on the edge's domain; p outside the family raises ValueError."""
+    bound, target, domain, _ = _SHARP_EDGES[family]
+    fam, tgt = _core.member(bound, _core._check(float(p), domain is TRIG_DOMAIN)), _core.member(target)
+    return family_case(fam, tgt, domain) if family in _LOWER else family_case(tgt, fam, domain)
+
+
 def _merge(a: VerificationReport, b: VerificationReport) -> VerificationReport:
     ranking = {Verdict.FAILS: 0, Verdict.INCONCLUSIVE: 1, Verdict.HOLDS: 2}
     verdict = min((a.verdict, b.verdict), key=ranking.get)
@@ -384,24 +393,19 @@ def _merge(a: VerificationReport, b: VerificationReport) -> VerificationReport:
 
 def verify_sharpness(family: SharpnessFamily, side: ThresholdSide, offset: float,
                      points: int = 4096) -> VerificationReport:
-    """Run the family check just past (or just inside) its sharp threshold.
+    """Run edge_case just past (or just inside) its sharp threshold.
 
     For SINHC_UPPER with a parameter below 1 the violation appears at x far
     beyond any cosh-evaluable grid, so the finite-domain check is merged
     with a scan of the exponentially scaled gap (positive scaled gap means
     the upper bound eventually fails).  An offset below 10x the edge's
-    certified radius, or one that puts the parameter outside its family (p
-    in [0, 1] on the trig side, p >= 0 on the hyperbolic), raises ValueError.
+    certified radius, or one that leaves the family, raises ValueError.
     """
-    bound, target, domain, edge = _SHARP_EDGES[family]
-    threshold = getattr(_constants, edge)()
+    threshold = getattr(_constants, _SHARP_EDGES[family][3])()
     if not offset >= 10.0 * threshold.certified_radius:
         raise ValueError("offset must be >= 10x the threshold's certified radius")
-    param = _core._check(threshold.value + (offset if side is ThresholdSide.ABOVE else -offset),
-                         domain is TRIG_DOMAIN)
-    fam, tgt = _core.member(bound, param), _core.member(target)
-    case = family_case(fam, tgt, domain) if family in _LOWER else family_case(tgt, fam, domain)
-    report = verify(case, points=points)
+    param = threshold.value + (offset if side is ThresholdSide.ABOVE else -offset)
+    report = verify(edge_case(family, param), points=points)
     if family is SharpnessFamily.SINHC_UPPER:
         scaled_case = InequalityCase(f"scaled gap({param:.9g}) < 0 at large x",
                                      _core.member("scaled_gap", param)[1], lambda x: 0.0, (1.0, 1e12))

@@ -268,8 +268,9 @@ def test_gap_even_in_x():
 @pytest.mark.parametrize("fn", [sinc_gap, sinhc_gap], ids=["sinc_gap", "sinhc_gap"])
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_gap_rejects_a_non_finite_x(fn, x):
-    with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+    with pytest.raises(ValueError) as info:
         fn(0.5, x)
+    assert str(info.value) == f"{fn.__name__} needs a finite x, got {x!r}"
 
 
 def test_gap_method_switch():
@@ -611,8 +612,10 @@ def test_scalar_path_matches_inline_reference():
         elif new is sinhc and math.isinf(float(args[0])):
             # the old silent nan at x = +-inf is now a ValueError, as for sinc
             assert got[:2] == ("raises", ValueError), args
-        elif want == ("raises", ValueError, "math domain error"):
-            # the inline reference keeps math.sin's bare message at x = +-inf
+        elif want in (("raises", ValueError, "math domain error"),
+                      ("raises", ValueError, f"x must be finite, got {float(args[-1])!r}")):
+            # the inline reference keeps math.sin's bare message at x = +-inf,
+            # and the gaps' former message, which did not name the function
             assert got == ("raises", ValueError,
                            f"{new.__name__} needs a finite x, got {float(args[-1])!r}"), args
         elif want == ("raises", OverflowError, "math range error"):

@@ -309,6 +309,12 @@ def test_catalan_reference():
         catalan_reference(0)
 
 
+@pytest.mark.parametrize("terms", [2.7, 21.0, -1, "5", None])
+def test_catalan_reference_takes_an_integer_count(terms):
+    with pytest.raises(ValueError, match="terms must be an integer >= 1"):
+        catalan_reference(terms)
+
+
 @pytest.mark.parametrize("terms", [21, 22, 10 ** 12])
 def test_catalan_reference_uses_at_most_21_terms(terms):
     assert catalan_reference(terms) == 0.9159655941772191

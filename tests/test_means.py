@@ -49,6 +49,17 @@ def test_mean_point_validation():
         MeanPoint(math.inf, 1.0)
 
 
+def test_mean_point_holds_the_floats_of_a_pair():
+    # an int MeanPoint is read as the number pair (a, b) is: through float()
+    assert MeanPoint(2, 2) == MeanPoint(2.0, 2.0)
+    got = log_mean(MeanPoint(2, 2))
+    assert type(got) is float and got == log_mean((2, 2)) == 2.0
+    enc = log_mean_sandwich(MeanPoint(2, 2))
+    assert (type(enc.lo), type(enc.hi)) == (float, float) and enc == log_mean_sandwich((2, 2))
+    big = 2 ** 600
+    assert geometric_mean(MeanPoint(big, big)) == geometric_mean((big, big)) == 4.149515568880993e+180
+
+
 @given(m=pairs_strategy, p=st.floats(-2.0, 3.0))
 def test_means_agree_on_equal_pair(m, p):
     x = m.a
@@ -408,6 +419,21 @@ def test_comparison_coeff_positive_beyond_3():
         comparison_coeff(0)
 
 
+def test_comparison_coeff_takes_an_integer_n():
+    for n in (2.5, 3.0, "3", None, -1):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            comparison_coeff(n)
+    assert comparison_coeff(np.int64(3)) == comparison_coeff(3)
+
+
+@pytest.mark.parametrize("n", [463, 500, 10 ** 6])
+def test_comparison_coeff_names_itself_on_overflow(n):
+    assert comparison_coeff(462) > 0.0  # the last n in the double range
+    with pytest.raises(OverflowError) as info:
+        comparison_coeff(n)
+    assert str(info.value) == f"comparison_coeff overflows the double range at n={n}"
+
+
 def test_lower_bound_comparison_nonnegative():
     for x in np.geomspace(1e-3, 30.0, 200):
         assert lower_bound_comparison(float(x)) >= 0.0
@@ -420,8 +446,9 @@ def test_lower_bound_comparison_nonnegative():
 
 @pytest.mark.parametrize("x", [math.nan, math.inf])
 def test_lower_bound_comparison_rejects_a_non_finite_x(x):
-    with pytest.raises(ValueError, match=f"x must be finite, got {x!r}"):
+    with pytest.raises(ValueError) as info:
         lower_bound_comparison(x)
+    assert str(info.value) == f"lower_bound_comparison needs a finite x, got {x!r}"
 
 
 @pytest.mark.parametrize("x", [2000.0, 1e308])

@@ -20,6 +20,7 @@ from sincbounds.verifier import (
     _EPS,
     _interior_grid,
     _refine_windows,
+    edge_case,
     expected_sharpness_verdict,
     verify,
     verify_chain,
@@ -223,6 +224,41 @@ def test_expected_sharpness_matrix():
     assert expected_sharpness_verdict(SharpnessFamily.SINC_UPPER, ThresholdSide.ABOVE) is Verdict.HOLDS
     assert expected_sharpness_verdict(SharpnessFamily.SINHC_LOWER, ThresholdSide.ABOVE) is Verdict.FAILS
     assert expected_sharpness_verdict(SharpnessFamily.SINHC_UPPER, ThresholdSide.BELOW) is Verdict.FAILS
+
+
+def test_edge_case_builds_each_edge_inequality():
+    # family -> bound, target, domain, edge, whether the bound is the lhs
+    edges = {
+        SharpnessFamily.SINC_LOWER: (core.cos_bound, core.sinc, verifier.TRIG_DOMAIN,
+                                     constants.solve_sinc_lower_edge, True),
+        SharpnessFamily.SINC_UPPER: (core.cos_bound, core.sinc, verifier.TRIG_DOMAIN,
+                                     constants.sinc_upper_edge, False),
+        SharpnessFamily.SINHC_LOWER: (core.cosh_bound, core.sinhc, verifier.HYP_DOMAIN,
+                                      constants.sinc_upper_edge, True),
+        SharpnessFamily.SINHC_UPPER: (core.cosh_bound, core.sinhc, verifier.HYP_DOMAIN,
+                                      constants.sinhc_upper_edge, False),
+    }
+    for family, (bound, target, domain, edge, bound_is_lhs) in edges.items():
+        case = edge_case(family, 0.5)
+        fam, tgt = (case.lhs, case.rhs) if bound_is_lhs else (case.rhs, case.lhs)
+        assert (fam.func, fam.args, tgt, case.domain) == (bound, (0.5,), target, domain), family
+        for side in ThresholdSide:
+            param = edge().value + (1e-3 if side is ThresholdSide.ABOVE else -1e-3)
+            rep = verify_sharpness(family, side, 1e-3, points=64)
+            assert edge_case(family, param).id == rep.case_id, (family, side)
+    # the theorem suites' HOLDS lines, each its edge's case, keep their ids
+    ids = [r.id for s in ("theorem1", "theorem2") for r in corpus.run_suite(s, points=64)]
+    assert ids == [
+        "cos_bound(0.1) < sinc", "cos_bound(0.5) < sinc", "cos_bound(0.7) < sinc",
+        "cos_bound(0.770859741) < sinc", "sinc < cos_bound(0.774596669)", "sinc < cos_bound(0.9)",
+        "sinc < cos_bound(1)", "cos_bound(0.771860741) < sinc", "sinc < cos_bound(0.773596669)",
+        "cosh_bound(0.3) < sinhc", "cosh_bound(0.6) < sinhc", "cosh_bound(0.774596669) < sinhc",
+        "sinhc < cosh_bound(1)", "sinhc < cosh_bound(1.2)", "sinhc < cosh_bound(2)",
+        "cosh_bound(0.775596669) < sinhc", "sinhc < cosh_bound(0.999)"]
+    for family in (SharpnessFamily.SINC_LOWER, SharpnessFamily.SINC_UPPER):
+        with pytest.raises(ValueError, match="trig family parameter must lie in"):
+            edge_case(family, 1.0 + 1e-9)
+    assert edge_case(SharpnessFamily.SINHC_UPPER, 2.0).id == "sinhc < cosh_bound(2)"
 
 
 def test_sharpness_all_edges():
