@@ -8,8 +8,8 @@ Commands:
     special     enclosure + oracle + containment verdict for one quantity
 
 Exit codes: 0 all verified, 1 violation/inconclusive, 2 usage error
-(including an option the chosen --fn or --name does not read), 141 when
-the reader closes stdout early (128 + SIGPIPE, no traceback).
+(including an option the chosen --fn, --name or --chain does not read),
+141 when the reader closes stdout early (128 + SIGPIPE, no traceback).
 Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
 17 significant digits, JSON uses repr round-tripping).
 """
@@ -30,6 +30,7 @@ from .core import _HALF_PI
 # (*corpus.CHAINS, "meanchain"), which a test checks
 _SUITES = ("all", "theorem1", "theorem2", "chains", "propositions", "remarks")
 _CHAINS = ("m1c", "m2c", "meanchain")
+_POINTS, _SEED = 4096, 20250810  # the --points and --seed defaults
 
 
 def _fmt(v: float) -> str:
@@ -142,14 +143,20 @@ def cmd_table(args: argparse.Namespace) -> int:
     import numpy as np
     from . import corpus, means
 
-    if args.chain in corpus.CHAINS:
-        if args.pair is not None:
-            raise ValueError(f"{args.chain} reads no --pair")
+    fixed, pair = args.chain in corpus.CHAINS, args.pair is not None
+    reads = ("points",) if fixed else ("pair",) if pair else ("points", "seed")
+    unread = [f"--{o}" for o in ("points", "seed", "pair")
+              if getattr(args, o) is not None and o not in reads]
+    if unread:
+        raise ValueError(f"{args.chain} reads no {' '.join(unread)}" + ("" if fixed else " with --pair"))
+    points = _POINTS if args.points is None else args.points
+    if fixed:
         lo, hi = corpus.CHAINS[args.chain][1]
-        header, rows = chain_table(args.chain, np.linspace(lo, hi, args.points))
+        header, rows = chain_table(args.chain, np.linspace(lo, hi, points))
     else:
-        pairs = [args.pair] if args.pair is not None else zip(*means.random_pairs(
-            args.points, args.seed, ratio_span=(1e-3, 1e3), scale_span=(0.5, 2.0)))
+        seed = _SEED if args.seed is None else args.seed
+        pairs = [args.pair] if pair else zip(*means.random_pairs(
+            points, seed, ratio_span=(1e-3, 1e3), scale_span=(0.5, 2.0)))
         header, rows = chain_table(args.chain, pairs)
     print(",".join(header))
     for row in rows:
@@ -221,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {  # each subcommand takes those it reads
         "--format": dict(choices=("text", "json", "csv"), default="text",
                          help="output format (default text)"),
-        "--points": dict(type=int, default=4096,
-                         help="grid size / row count (default 4096, min 64)"),
-        "--seed": dict(type=int, default=20250810, help="seed for randomised pair checks"),
+        "--points": dict(type=int, default=_POINTS,
+                         help=f"grid size / row count (default {_POINTS}, min 64)"),
+        "--seed": dict(type=int, default=_SEED, help="seed for randomised pair checks"),
         "--tol": dict(type=float, default=1e-12, help="root-solver tolerance in [1e-15, 1e-3]"),
     }
 
@@ -246,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", choices=_SUITES, default="all")
 
     sp = command("table", cmd_table, "emit a CSV chain table", ("--points", "--seed"))
+    sp.set_defaults(points=None, seed=None)  # None when not given: a chain reads only some
     sp.add_argument("--chain", choices=_CHAINS, required=True)
     sp.add_argument("--pair", type=float, nargs=2, metavar=("A", "B"), default=None,
                     help="explicit pair for the mean chain")
@@ -267,9 +275,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "points" in args and args.points < 64:
+        if vars(args).get("points") is not None and args.points < 64:
             raise ValueError("--points must be >= 64")
-        if "seed" in args and args.seed < 0:
+        if vars(args).get("seed") is not None and args.seed < 0:
             raise ValueError("--seed must be >= 0")
         if "tol" in args and not 1e-15 <= args.tol <= 1e-3:
             raise ValueError("--tol must lie in [1e-15, 1e-3]")

@@ -22,7 +22,10 @@ as inf: a result that overflows at a finite x raises OverflowError for a
 number, whose message names the function and x also where math.sinh,
 math.cosh or a power overflows inside it, and FloatingPointError for an
 array; an infinite x where the result has no limit raises ValueError or
-FloatingPointError.  sinhc_gap_scaled keeps its documented +inf.
+FloatingPointError.  sinhc_gap_scaled keeps its documented +inf.  Below
+p = 0.45 the power forms take the half-angle form (see cos_power_bound).
+A count (a series order, a number of terms) is an integer, a numpy one
+too, with a least value; _count checks it for every function that takes one.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import enum
 import importlib
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -65,6 +69,13 @@ def _check(v: float, trig: bool) -> float:
     if trig and v > 1.0:
         raise ValueError(f"trig family parameter must lie in [0, 1], got {v!r}")
     return v
+
+
+def _count(n, name: str, least: int) -> int:
+    """int(n) for an integer n (numpy's too) >= least, else a ValueError naming it."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 class GapMethod(enum.Enum):
@@ -142,6 +153,9 @@ def sinhc(x):
 # doubles (difference <= p^2 x^4 / 72) and p*p starts to underflow
 _LIMIT_FAMILY_CUTOFF = 1e-8
 
+# below this p the power forms take the half-angle form; see cos_power_bound
+_HALF_ANGLE_POWER = 0.45
+
 
 def _cos_family(p: float, x, sin=math.sin):
     """cos_bound(p, x) for a validated p and a float x (or, with sin=np.sin,
@@ -198,8 +212,7 @@ def cosh_bound(p, x):
 
 def gap_series_coeff(n: int, c: float) -> float:
     """Coefficient 3 - (2n+1) c^(n-1) of the gap series, c = p^2 (n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count(n, "n", 1)
     if not c >= 0.0:  # nan too
         raise ValueError("c must be >= 0")
     return 3.0 - (2 * n + 1) * c ** (n - 1)
@@ -224,8 +237,7 @@ class CoefficientSeq:
 
     def ratio_excess(self, n: int) -> float:
         """term(n+1)/term(n) - 1 for n >= 3, computed without cancellation."""
-        if n < 3:
-            raise ValueError("ratio bracket only claimed for n >= 3")
+        n = _count(n, "n", 3)  # the ratio bracket is only claimed there
         num = self.c ** (n - 1) * ((2 * n + 1) - (2 * n + 3) * self.c)
         return num / self.term(n)
 
@@ -303,13 +315,22 @@ def quartic_gap_coeff(p) -> float:
 
 
 def cos_power_bound(p: float, x):
-    """Power-form trig bound (cos px)^(1/(3p^2)) for p in (0, 1], cos(px) > 0."""
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    """Power-form trig bound (cos px)^(1/(3p^2)) for p in (0, 1], cos(px) > 0.
+
+    The power multiplies the rounding error of cos(px) by 1/(3p^2), so below
+    p = 0.45 this is exp(log1p(-2 s^2)/(3p^2)), s = sin(px/2), as in
+    _cos_family (log(cos px) where cos(px) <= 1/2), and cosh_power_bound is
+    exp(log1p(2 s^2)/(3p^2)), s = sinh(px/2).  From p = 0.45, where every
+    corpus and golden p lies, both keep the plain power and its bytes; one
+    form for all p would move the remarks suite's output.
+    """
+    p = _check(float(p), True)
+    if p <= 0.0:
+        raise ValueError(f"p must be positive, got {p!r}")
     x, xp = _converted(x)
-    if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(-x^2/6)
-        return xp.exp(-x * x / 6.0)
+    if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(-x^2/6), 0 where x^2 overflows
+        with nullcontext() if xp is math else xp.errstate(over="ignore"):
+            return xp.exp(-x * x / 6.0)
     with nullcontext() if xp is math else xp.errstate(invalid="raise"):
         try:
             cx = xp.cos(p * x)
@@ -319,11 +340,22 @@ def cos_power_bound(p: float, x):
         raise ValueError(f"cos(p*x) must be positive, got {cx!r} at x={x!r}")
     if xp is not math and xp.any(cx <= 0.0):
         raise ValueError("cos(p*x) must be positive on the whole grid")
-    return cx ** (1.0 / (3.0 * p * p))
+    if p >= _HALF_ANGLE_POWER:
+        return cx ** (1.0 / (3.0 * p * p))
+    if xp is math:
+        s = math.sin(0.5 * p * x)
+        log_cx = math.log1p(-2.0 * s * s) if cx > 0.5 else math.log(cx)
+    else:
+        log_cx = xp.log(cx)
+        near = cx > 0.5
+        s = xp.sin(0.5 * p * x[near])
+        log_cx[near] = xp.log1p(-2.0 * s * s)
+    return xp.exp(log_cx / (3.0 * p * p))
 
 
 def cosh_power_bound(p: float, x):
-    """Power-form hyperbolic bound (cosh px)^(1/(3p^2)) for p > 0."""
+    """Power-form hyperbolic bound (cosh px)^(1/(3p^2)) for p > 0; below
+    p = 0.45 in the half-angle form, see cos_power_bound."""
     p = _check(float(p), False)
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p!r}")
@@ -332,9 +364,12 @@ def cosh_power_bound(p: float, x):
         try:
             if p <= _LIMIT_FAMILY_CUTOFF:  # p -> 0 limit is exp(x^2/6)
                 v = xp.exp(x * x / 6.0)
+            elif p < _HALF_ANGLE_POWER:
+                s = xp.sinh(0.5 * p * x)
+                v = xp.exp(xp.log1p(2.0 * s * s) / (3.0 * p * p))
             else:
                 v = xp.cosh(p * x) ** (1.0 / (3.0 * p * p))
-        except OverflowError:  # math.exp, math.cosh or the float power beyond the double range
+        except OverflowError:  # math.exp, sinh, cosh or the float power beyond the double range
             v = math.inf
     return _no_overflow(v, x, "cosh_power_bound") if xp is math else v
 
@@ -348,7 +383,8 @@ def sinhc_gap_scaled(p, x):
 
     Limits at x -> inf: -1/(6p^2) for p > 1, -1/6 at p = 1, +inf for 0 < p < 1;
     x = inf gives the limit and a NaN x gives nan.  Returns +inf instead of
-    overflowing when the first term exceeds double range.
+    overflowing when the first term exceeds double range.  An array's product
+    that overflows is inf without a warning, as a number's is.
     """
     p = _check(float(p), False)
     if p <= _LIMIT_FAMILY_CUTOFF:
@@ -356,22 +392,23 @@ def sinhc_gap_scaled(p, x):
     x, xp = _converted(x)
     if (x <= 0.0) if xp is math else xp.any(x <= 0.0):
         raise ValueError("x must be positive")
-    if p == 1.0:  # (1-p)x is 0 * inf = nan at x = inf, where the limit is -1/6
-        t = 0.0 if xp is math else xp.zeros_like(x)
-    else:
-        t = (1.0 - p) * x
-    if xp is math:
-        if t > 700.0:
-            return math.inf
-    else:
-        # only the kept points are computed: on the far grids of the
-        # sharpness scan most points lie past the cut; a NaN x is kept
-        out = xp.full_like(x, xp.inf)
-        kept = ~(t > 700.0)
-        x, t = x[kept], t[kept]
-    w = 1.0 / (6.0 * p * p)
-    grow = xp.exp(t) * -xp.expm1(-2.0 * x) / (2.0 * x)
-    v = grow - w * (1.0 + xp.exp(-2.0 * p * x)) - (1.0 - 2.0 * w) * xp.exp(-p * x)
+    with nullcontext() if xp is math else xp.errstate(over="ignore"):
+        if p == 1.0:  # (1-p)x is 0 * inf = nan at x = inf, where the limit is -1/6
+            t = 0.0 if xp is math else xp.zeros_like(x)
+        else:
+            t = (1.0 - p) * x
+        if xp is math:
+            if t > 700.0:
+                return math.inf
+        else:
+            # only the kept points are computed: on the far grids of the
+            # sharpness scan most points lie past the cut; a NaN x is kept
+            out = xp.full_like(x, xp.inf)
+            kept = ~(t > 700.0)
+            x, t = x[kept], t[kept]
+        w = 1.0 / (6.0 * p * p)
+        grow = xp.exp(t) * -xp.expm1(-2.0 * x) / (2.0 * x)
+        v = grow - w * (1.0 + xp.exp(-2.0 * p * x)) - (1.0 - 2.0 * w) * xp.exp(-p * x)
     if xp is math:
         return v
     out[kept] = v

@@ -18,12 +18,11 @@ quad accepts its first panel, and raises wherever quad would bisect.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 from .constants import quartic_constants
-from .core import _HALF_PI, _UPPER_EDGE
+from .core import _HALF_PI, _UPPER_EDGE, _count
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
@@ -265,9 +264,7 @@ def catalan_reference(terms: int) -> float:
     against mpmath for each n.  _catalan_error states the sum of the two.
     Every terms >= 21 gives the same double.
     """
-    if not (isinstance(terms, numbers.Integral) and terms >= 1):
-        raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
-    n = min(terms, 21)
+    n = min(_count(terms, "terms", 1), 21)
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b, c, s = -1.0, -d, 0.0

@@ -17,12 +17,15 @@ arrays, lists or tuples, taken as float64 arrays.  For an array pair,
 geometric_mean, half_log_ratio, log_mean, sb_mean, sb_lower_bound and
 mean_family return an array of the values, one per element pair, and
 log_mean_sandwich returns one Enclosure whose lo and hi are arrays.  Each
-call validates its input once (finite and positive; a >= 0, b > 0 for the
-Schwab-Borchardt pair) and then runs one kernel: the scalar kernel for
-numbers, the array kernel for arrays.  The two kernels take the same
-branches; the array kernels run numpy's ufuncs where the scalar kernels
-call the C library, so the two may differ in the last bits.  The contract,
-in ulps of the scalar result:
+call validates its input once by the one pair rule, _pair_ok (finite and
+positive; a >= 0, b > 0 for the Schwab-Borchardt pair), and then runs one
+kernel: the scalar kernel for numbers, the array kernel for arrays.  A bad
+number pair or MeanPoint raises _number_pair's "need finite and positive
+arguments, got (a, b)", and an array pair the same for its first bad pair,
+with " at index i".  The two kernels take the same branches; the array
+kernels run numpy's ufuncs where the scalar kernels call the C library, so
+the two may differ in the last bits.  The contract, in ulps of the scalar
+result:
 
 - geometric_mean, half_log_ratio, log_mean, sb_mean and sb_lower_bound:
   within 4 ulps;
@@ -35,13 +38,12 @@ in ulps of the scalar result:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, _is_number,
+from .core import (_LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, _count, _is_number,
                    _no_overflow, cosh_bound)
 from .integrals import Enclosure
 
@@ -50,10 +52,19 @@ _SB_SCALE = 8.0 * math.sqrt(2.0) / 27.0
 _MIN_NORMAL = sys.float_info.min
 
 
-def _check_positive(a: float, b: float) -> None:
-    for v in (a, b):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"mean arguments must be finite and positive, got {v!r}")
+def _pair_ok(a, b, sb: bool, xp=math):
+    """The pair rule, a and b finite and positive (a >= 0 with sb=True): for
+    two floats with xp=math, elementwise for two arrays with xp=np."""
+    return xp.isfinite(a) & xp.isfinite(b) & (b > 0.0) & ((a >= 0.0) if sb else (a > 0.0))
+
+
+def _number_pair(a, b, sb: bool = False, where: str = "") -> tuple[float, float]:
+    """(a, b) as floats; ValueError if they break the pair rule."""
+    a, b = float(a), float(b)
+    if not _pair_ok(a, b, sb):
+        need = "a >= 0 and b > 0" if sb else "finite and positive arguments"
+        raise ValueError(f"need {need}, got ({a!r}, {b!r}){where}")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -64,40 +75,32 @@ class MeanPoint:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))  # as _apply reads two numbers
-        object.__setattr__(self, "b", float(self.b))
-        _check_positive(self.a, self.b)
+        a, b = _number_pair(self.a, self.b)  # as _apply reads two numbers
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def _array_pair(a, b, sb: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) as float64 arrays; _number_pair's ValueError for the first bad pair, and its index."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"an array pair needs two 1-D arrays of one length, "
                          f"got shapes {a.shape} and {b.shape}")
-    ok_b = np.isfinite(b) & (b > 0.0)
-    ok_a = np.isfinite(a) & ((a >= 0.0) if sb else (a > 0.0))
-    if not (ok_a.all() and ok_b.all()):
-        i = int(np.argmin(ok_a & ok_b))
-        need = "a >= 0 and b > 0" if sb else "finite and positive arguments"
-        raise ValueError(f"need {need}, got ({a[i]!r}, {b[i]!r}) at index {i}")
+    ok = _pair_ok(a, b, sb, np)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _number_pair(a[i], b[i], sb, f" at index {i}")  # raises
     return a, b
 
 
 def _apply(m, scalar_kernel, array_kernel, *args, sb: bool = False):
-    """Validate m once (finite and positive; with sb=True, a >= 0 and
-    b > 0), then run the kernel that matches its form."""
+    """Validate m once by the pair rule, then run the kernel of its form."""
     if isinstance(m, MeanPoint):  # validated on construction
         return scalar_kernel(m.a, m.b, *args)
     a, b = m
     if _is_number(a) and _is_number(b):  # core's rule
-        a, b = float(a), float(b)
-        if sb:
-            if not (math.isfinite(a) and a >= 0.0 and math.isfinite(b) and b > 0.0):
-                raise ValueError(f"need a >= 0 and b > 0, got ({a!r}, {b!r})")
-        else:
-            _check_positive(a, b)
-        return scalar_kernel(a, b, *args)
+        return scalar_kernel(*_number_pair(a, b, sb), *args)
     a, b = _array_pair(a, b, sb)
     # overflow, inf/inf and the like give the same inf or nan as in the
     # scalar kernels; numpy would also warn about them
@@ -402,8 +405,7 @@ def comparison_coeff(n: int) -> float:
 
     d_1 = d_2 = 0, d_3 = 64/45, positive afterwards.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _count(n, "n", 1)
     p, q = _UPPER_EDGE, _INV_SQRT5
     t = 2.0 * q / p
     try:

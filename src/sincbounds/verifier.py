@@ -12,6 +12,8 @@ bound tight where rounding alone may put it an ulp past its target (the
 Schwab-Borchardt lower bound at a = b) is checked by _at_most: lhs <= rhs
 up to 64 ulps of the larger magnitude, both finite.  edge_case builds each
 sharp edge's inequality, for verify_sharpness and the theorem suites.
+verify_leibniz_ratio reads its ratios and its range of p^2 off
+core.CoefficientSeq.
 
 A report does not depend on the order in which points were evaluated.
 min_margin and argmin_x come from the first minimum in x order, where a NaN
@@ -422,14 +424,10 @@ def verify_leibniz_ratio(p, n_max: int) -> VerificationReport:
     value at pi/2, where each order n = 3 ... n_max is checked.
     """
     p = _core._check(float(p), True)
-    c = p * p
-    if not 0.0 < c <= _core._C_MAX:
-        raise ValueError("p^2 must lie in (0, 3/5]")
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
+    seq = _core.CoefficientSeq(p * p)
+    n_max = _core._count(n_max, "n_max", 4)
     x2 = _core._HALF_PI * _core._HALF_PI
-    ratios = [(2 * n - 2) / ((2 * n - 4) * (2 * n + 2) * (2 * n + 3))
-              * (_core.gap_series_coeff(n + 1, c) / _core.gap_series_coeff(n, c)) * x2
+    ratios = [(2 * n - 2) / ((2 * n - 4) * (2 * n + 2) * (2 * n + 3)) * (1.0 + seq.ratio_excess(n)) * x2
               for n in range(3, n_max + 1)]
     bad = sum(r >= LEIBNIZ_RATIO_BOUND for r in ratios)
     return VerificationReport(case_id=f"leibniz-ratio p={p:.9g} n<={n_max}",

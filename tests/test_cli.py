@@ -131,6 +131,28 @@ def test_a_fixed_chain_reads_no_pair(capsys, chain):
     assert (code, out, err) == (2, "", f"{chain} reads no --pair\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--chain", "m1c", "--points", "64", "--seed", "5"), "m1c reads no --seed"),
+    (("--chain", "m2c", "--seed", "5", "--pair", "1", "4"), "m2c reads no --seed --pair"),
+    (("--chain", "meanchain", "--pair", "1", "4", "--points", "100"),
+     "meanchain reads no --points with --pair"),
+    (("--chain", "meanchain", "--pair", "1", "4", "--seed", "3"), "meanchain reads no --seed with --pair"),
+    (("--chain", "meanchain", "--pair", "1", "4", "--seed", str(20250810)),
+     "meanchain reads no --seed with --pair"),  # the default, given, is still given
+], ids=["m1c-seed", "m2c-seed-pair", "pair-points", "pair-seed", "pair-default-seed"])
+def test_table_rejects_an_option_its_chain_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, "table", *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_table_defaults_apply_where_not_given(capsys):
+    # a fixed chain's grid and the mean chain's seeded pairs, as with the defaults given
+    for argv, defaults in ((("--chain", "m2c"), ("--points", "4096")),
+                           (("--chain", "meanchain", "--points", "64"), ("--seed", "20250810"))):
+        want = run(capsys, "table", *argv, *defaults)
+        assert want[0] == 0 and run(capsys, "table", *argv) == want
+
+
 def test_suite_and_chain_choices_match_the_corpus():
     # the parser keeps them literal, so that parsing imports no corpus
     sub = next(a for a in build_parser()._actions if a.dest == "command").choices
@@ -264,7 +286,7 @@ def test_table_meanchain_random_pairs_bytes(capsys, argv, digest):
 
 def test_table_meanchain_rejects_a_bad_pair(capsys):
     code, out, err = run(capsys, "table", "--chain", "meanchain", "--pair", "-1", "4")
-    assert (code, out, err) == (2, "", "mean arguments must be finite and positive, got -1.0\n")
+    assert (code, out, err) == (2, "", "need finite and positive arguments, got (-1.0, 4.0)\n")
 
 
 def test_special_commands(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -10,6 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sincbounds.constants import quartic_constants
+from sincbounds.integrals import catalan_reference
+from sincbounds.means import comparison_coeff
+from sincbounds.verifier import verify_leibniz_ratio
 from sincbounds.core import (
     CoefficientSeq,
     GapEvaluation,
@@ -328,6 +332,27 @@ def test_gap_series_coeff_basics():
             gap_series_coeff(2, c)
 
 
+# each count's function, name and least value
+COUNTS = {
+    "gap_series_coeff": (lambda n: gap_series_coeff(n, 0.5), "n", 1),
+    "ratio_excess": (lambda n: CoefficientSeq(0.5).ratio_excess(n), "n", 3),
+    "verify_leibniz_ratio": (lambda n: verify_leibniz_ratio(0.5, n), "n_max", 4),
+    "comparison_coeff": (comparison_coeff, "n", 1),
+    "catalan_reference": (catalan_reference, "terms", 1),
+}
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_every_count_takes_an_integer(count):
+    # a float, even an integral one, is not a count
+    fn, name, least = COUNTS[count]
+    for bad in (2.5, 0, least - 1, float(least), least + 0.5, "3", None):
+        want = f"{name} must be an integer >= {least}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            fn(bad)
+    assert fn(np.int64(least + 1)) == fn(least + 1)
+
+
 def test_coefficient_seq_invariants():
     for c in np.linspace(0.05, 0.6, 12):
         seq = CoefficientSeq(float(c))
@@ -388,6 +413,33 @@ def test_cosh_power_bound():
     assert cosh_power_bound(0.5, 1e-9) == pytest.approx(1.0, abs=1e-12)
     # additive family beats the power form between 1/sqrt3 and the upper edge
     assert cosh_bound(0.76, 1.0) > cosh_power_bound(0.76, 1.0)
+
+
+@pytest.mark.parametrize("p", [2e-8, 1e-7, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.44, 0.449])
+def test_power_forms_match_mpmath_at_small_p(p):
+    # the plain power multiplies cos(px)'s or cosh(px)'s rounding error by
+    # 1/(3p^2), 3.6e-3 relative for cosh at p = 1e-7, x = 1; the bound
+    # allows the result's own condition in p*x, about 2|ln v| ulps
+    with mp.workdps(50):
+        for x in (1e-3, 0.5, 1.0, 2.0, 3.0, 3.4):
+            for fn, f in ((cos_power_bound, mp.cos), (cosh_power_bound, mp.cosh)):
+                if fn is cos_power_bound and p * x >= 1.5:
+                    continue
+                want = f(mp.mpf(p) * x) ** (1 / (3 * mp.mpf(p) ** 2))
+                tol = (4 + 2 * abs(mp.log(want))) * EPS
+                for got in (fn(p, x), fn(p, np.array([x]))[0]):
+                    assert abs(got - want) / want <= tol, (fn.__name__, x)
+
+
+@pytest.mark.parametrize("p, message", [
+    (1.5, "trig family parameter must lie in [0, 1], got 1.5"),
+    (0.0, "p must be positive, got 0.0"),
+    (-0.5, "parameter must be finite and >= 0, got -0.5"),
+], ids=["above-1", "zero", "negative"])
+def test_cos_power_bound_reads_p_by_the_trig_rule(p, message):
+    for x in (0.3, np.array([0.3])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cos_power_bound(p, x)
 
 
 # ------------------------------------------------------------- scaled gap
@@ -455,6 +507,53 @@ def test_an_infinite_x_without_a_limit_raises(fn, x, form):
     else:
         with pytest.raises(FloatingPointError):
             fn(np.array([1.0, x]))
+
+
+# --------------------------------------------------- number and array forms
+
+SWEEP_X = (0.0, -0.0, 1e-320, 1e-200, 1e-5, 0.3, 0.5, 1.0, 1.5, 3.0, 20.0, 50.0, 700.0, 710.0,
+           3000.0, 1e6, 1e154, 1e155, 1e200, 1.7e308, math.inf, -math.inf, math.nan, -1.0)
+# 0.1 and 0.3 take the half-angle power forms
+SWEEP_P = (0.0, 1e-9, 0.1, 0.3, 0.45, 0.5, 0.77, 0.999, 1.0, 1.001, 1.2, 2.0, 1000.0)
+
+
+def _form_outcome(fn, p, x):
+    """fn(p, x), None where it raises, and the messages of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            v = fn(p, x)
+        except (ArithmeticError, ValueError):
+            v = None
+    return v, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p, x: sinc(x), lambda p, x: sinhc(x), cos_bound, cosh_bound, cos_power_bound,
+    cosh_power_bound, sinhc_gap_scaled,
+], ids=["sinc", "sinhc", "cos_bound", "cosh_bound", "cos_power_bound", "cosh_power_bound",
+        "sinhc_gap_scaled"])
+def test_number_and_array_forms_agree_on_a_sweep(fn):
+    # both raise, or both return within 8 ulps of max(1, |number|, |array|);
+    # neither warns: an array product that overflows is inf, as a number's is
+    for p in SWEEP_P:
+        for x in SWEEP_X:
+            number, number_warns = _form_outcome(fn, p, x)
+            array, array_warns = _form_outcome(fn, p, np.array([x]))
+            assert number_warns == array_warns == [], (p, x)
+            assert (number is None) == (array is None), (p, x, number, array)
+            if number is None:
+                continue
+            array = float(array[0])
+            if not (number == array or math.isnan(number) and math.isnan(array)):
+                assert abs(number - array) <= 8 * EPS * max(1.0, abs(number), abs(array)), (p, x)
+
+
+def test_the_overflowing_array_products_give_the_number_limits():
+    assert cos_power_bound(1e-9, np.array([1.35e154, 1e200]))[0] == 0.0
+    for p in (1.0, 2.0):
+        assert sinhc_gap_scaled(p, np.array([9e307]))[0] == sinhc_gap_scaled(p, 9e307) \
+            == -1.0 / (6.0 * p * p)
 
 
 # ----------------------------------------------------- scalar path record

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -47,6 +48,27 @@ def test_mean_point_validation():
         MeanPoint(1.0, -2.0)
     with pytest.raises(ValueError):
         MeanPoint(math.inf, 1.0)
+
+
+@pytest.mark.parametrize("a, b, sb", [
+    (-1.0, 4.0, False), (0.0, 4.0, False), (2.0, math.nan, False), (math.inf, 1.0, False),
+    (1.0, -0.0, False), (-1.0, 4.0, True), (2.0, 0.0, True), (math.nan, 1.0, True),
+    (1.0, math.inf, True),
+])
+def test_a_bad_pair_has_one_wording(a, b, sb):
+    # a number pair, a MeanPoint and an array pair; the array adds the index
+    want = f"need {'a >= 0 and b > 0' if sb else 'finite and positive arguments'}, got ({a!r}, {b!r})"
+    fns = (sb_mean, sb_lower_bound) if sb else (log_mean, geometric_mean, log_mean_sandwich)
+    for fn in fns:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            fn((a, b))
+        with pytest.raises(ValueError, match=f"^{re.escape(want)} at index 1$"):
+            fn((np.array([1.0, a]), np.array([1.0, b])))
+    if not sb:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            MeanPoint(a, b)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            mean_family(0.5, (a, b))
 
 
 def test_mean_point_holds_the_floats_of_a_pair():
