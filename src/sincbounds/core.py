@@ -377,9 +377,9 @@ def cosh_power_bound(p: float, x):
 def sinhc_gap_scaled(p, x):
     """exp(-px) * (sinhc(x) - cosh_bound(p, x)), stable for arbitrarily large x.
 
-    Expanded so no term overflows until (1-p) x does:
+    Expanded so no term overflows until (1-p) x does, and none cancels at small p:
 
-        e^{(1-p)x} (1 - e^{-2x})/(2x) - (1 + e^{-2px})/(6p^2) - (1 - 1/(3p^2)) e^{-px}
+        e^{(1-p)x} (1 - e^{-2x})/(2x) - (1 - e^{-px})^2/(6p^2) - e^{-px}
 
     Limits at x -> inf: -1/(6p^2) for p > 1, -1/6 at p = 1, +inf for 0 < p < 1;
     x = inf gives the limit and a NaN x gives nan.  Returns +inf instead of
@@ -408,7 +408,8 @@ def sinhc_gap_scaled(p, x):
             x, t = x[kept], t[kept]
         w = 1.0 / (6.0 * p * p)
         grow = xp.exp(t) * -xp.expm1(-2.0 * x) / (2.0 * x)
-        v = grow - w * (1.0 + xp.exp(-2.0 * p * x)) - (1.0 - 2.0 * w) * xp.exp(-p * x)
+        # = w (1 + e^{-2px}) + (1 - 2w) e^{-px}, without its cancelling w and -2w
+        v = grow - w * xp.expm1(-p * x) ** 2 - xp.exp(-p * x)
     if xp is math:
         return v
     out[kept] = v

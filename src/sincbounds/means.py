@@ -9,7 +9,8 @@ which sandwiches the logarithmic mean between p = sqrt(15)/5 and p = 1.
 The family equals G * cosh_bound(p, x) at x = (1/2) ln(a/b), which is how
 it is evaluated here (stable at a ~ b, smooth at p = 0, even in p).  The
 logarithmic mean is (a - b)/(2x) at the same x, so the half log ratio is
-the one place that chooses how to take the log.
+the one place that chooses how to take the log.  No mean takes a series
+near a = b: its log1p and asin forms are accurate up to a = b itself.
 
 The pair argument m is a MeanPoint or an (a, b) pair, read by core's rule:
 two numbers (each a float, an int or 0-d), or else two equal-length 1-D
@@ -119,8 +120,6 @@ def _geo(a: float, b: float) -> float:
 
 
 def _half_log_ratio(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
     q = a / b
     if 0.5 < q < 2.0:
         return 0.5 * math.log1p((a - b) / b)
@@ -133,18 +132,14 @@ def _half_log_ratio(a: float, b: float) -> float:
 def _log_mean(a: float, b: float) -> float:
     if a == b:
         return a
-    r = (a - b) / b
-    if abs(r) < 1e-4:
-        # r/ln(1+r) = 1 + r/2 - r^2/12 + r^3/24 - O(r^4); next term ~19r^4/720
-        return b * (1.0 + r * (0.5 + r * (-1.0 / 12.0 + r / 24.0)))
     # L = (a - b)/(2x) at x, the half log ratio, where the log is chosen; 2x is exact
     return (a - b) / (2.0 * _half_log_ratio(a, b))
 
 
 def _sb_mean(a: float, b: float) -> float:
+    if a == b:
+        return b
     u = (b - a) / b
-    if abs(u) < 1e-4:
-        return b * (1.0 + u * (-1.0 / 3.0 + u * (-1.0 / 45.0 + u * (-1.0 / 189.0 - 23.0 * u / 14175.0))))
     if u > 0.0:
         # arccos(1-u) = 2 asin(sqrt(u/2)); libm acos itself drifts ~1e-13 near 1
         return b * math.sqrt(u * (2.0 - u)) / (2.0 * math.asin(math.sqrt(0.5 * u)))
@@ -248,11 +243,10 @@ def _geo_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _half_log_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
+    out = np.empty_like(a)
     q = a / b
-    ne = a != b
-    near = ne & (0.5 < q) & (q < 2.0)
-    far = ne & ~near
+    near = (0.5 < q) & (q < 2.0)
+    far = ~near
     wide = far & ~((_MIN_NORMAL <= q) & (q < np.inf))
     an, bn = a[near], b[near]
     out[near] = 0.5 * np.log1p((an - bn) / bn)
@@ -262,26 +256,18 @@ def _half_log_ratio_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _log_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the whole pair, then the series and a = b overwritten; cheaper than a gather
+    # the whole pair, then a = b (0/0 there) overwritten; cheaper than a gather
     out = (a - b) / (2.0 * _half_log_ratio_arrays(a, b))
-    r = (a - b) / b
-    series = np.abs(r) < 1e-4
-    rs = r[series]
-    out[series] = b[series] * (1.0 + rs * (0.5 + rs * (-1.0 / 12.0 + rs / 24.0)))
     eq = a == b
     out[eq] = a[eq]
     return out
 
 
 def _sb_mean_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
+    out = b.copy()  # a = b, where u = 0
     u = (b - a) / b
-    series = np.abs(u) < 1e-4
-    circ = ~series & (u > 0.0)
-    hyp = ~series & ~circ
-    us = u[series]
-    out[series] = b[series] * (1.0 + us * (-1.0 / 3.0 + us * (-1.0 / 45.0 + us * (
-        -1.0 / 189.0 - 23.0 * us / 14175.0))))
+    circ = u > 0.0
+    hyp = u < 0.0
     uc = u[circ]
     out[circ] = b[circ] * np.sqrt(uc * (2.0 - uc)) / (2.0 * np.arcsin(np.sqrt(0.5 * uc)))
     e = -u[hyp]
@@ -339,7 +325,7 @@ def half_log_ratio(m):
 
 
 def log_mean(m):
-    """(a - b)/(ln a - ln b), a at a = b; series branch when a ~ b."""
+    """(a - b)/(ln a - ln b), a at a = b; (a - b)/(2 half_log_ratio) elsewhere."""
     return _apply(m, _log_mean, _log_mean_arrays)
 
 
@@ -348,8 +334,8 @@ def sb_mean(m):
     sqrt(a^2-b^2)/arccosh(a/b) for a > b.  Not symmetric in (a, b); unlike
     the other means, a = 0 is admitted (value 2b/pi).
 
-    Near a = b both branches share the series b(1 - u/3 - u^2/45 - ...) in
-    u = 1 - a/b, which is used below the crossover.
+    With u = 1 - a/b, arccos(a/b) is taken as 2 asin(sqrt(u/2)) and
+    arccosh(a/b) as log1p(-u + sqrt(-u(2-u))), both accurate up to a = b.
     """
     return _apply(m, _sb_mean, _sb_mean_arrays, sb=True)
 
@@ -470,7 +456,8 @@ def random_pairs(n: int, seed: int, ratio_span=(1e-6, 1e6),
                  scale_span=(1e-3, 1e3)) -> tuple[np.ndarray, np.ndarray]:
     """Seeded (a, b) float64 array pair, a = ratio * b, with log-uniform
     ratios and scales b; exercises near-equal and extreme pairs alike."""
-    rng = np.random.default_rng(seed)
+    n = _count(n, "n", 0)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     lo_r, hi_r = math.log10(ratio_span[0]), math.log10(ratio_span[1])
     lo_s, hi_s = math.log10(scale_span[0]), math.log10(scale_span[1])
     ratios = 10.0 ** rng.uniform(lo_r, hi_r, n)

@@ -249,10 +249,8 @@ def _report(case_id: str, grid_points: int, x: np.ndarray, lv: np.ndarray, rv: n
 
 def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
     """Check lhs < rhs on an interior grid, refining near the worst margins."""
-    if points < 64:
-        raise ValueError("points must be >= 64")
-    if refine_rounds < 0:
-        raise ValueError("refine_rounds must be >= 0")
+    points = _core._count(points, "points", 64)
+    refine_rounds = _core._count(refine_rounds, "refine_rounds", 0)
     lo, hi = case.domain
     spacing = (hi - lo) / (points + 1)
     xs = _interior_grid(lo, hi, points)

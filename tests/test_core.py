@@ -144,6 +144,7 @@ def test_family_parameter_validation(fn, p, x):
 # and np.array(2), as it was when every x went through np.ndim; None where
 # it raises ValueError.  The limit p = 1e-9 converts x to a float first, as
 # every other p does, so np.float32(0.25) gives the value at the double 0.25.
+# sinhc_gap_scaled's values are those of its w (1 - e^{-px})^2 + e^{-px} form.
 NUMPY_NUMBER_VALUES = {
     (cos_power_bound, 1e-9): ("0x1.b1660d7a223b1p-1", "0x1.fab1c0ce7a11bp-1",
                               "0x1.d7d93742f6ebbp-1", "0x1.06de9bcee72dep-1"),
@@ -154,8 +155,8 @@ NUMPY_NUMBER_VALUES = {
     (cosh_power_bound, 0.6): ("0x1.2badafe63a117p+0", "0x1.02aba9cb6173fp+0",
                               "0x1.1525cb39bef95p+0", "0x1.bb95c2fbb286ep+0"),
     (sinhc_gap_scaled, 1e-9): (None, None, None, None),
-    (sinhc_gap_scaled, 0.6): ("0x1.f3d10066064a0p-10", "0x1.7906aa387c000p-17",
-                              "0x1.195b6bca424c0p-11", "0x1.36048ceb45c82p-6"),
+    (sinhc_gap_scaled, 0.6): ("0x1.f3d1006606600p-10", "0x1.7906aa3870000p-17",
+                              "0x1.195b6bca42400p-11", "0x1.36048ceb45c70p-6"),
 }
 
 
@@ -464,6 +465,26 @@ def test_scaled_gap_consistent_with_direct():
         for x in (1.0, 5.0, 20.0):
             expect = math.exp(-p * x) * sinhc_gap(p, x).value
             assert sinhc_gap_scaled(p, x) == pytest.approx(expect, rel=1e-11, abs=1e-18)
+
+
+@pytest.mark.parametrize("p", [1e-7, 1e-5, 1e-3, 0.1, 0.5, UPPER_EDGE, 0.99, 1.0, 1.01, 2.0])
+def test_scaled_gap_within_its_bound_of_mpmath(p):
+    # within 4 + 2|1-p|x ulps of the largest of its three terms,
+    # e^{(1-p)x}(1 - e^{-2x})/(2x), w (1 - e^{-px})^2 and e^{-px},
+    # w = 1/(6p^2): exp carries the rounding of (1-p)x into the first.
+    # Written as w (1 + e^{-2px}) + (1 - 2w) e^{-px}, the last two cancel
+    # at small p, to 3e13 such ulps at p = 1e-7, x = 1
+    with mp.workdps(60):
+        pm = mp.mpf(p)
+        for x in (0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 500.0):
+            xm = mp.mpf(x)
+            want = mp.exp(-pm * xm) * (mp.sinh(xm) / xm - 1 - (xm ** 2 / 6) * (
+                mp.sinh(pm * xm / 2) / (pm * xm / 2)) ** 2)
+            terms = (mp.exp((1 - pm) * xm) * -mp.expm1(-2 * xm) / (2 * xm),
+                     mp.expm1(-pm * xm) ** 2 / (6 * pm ** 2), mp.exp(-pm * xm))
+            tol = (4 + 2 * abs(1 - p) * x) * math.ulp(float(max(terms)))
+            for got in (sinhc_gap_scaled(p, x), sinhc_gap_scaled(p, np.array([x]))[0]):
+                assert abs(got - want) <= tol, x
 
 
 # ------------------------------------------------------------- overflow

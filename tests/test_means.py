@@ -97,7 +97,8 @@ def test_log_mean_values():
 
 
 def test_log_mean_series_crossover():
-    # series and log1p branches agree near the 1e-4 switch
+    # no series switch: on both sides of the former 1e-4 one the mean is
+    # the log1p form
     for b in (1.0, 37.5):
         for r in (9.99e-5, 1.001e-4, -9.99e-5, -1.001e-4):
             a = b * (1.0 + r)
@@ -127,7 +128,8 @@ def test_sb_mean_not_symmetric():
 
 
 def test_sb_mean_series_crossover():
-    # both sides of the series switch against a 40-digit oracle
+    # no series switch: both sides of the former 1e-4 one, and both
+    # branches, against a 40-digit oracle
     mp.mp.dps = 40
     for b in (1.0, 3.0):
         for u in (9.9e-5, 1.01e-4):
@@ -207,18 +209,53 @@ LOG_RATIO_PAIRS = [(2.03e100, 1e100), (5.2e29, 2.56e29), (1e100, 2.03e100), (3e2
                    (1e300, 1e-9), (1e-300, 1e8), (1.0, 5e-324), (1.7e308, 1e-300)]
 
 
-@pytest.mark.parametrize("fn", [half_log_ratio, log_mean])
-def test_log_ratio_means_within_4_ulps_of_mpmath(fn):
-    a, b = 10.0 ** np.random.default_rng(12).uniform(-307.0, 308.0, (2, 1000))
-    a = np.concatenate([[x for x, _ in LOG_RATIO_PAIRS], a])
-    b = np.concatenate([[y for _, y in LOG_RATIO_PAIRS], b])
+def _near_pairs(n, seed):
+    """Seeded pairs with |a/b - 1| log-uniform in [1e-16, 1e-3], either sign,
+    and log-uniform scales b; the closest round to a = b."""
+    rng = np.random.default_rng(seed)
+    d = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, -3.0, n)
+    b = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return b * (1.0 + d), b
+
+
+def _assert_within_4_ulps_of_mpmath(fn, a, b, truth):
+    # truth(am, bm) at 50 digits; numbers and the array pair alike
     arr = fn((a, b))
     for x, y, got_arr in zip(a.tolist(), b.tolist(), arr.tolist()):
         with mp.workdps(50):
-            ln = mp.log(mp.mpf(x) / mp.mpf(y))
-            truth = float(ln / 2 if fn is half_log_ratio else (mp.mpf(x) - mp.mpf(y)) / ln)
+            want = float(truth(mp.mpf(x), mp.mpf(y)))
         for got in (fn((x, y)), got_arr):
-            assert abs(got - truth) <= 4.0 * math.ulp(truth), (x, y)
+            assert abs(got - want) <= 4.0 * math.ulp(want), (x, y)
+
+
+@pytest.mark.parametrize("fn", [half_log_ratio, log_mean])
+def test_log_ratio_means_within_4_ulps_of_mpmath(fn):
+    a, b = 10.0 ** np.random.default_rng(12).uniform(-307.0, 308.0, (2, 1000))
+    near_a, near_b = _near_pairs(1000, 12)
+    a = np.concatenate([[x for x, _ in LOG_RATIO_PAIRS], a, near_a])
+    b = np.concatenate([[y for _, y in LOG_RATIO_PAIRS], b, near_b])
+
+    def truth(am, bm):
+        if am == bm:
+            return 0 if fn is half_log_ratio else am
+        ln = mp.log(am / bm)
+        return ln / 2 if fn is half_log_ratio else (am - bm) / ln
+    _assert_within_4_ulps_of_mpmath(fn, a, b, truth)
+
+
+def test_sb_mean_within_4_ulps_of_mpmath():
+    a, b = random_pairs(1000, seed=12)
+    near_a, near_b = _near_pairs(1000, 12)
+    a = np.concatenate([[0.0], a, near_a])
+    b = np.concatenate([[1.0], b, near_b])
+
+    def truth(am, bm):
+        if am == bm:
+            return bm
+        if am < bm:
+            return mp.sqrt(bm ** 2 - am ** 2) / mp.acos(am / bm)
+        return mp.sqrt(am ** 2 - bm ** 2) / mp.acosh(am / bm)
+    _assert_within_4_ulps_of_mpmath(sb_mean, a, b, truth)
 
 
 @given(m=pairs_strategy, lam=st.floats(1e-3, 1e3))
@@ -525,6 +562,13 @@ def test_random_pairs_deterministic():
     assert (a > b).any() and (a < b).any()
 
 
+@pytest.mark.parametrize("n, seed, name", [(2.5, 1, "n"), (-1, 1, "n"), (3, -1, "seed"),
+                                           (3, 1.0, "seed")])
+def test_random_pairs_counts_are_integers(n, seed, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+        random_pairs(n, seed)
+
+
 def test_random_pairs_values_unchanged():
     # the reference random_pairs had when it built a list of MeanPoint
     for seed, spans in ((3, ((1e-6, 1e6), (1e-3, 1e3))), (8, ((1e-3, 1e3), (0.5, 2.0)))):
@@ -813,8 +857,6 @@ def _ref_log_mean(a, b):
     if a == b:
         return a
     r = (a - b) / b
-    if abs(r) < 1e-4:
-        return b * (1.0 + r * (0.5 + r * (-1.0 / 12.0 + r / 24.0)))
     q = a / b
     if 0.5 < q < 2.0:
         return (a - b) / math.log1p(r)
@@ -845,12 +887,8 @@ def _ref_log_mean_arrays(a, b):
     r = (a - b) / b
     q = a / b
     ne = a != b
-    series = ne & (np.abs(r) < 1e-4)
-    rest = ne & ~series
-    near = rest & (0.5 < q) & (q < 2.0)
-    far = rest & ~near
-    rs = r[series]
-    out[series] = b[series] * (1.0 + rs * (0.5 + rs * (-1.0 / 12.0 + rs / 24.0)))
+    near = ne & (0.5 < q) & (q < 2.0)
+    far = ne & ~near
     out[near] = (a[near] - b[near]) / np.log1p(r[near])
     out[far] = (a[far] - b[far]) / _ref_log_ratio_arrays(a[far], b[far], q[far])
     return out
@@ -858,7 +896,7 @@ def _ref_log_mean_arrays(a, b):
 
 def _log_sweep_pairs(n=4500):
     """Seeded pairs over every branch of the log kernels: ratios across the
-    0.5/2 switch, within 1e-12 of 1 and across the 1e-4 series switch;
+    0.5/2 switch, within 1e-12 of 1 and within 1e-3 of 1;
     scales near 1e-320 and 1.7e308; far ratios between any two scales that
     send a/b out of the normal range; and a = b."""
     rng = np.random.default_rng(20250810)

@@ -100,9 +100,22 @@ def test_case_rejects_non_finite_domain(domain):
 
 def test_verify_rejects_negative_refine_rounds():
     case = InequalityCase("x", lambda x: cos_bound(0.5, x), sinc, (0.0, 1.0))
-    with pytest.raises(ValueError, match="refine_rounds must be >= 0"):
+    with pytest.raises(ValueError, match="refine_rounds must be an integer >= 0"):
         verify(case, points=64, refine_rounds=-1)
     assert verify(case, points=64, refine_rounds=0).grid_points == 64
+
+
+def test_verify_counts_are_integers():
+    case = InequalityCase("x", lambda x: cos_bound(0.5, x), sinc, (0.0, 1.0))
+    for kwargs, name, least in (({"points": 100.0}, "points", 64), ({"points": 63}, "points", 64),
+                                ({"refine_rounds": 1.5}, "refine_rounds", 0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got "):
+            verify(case, **kwargs)
+    with pytest.raises(ValueError, match="^points must be an integer >= 64, got 64.0$"):
+        corpus.run_suite("theorem1", points=64.0)
+    with pytest.raises(ValueError, match="^points must be an integer >= 64, got 70.5$"):
+        verify_sharpness(SharpnessFamily.SINC_LOWER, ThresholdSide.ABOVE, 1e-3, points=70.5)
+    assert verify(case, points=np.int64(64), refine_rounds=np.int32(0)).grid_points == 64
 
 
 def test_verify_inconclusive_on_evaluation_failure():
