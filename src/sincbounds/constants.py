@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import core as _core
@@ -46,6 +47,7 @@ def solve_sinc_lower_edge(tolerance: float = 1e-12) -> SharpConstant:
     the gap is positive at value - tolerance and negative at value +
     tolerance for every admissible tolerance (>= 1e-15).
     """
+    tolerance = float(tolerance)
     if not tolerance >= 1e-15:
         raise ValueError("tolerance must be >= 1e-15")
     return SharpConstant(0.7708607411268668, tolerance)
@@ -90,6 +92,13 @@ def quartic_constants(p) -> QuarticBound:
 
 
 def quartic_bound_eval(q: QuarticBound, x, side: Side):
-    """Evaluate the chosen side of the quartic-corrected bound at x."""
+    """Evaluate the chosen side of the quartic-corrected bound at x, read as
+    cos_bound reads it, with its overflow rule (x^4 overflows from 1.2e77)."""
     c = q.c_lo if side is Side.LOWER else q.c_hi
-    return cos_bound(q.p, x) + c * x ** 4
+    x, xp = _core._converted(x)
+    with nullcontext() if xp is math else xp.errstate(over="raise"):
+        try:
+            v = cos_bound(q.p, x) + c * x ** 4
+        except OverflowError:  # x ** 4, or cos_bound at the p = 0 limit
+            v = math.inf
+    return _core._no_overflow(v, x, "quartic_bound_eval") if xp is math else v

@@ -40,6 +40,7 @@ from functools import partial
 from typing import NamedTuple
 
 _EPS = math.ulp(1.0)
+_LN2 = math.log(2.0)
 
 # Series/direct switch for the gap functions.  Below this |x| the direct
 # subtraction loses ~4 digits (gap = O(x^4) against operands of size 1).
@@ -116,10 +117,10 @@ def _converted(x):
     return np.asarray(x, dtype=float), np
 
 
-def _no_overflow(v, x, name: str):
-    """v, the scalar value of name at x; OverflowError if it overflowed."""
+def _no_overflow(v, x, name: str, arg: str = "x"):
+    """v, the scalar value of name at x (or at the argument arg); OverflowError if it overflowed."""
     if math.isinf(v) and math.isfinite(x):
-        raise OverflowError(f"{name} overflows the double range at x={x!r}")
+        raise OverflowError(f"{name} overflows the double range at {arg}={x!r}")
     return v
 
 
@@ -176,7 +177,10 @@ def _cosh_family(p: float, x, sinh=math.sinh):
     if p <= _LIMIT_FAMILY_CUTOFF:
         return 1.0 + x * x / 6.0
     s = sinh(0.5 * p * x)
-    return 1.0 + 2.0 / (3.0 * p * p) * s * s
+    w = 2.0 / (3.0 * p * p)
+    if w == 0.0:  # 3p^2 overflows (p above 7.7e153): 0 * s * s would lose s, or be nan at inf
+        return 1.0 + 2.0 / 3.0 * (s / p) ** 2
+    return 1.0 + w * s * s
 
 
 def cos_bound(p, x):
@@ -212,10 +216,14 @@ def cosh_bound(p, x):
 
 def gap_series_coeff(n: int, c: float) -> float:
     """Coefficient 3 - (2n+1) c^(n-1) of the gap series, c = p^2 (n >= 1)."""
-    n = _count(n, "n", 1)
-    if not c >= 0.0:  # nan too
-        raise ValueError("c must be >= 0")
-    return 3.0 - (2 * n + 1) * c ** (n - 1)
+    n, c = _count(n, "n", 1), float(c)
+    if not 0.0 <= c < math.inf:  # nan too
+        raise ValueError(f"c must be >= 0 and finite, got {c!r}")
+    try:
+        v = 3.0 - (2 * n + 1) * c ** (n - 1)
+    except OverflowError:  # c^(n-1), or an n beyond the floats
+        v = -math.inf
+    return _no_overflow(v, c, "gap_series_coeff", "c")
 
 
 @dataclass(frozen=True)
@@ -229,6 +237,7 @@ class CoefficientSeq:
     c: float
 
     def __post_init__(self):
+        object.__setattr__(self, "c", float(self.c))  # a number, as MeanPoint holds floats
         if not 0.0 < self.c <= _C_MAX:
             raise ValueError(f"c must lie in (0, 3/5], got {self.c!r}")
 
@@ -243,65 +252,81 @@ class CoefficientSeq:
 
 
 def _gap_series(p: float, x: float, hyperbolic: bool):
-    """Even power series of the gap at |x| <= SERIES_SWITCH.
+    """Even power series of the gap at |x| <= SERIES_SWITCH and p|x| <= 2.
 
     Returns (value, tail_bound).  tail_bound covers both the truncated tail
     (geometric majorant, consecutive majorants shrink by far more than 1/2
     here) and the accumulated rounding of coefficients and summation.
+
+    The n-th term is (a - (2n+1) b) m: a = 3, b = c^(n-1), c = p^2 and
+    m = x^(2n)/(3 (2n+1)!) up to p = 4; above, where c^(n-1) and c overflow,
+    m = c^(n-1) x^(2n)/(3 (2n+1)!), steps by (px)^2, a = 3/c^(n-1), b = 1.
     """
-    c = p * p
     x2 = x * x
-    m = x2 * x2 / 360.0  # x^{2n} / (3 (2n+1)!) at n = 2
-    cp = c               # c^{n-1} at n = 2
+    if p <= 4.0:
+        c = p * p
+        m, a, b = x2 * x2 / 360.0, 3.0, c  # at n = 2
+        m_step, a_step, b_step = x2, 1.0, c
+    else:
+        u2 = (p * x) ** 2
+        inv_c = 1.0 / p / p  # 0 once p^2 overflows
+        m, a, b = u2 * x2 / 360.0, 3.0 * inv_c, 1.0
+        m_step, a_step, b_step = u2, inv_c, 1.0
     total = 0.0
     sign = 1.0
     round_acc = 0.0
     for n, k, nk, d in _SERIES_STEPS:
-        majorant = m * (3.0 + k * cp)  # >= |a_n(c)| x^{2n}/(3(2n+1)!)
+        majorant = m * (a + k * b)  # >= |a_n(c)| x^{2n}/(3(2n+1)!)
         if n >= 6 and majorant < 1e-20 * max(1.0, abs(total)):
             tail = 2.0 * majorant + 4.0 * _EPS * round_acc
             return total, tail
-        term = (3.0 - k * cp) * m
+        term = (a - k * b) * m
         total += term if hyperbolic else sign * term
-        round_acc += m * (3.0 + nk * cp)
+        round_acc += m * (a + nk * b)
         sign = -sign
-        m *= x2 / d
-        cp *= c
+        m *= m_step / d
+        a *= a_step
+        b *= b_step
     raise RuntimeError("gap series did not converge (x outside the series range?)")
+
+
+def _gap(p: float, x, hyperbolic: bool, name: str) -> GapEvaluation:
+    """sinc_gap or sinhc_gap at a validated p: even in x, evaluated at |x|,
+    by the series where |x| <= SERIES_SWITCH and p|x| <= 2, else directly."""
+    x = float(x)
+    ax = abs(x)
+    if ax <= SERIES_SWITCH and p * ax <= 2.0:
+        value, tail = _gap_series(p, ax, hyperbolic)
+        return GapEvaluation(x, value, _SERIES, tail)
+    if not math.isfinite(ax):  # nan and inf both miss the series branch
+        raise ValueError(f"{name} needs a finite x, got {x!r}")
+    try:
+        if not hyperbolic:
+            value = math.sin(ax) / ax - _cos_family(p, ax)
+        elif p <= 4.0:
+            value = math.sinh(ax) / ax - _cosh_family(p, ax)
+        else:  # (sinhc(x) - 1) - (2/3)(sinh(px/2)/p)^2; at px > 2 the second term is
+            # over 1.38 times the first, so the two cancel at most 3.6-fold
+            h = ax * ax / 6.0 + _gap_series(0.0, ax, True)[0] if ax <= SERIES_SWITCH else \
+                math.sinh(ax) / ax - 1.0  # sinhc(x) - 1, the series its x^4 tail
+            value = h - 2.0 / 3.0 * (math.sinh(0.5 * p * ax) / p) ** 2
+    except OverflowError:  # math.sinh or the square beyond the double range
+        value = math.inf
+    return GapEvaluation(x, _no_overflow(value, x, name), _DIRECT)
 
 
 def sinc_gap(p, x) -> GapEvaluation:
     """Gap sinc(x) - cos_bound(p, x), series path for |x| <= SERIES_SWITCH.
 
-    Even in x; evaluated at |x|.
+    Even in x; evaluated at |x|.  x is a number: an array raises TypeError.
     """
-    p = _check(float(p), True)
-    x = float(x)
-    ax = abs(x)
-    if ax <= SERIES_SWITCH:
-        value, tail = _gap_series(p, ax, hyperbolic=False)
-        return GapEvaluation(x, value, _SERIES, tail)
-    if not math.isfinite(ax):  # nan and inf both miss the series branch
-        raise ValueError(f"sinc_gap needs a finite x, got {x!r}")
-    value = math.sin(ax) / ax - _cos_family(p, ax)
-    return GapEvaluation(x, _no_overflow(value, x, "sinc_gap"), _DIRECT)
+    return _gap(_check(float(p), True), x, False, "sinc_gap")
 
 
 def sinhc_gap(p, x) -> GapEvaluation:
-    """Gap sinhc(x) - cosh_bound(p, x), series path for |x| <= SERIES_SWITCH."""
-    p = _check(float(p), False)
-    x = float(x)
-    ax = abs(x)
-    if ax <= SERIES_SWITCH:
-        value, tail = _gap_series(p, ax, hyperbolic=True)
-        return GapEvaluation(x, value, _SERIES, tail)
-    if not math.isfinite(ax):  # nan and inf both miss the series branch
-        raise ValueError(f"sinhc_gap needs a finite x, got {x!r}")
-    try:
-        value = math.sinh(ax) / ax - _cosh_family(p, ax)
-    except OverflowError:  # math.sinh beyond the double range
-        value = math.inf
-    return GapEvaluation(x, _no_overflow(value, x, "sinhc_gap"), _DIRECT)
+    """Gap sinhc(x) - cosh_bound(p, x), series path for |x| <= SERIES_SWITCH
+    and p|x| <= 2 (a larger p|x| takes the direct form)."""
+    return _gap(_check(float(p), False), x, True, "sinhc_gap")
 
 
 def quartic_gap_coeff(p) -> float:
@@ -311,7 +336,10 @@ def quartic_gap_coeff(p) -> float:
     sharp edge on both sides.
     """
     p = _check(float(p), False)
-    return (3.0 - 5.0 * p * p) / 360.0
+    v = (3.0 - 5.0 * p * p) / 360.0
+    if v == -math.inf:  # 5p^2 overflows; the 3/360 is below the last bit there
+        v = _no_overflow(-(p / 72.0) * p, p, "quartic_gap_coeff", "p")
+    return v
 
 
 def cos_power_bound(p: float, x):
@@ -355,7 +383,9 @@ def cos_power_bound(p: float, x):
 
 def cosh_power_bound(p: float, x):
     """Power-form hyperbolic bound (cosh px)^(1/(3p^2)) for p > 0; below
-    p = 0.45 in the half-angle form, see cos_power_bound."""
+    p = 0.45 in the half-angle form, see cos_power_bound.  Where |px| > 710,
+    so that cosh(px) = e^|px|/2 overflows or nearly, it is exp(|x|/(3p) -
+    ln2/(3p^2)): finite where the bound is, p = 1 and x = 800 among them."""
     p = _check(float(p), False)
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p!r}")
@@ -368,7 +398,14 @@ def cosh_power_bound(p: float, x):
                 s = xp.sinh(0.5 * p * x)
                 v = xp.exp(xp.log1p(2.0 * s * s) / (3.0 * p * p))
             else:
-                v = xp.cosh(p * x) ** (1.0 / (3.0 * p * p))
+                # a NaN x is not near: nan ** 0 is 1 where 3p^2 overflows
+                near = abs(x) <= 710.0 / p
+                if xp is math:
+                    v = math.cosh(p * x) ** (1.0 / (3.0 * p * p)) if near else \
+                        math.exp(abs(x) / 3.0 / p - _LN2 / (3.0 * p * p))
+                else:
+                    v = xp.cosh(p * xp.where(near, x, 0.0)) ** (1.0 / (3.0 * p * p))
+                    v[~near] = xp.exp(abs(x[~near]) / 3.0 / p - _LN2 / (3.0 * p * p))
         except OverflowError:  # math.exp, sinh, cosh or the float power beyond the double range
             v = math.inf
     return _no_overflow(v, x, "cosh_power_bound") if xp is math else v

@@ -204,6 +204,8 @@ def _family_times(g: float, p: float, x: float) -> float:
 
 def _scaled_family(g: float, p: float, x: float, sinh_overflows: bool) -> float:
     y = 0.5 * p * x
+    if y == math.inf:  # p*x beyond the double range, where r below may underflow to 0
+        return math.inf
     r = math.sqrt(g) * math.sqrt(2.0 / (3.0 * p * p))
     if sinh_overflows:
         h = math.exp(0.5 * y)  # sinh(y) = h * h / 2 in doubles once y > 19
@@ -361,7 +363,11 @@ def mean_family(p: float, m):
     on p >= 0.  Where that product overflows but the mean does not, it is
     evaluated in a scaled form (see _family_times).
     """
-    return _apply(m, _mean_family, _mean_family_arrays, _check(abs(float(p)), False))
+    p = _check(abs(float(p)), False)
+    try:
+        return _apply(m, _mean_family, _mean_family_arrays, p)
+    except OverflowError:  # sinh(y) or its scaled form beyond the double range
+        raise OverflowError(f"mean_family overflows the double range at p={p!r}") from None
 
 
 def _mean_family_rows(p_grid, a, b) -> tuple[np.ndarray, np.ndarray]:

