@@ -11,7 +11,9 @@ Exit codes: 0 all verified, 1 violation/inconclusive, 2 usage error
 (including an option the chosen --fn, --name or --chain does not read),
 141 when the reader closes stdout early (128 + SIGPIPE, no traceback).
 Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
-17 significant digits, JSON uses repr round-tripping).
+17 significant digits, JSON uses repr round-tripping).  Only verify,
+table --chain meanchain and special --name sb|log-mean import numpy; the
+other commands, table --chain m1c|m2c among them, run on math alone.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import sys
 from . import __version__, constants, core, integrals
 from .core import _HALF_PI
 
-# the --suite and --chain choices, kept literal so that parsing imports no
-# corpus (and no numpy); equal to ("all",) + corpus.SUITES and
-# (*corpus.CHAINS, "meanchain"), which a test checks
+# the --suite choices, kept literal so that parsing imports no corpus (and
+# no numpy); equal to ("all",) + corpus.SUITES, which a test checks
 _SUITES = ("all", "theorem1", "theorem2", "chains", "propositions", "remarks")
-_CHAINS = ("m1c", "m2c", "meanchain")
+_CHAINS = (*core.CHAINS, "meanchain")
 _POINTS, _SEED = 4096, 20250810  # the --points and --seed defaults
 
 
@@ -119,12 +120,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
     """Header and rows (x, or a and b, then member values and adjacent
     margins) for a chain; the mean chain takes (a, b) pairs of numbers."""
-    from . import corpus, means
     chain = chain.lower()
-    if chain in corpus.CHAINS:
-        members, head = corpus.CHAINS[chain][0](), ["x"]
+    if chain in core.CHAINS:
+        members, head = core.CHAINS[chain][0](), ["x"]
         points = [([float(x)], float(x)) for x in xs]
     elif chain == "meanchain":
+        from . import corpus, means
         members, head = corpus.mean_chain_members(), ["a", "b"]
         pts = [means.MeanPoint(float(a), float(b)) for a, b in xs]  # validated once, not per member
         points = [([m.a, m.b], m) for m in pts]
@@ -139,11 +140,14 @@ def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    import numpy as np
-    from . import corpus, means
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) bit for bit, by its own operations, without numpy."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
-    fixed, pair = args.chain in corpus.CHAINS, args.pair is not None
+
+def cmd_table(args: argparse.Namespace) -> int:
+    fixed, pair = args.chain in core.CHAINS, args.pair is not None
     reads = ("points",) if fixed else ("pair",) if pair else ("points", "seed")
     unread = [f"--{o}" for o in ("points", "seed", "pair")
               if getattr(args, o) is not None and o not in reads]
@@ -151,9 +155,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.chain} reads no {' '.join(unread)}" + ("" if fixed else " with --pair"))
     points = _POINTS if args.points is None else args.points
     if fixed:
-        lo, hi = corpus.CHAINS[args.chain][1]
-        header, rows = chain_table(args.chain, np.linspace(lo, hi, points))
+        header, rows = chain_table(args.chain, _linspace(*core.CHAINS[args.chain][1], points))
     else:
+        from . import means
         seed = _SEED if args.seed is None else args.seed
         pairs = [args.pair] if pair else zip(*means.random_pairs(
             points, seed, ratio_span=(1e-3, 1e3), scale_span=(0.5, 2.0)))

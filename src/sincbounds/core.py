@@ -176,10 +176,13 @@ def _cosh_family(p: float, x, sinh=math.sinh):
     elementwise sinh, a float64 array x); may overflow to inf."""
     if p <= _LIMIT_FAMILY_CUTOFF:
         return 1.0 + x * x / 6.0
-    s = sinh(0.5 * p * x)
     w = 2.0 / (3.0 * p * p)
-    if w == 0.0:  # 3p^2 overflows (p above 7.7e153): 0 * s * s would lose s, or be nan at inf
-        return 1.0 + 2.0 / 3.0 * (s / p) ** 2
+    if w == 0.0:  # 3p^2 overflows (p above 7.7e153): 0 * s * s would lose s, or be nan at inf.
+        # sinh(px/2)/p is (s/p)(2s), s = sinh(|px|/4), as sinh(2v) = 2 sinh(v)^2 in
+        # doubles from v = 20, and finite where sinh(px/2) overflows; below, the sum is 1
+        s = sinh(0.25 * abs(p * x))
+        return 1.0 + 2.0 / 3.0 * (s / p * (2.0 * s)) ** 2
+    s = sinh(0.5 * p * x)
     return 1.0 + w * s * s
 
 
@@ -309,7 +312,13 @@ def _gap(p: float, x, hyperbolic: bool, name: str) -> GapEvaluation:
             # over 1.38 times the first, so the two cancel at most 3.6-fold
             h = ax * ax / 6.0 + _gap_series(0.0, ax, True)[0] if ax <= SERIES_SWITCH else \
                 math.sinh(ax) / ax - 1.0  # sinhc(x) - 1, the series its x^4 tail
-            value = h - 2.0 / 3.0 * (math.sinh(0.5 * p * ax) / p) ** 2
+            u = 0.5 * p * ax
+            if u <= 710.0:
+                s = math.sinh(u) / p
+            else:  # sinh(u) overflows: (s/p)(2s), s = sinh(u/2), as in _cosh_family
+                s = math.sinh(0.5 * u)
+                s = s / p * (2.0 * s)
+            value = h - 2.0 / 3.0 * s ** 2
     except OverflowError:  # math.sinh or the square beyond the double range
         value = math.inf
     return GapEvaluation(x, _no_overflow(value, x, name), _DIRECT)
@@ -470,3 +479,33 @@ def member(name: str, p=None, label=None):
     if p is None:
         return name, fn
     return f"{name}({format(p, '.9g') if label is None else label})", partial(fn, p)
+
+
+# (label, p) rows shared by the chains: the five members up to sqrt(15)/5,
+# and the two above sinhc and the log mean
+_LOW = (("1/sqrt3", 1.0 / math.sqrt(3.0)), ("2/3", 2.0 / 3.0), ("1/sqrt2", 1.0 / math.sqrt(2.0)),
+        ("3/4", 0.75), ("sqrt15/5", _UPPER_EDGE))
+_HIGH = (("1", 1.0), ("2/sqrt3", 2.0 / math.sqrt(3.0)))
+
+
+def _chain(family, rows, target, at: int) -> list[tuple[str, object]]:
+    """The members member(family, p, label), one per (label, p) row in
+    order, with the member target at index at."""
+    members = [member(family, p, label) for label, p in rows]
+    members.insert(at, member(target))
+    return members
+
+
+def cos_chain_members() -> list[tuple[str, object]]:
+    """The nine-member trig chain on (0, pi/2), increasing order."""
+    above = (("sqrt(2/3)", math.sqrt(2.0 / 3.0)), ("sqrt3/2", math.sqrt(3.0) / 2.0), ("1", 1.0))
+    return _chain("cos_bound", _LOW + above, "sinc", 4)
+
+
+def cosh_chain_members() -> list[tuple[str, object]]:
+    """The eight-member hyperbolic chain, increasing order."""
+    return _chain("cosh_bound", _LOW + _HIGH, "sinhc", 5)
+
+
+# the fixed-parameter chains in x: name -> (members, domain)
+CHAINS = {"m1c": (cos_chain_members, (0.0, _HALF_PI)), "m2c": (cosh_chain_members, (0.0, 20.0))}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, constants, integrals, means
-from .core import _HALF_PI, _UPPER_EDGE, member
+from .core import _HALF_PI, _HIGH, _LOW, _UPPER_EDGE, CHAINS, _chain, member
 from .verifier import (
     HYP_DOMAIN,
     TRIG_DOMAIN,
@@ -50,36 +50,6 @@ class CheckResult:
     observed: str
     detail: str = ""
     report: VerificationReport | None = field(default=None, compare=False)
-
-
-# (label, p) rows shared by the chains: the five members up to sqrt(15)/5,
-# and the two above sinhc and the log mean
-_LOW = (("1/sqrt3", 1.0 / math.sqrt(3.0)), ("2/3", 2.0 / 3.0), ("1/sqrt2", 1.0 / math.sqrt(2.0)),
-        ("3/4", 0.75), ("sqrt15/5", _UPPER_EDGE))
-_HIGH = (("1", 1.0), ("2/sqrt3", 2.0 / math.sqrt(3.0)))
-
-
-def _chain(family, rows, target, at: int) -> list[tuple[str, object]]:
-    """The members core.member(family, p, label), one per (label, p) row in
-    order, with the member target at index at."""
-    members = [member(family, p, label) for label, p in rows]
-    members.insert(at, member(target))
-    return members
-
-
-def cos_chain_members() -> list[tuple[str, object]]:
-    """The nine-member trig chain on (0, pi/2), increasing order."""
-    above = (("sqrt(2/3)", math.sqrt(2.0 / 3.0)), ("sqrt3/2", math.sqrt(3.0) / 2.0), ("1", 1.0))
-    return _chain("cos_bound", _LOW + above, "sinc", 4)
-
-
-def cosh_chain_members() -> list[tuple[str, object]]:
-    """The eight-member hyperbolic chain, increasing order."""
-    return _chain("cosh_bound", _LOW + _HIGH, "sinhc", 5)
-
-
-# the fixed-parameter chains in x: name -> (members, domain)
-CHAINS = {"m1c": (cos_chain_members, TRIG_DOMAIN), "m2c": (cosh_chain_members, (0.0, 20.0))}
 
 
 def mean_chain_members() -> list[tuple[str, object]]:

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sincbounds
 from sincbounds import core, corpus
-from sincbounds.cli import build_parser, chain_table, main
+from sincbounds.cli import _linspace, build_parser, chain_table, main
 from sincbounds.corpus import CheckResult
 from sincbounds.means import MeanPoint, log_mean
 
@@ -154,7 +155,7 @@ def test_table_defaults_apply_where_not_given(capsys):
 
 
 def test_suite_and_chain_choices_match_the_corpus():
-    # the parser keeps them literal, so that parsing imports no corpus
+    # the parser keeps the suites literal, so that parsing imports no corpus
     sub = next(a for a in build_parser()._actions if a.dest == "command").choices
     choices = {a.dest: a.choices for name in ("verify", "table") for a in sub[name]._actions}
     assert choices["suite"] == ("all",) + corpus.SUITES
@@ -253,6 +254,14 @@ def test_table_m2c_limit_row(capsys):
     assert first[0] == 0.0 and all(v == 1.0 for v in first[1:9])
 
 
+@pytest.mark.parametrize("chain", sorted(core.CHAINS))
+def test_table_grid_is_linspace_bit_for_bit(chain):
+    lo, hi = core.CHAINS[chain][1]
+    for n in [*range(64, 5001), 65536]:
+        got = np.array(_linspace(lo, hi, n))
+        assert np.array_equal(got.view(np.int64), np.linspace(lo, hi, n).view(np.int64)), n
+
+
 def test_chain_table_at_explicit_point():
     header, rows = chain_table("m1c", [1.0])
     vals = rows[0][1:10]
@@ -281,6 +290,17 @@ def test_table_meanchain_pair(capsys):
 def test_table_meanchain_random_pairs_bytes(capsys, argv, digest):
     # the seeded pairs path of the mean chain, which no golden command runs
     code, out, _ = run(capsys, "table", "--chain", "meanchain", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("m2c", "--points", "64"), "d7d5eed20a769332cc8cbf796b3301817fe5466a07716f670fce34460b91d0c8"),
+    (("m1c",), "beaca7147999c9c7c40689d51eba9118f82ad331e1c0b60db6b25f6043d98de4"),
+    (("m2c",), "5c1b0bcec0d017089a07dff2711fff5ae466e80df8a089f961fbcf378bdcb273"),
+])
+def test_table_fixed_chain_bytes(capsys, argv, digest):
+    # the hyperbolic chain and the default 4096 points, which no golden command runs
+    code, out, _ = run(capsys, "table", "--chain", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -482,7 +482,7 @@ def test_scaled_gap_within_its_bound_of_mpmath(p):
 
 @pytest.mark.parametrize("p, x", [(4.0, 0.5), (4.000001, 0.5), (5.0, 0.4), (100.0, 0.02), (100.0, 0.03),
                                   (1000.0, 0.1), (1e5, 3e-5), (1e6, 2e-6), (1e10, 2.1e-10), (1e100, 1e-100),
-                                  (1e300, 0.0)])
+                                  (1e300, 0.0), (1e300, 1.5e-297), (1.7e308, 1e-305)])
 def test_sinhc_gap_at_large_p_against_mpmath(p, x):
     # the series where p|x| <= 2, in powers of px above p = 4, so that it
     # neither overflows nor misses its tail bound; elsewhere the direct form,
@@ -498,19 +498,27 @@ def test_sinhc_gap_at_large_p_against_mpmath(p, x):
 
 
 def test_large_p_forms_against_mpmath():
-    # cosh_bound where 2/(3p^2) underflows to 0 (p above 7.7e153), within
-    # 4 + 2px ulps; cosh_power_bound where cosh(px) overflows, within
-    # 4 + 2|ln v| ulps; quartic_gap_coeff where 5p^2 overflows
+    # cosh_power_bound where cosh(px) overflows, within 4 + 2|ln v| ulps;
+    # quartic_gap_coeff where 5p^2 overflows
     with mp.workdps(60):
-        p, x = mp.mpf(1e154), mp.mpf(8e-152)
-        family = 1 + 2 / (3 * p * p) * mp.sinh(p * x / 2) ** 2
         power = mp.cosh(800) ** (mp.mpf(1) / 3)
         coeff = (3 - 5 * mp.mpf(1e155) ** 2) / 360
-    for got in (cosh_bound(1e154, 8e-152), cosh_bound(1e154, np.array([8e-152]))[0]):
-        assert abs(got - family) <= 1604 * math.ulp(got)
     for got in (cosh_power_bound(1.0, -800.0), *cosh_power_bound(1.0, np.array([800.0, -800.0]))):
         assert abs(got - power) <= (4 + 2 * 266.7) * math.ulp(got)
     assert abs(quartic_gap_coeff(1e155) - coeff) <= math.ulp(coeff)
+
+
+@pytest.mark.parametrize("p, x", [(1e154, 8e-152), (1e200, 1.5e-197), (1e300, 1.4e-297),
+                                  (1e300, 1.5e-297), (1e300, -2e-297), (1.7e308, 1e-305)])
+def test_cosh_bound_at_large_p_against_mpmath(p, x):
+    # above p = 7.7e153, where 3p^2 overflows, sinh(px/2)/p is (s/p)(2s),
+    # s = sinh(|px|/4), finite also where sinh(px/2) overflows (p|x| above 1421)
+    # and the value does not: within 4 + 2p|x| ulps, as a number and as an array
+    with mp.workdps(50):
+        pm, xm = mp.mpf(p), mp.mpf(x)
+        want = 1 + 2 / (3 * pm * pm) * mp.sinh(pm * xm / 2) ** 2
+    for got in (cosh_bound(p, x), cosh_bound(p, np.array([x, 0.0]))[0]):
+        assert abs(got - want) <= (4 + 2 * p * abs(x)) * math.ulp(got)
 
 
 # ------------------------------------------------------------- overflow
@@ -519,6 +527,7 @@ OVERFLOWING = [
     (cos_bound, 0.0, 1e200), (cos_bound, 1e-9, 1e200), (cosh_bound, 0.0, 1e200),
     (cosh_bound, 2.0, 700.0), (cosh_power_bound, 1e-9, 1e200), (cosh_power_bound, 1e-4, 5e6),
     (cosh_power_bound, 2.0, 1e308),  # p*x itself overflows to inf
+    (cosh_bound, 1e300, 2.2e-297),  # (sinh(px/2)/p)^2 overflows, sinh(px/2) too
 ]
 
 

@@ -108,7 +108,7 @@ def test_sh_reference_at_infinity_is_closed_form(monkeypatch):
 
 GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
 
-# commands that compute only numbers; [] just imports the package
+# commands that load no numpy, fixed-chain tables among them; [] just imports the package
 _NUMPY_FREE = [
     [],
     *(g["args"] for g in json.loads(GOLDEN_CLI.read_text())["constants"]),
@@ -117,8 +117,9 @@ _NUMPY_FREE = [
     ["special", "--name", "si"], ["special", "--name", "sh", "--t", "2"],
     ["special", "--name", "sh", "--t", "20"], ["special", "--name", "trigamma-half"],
     ["special", "--name", "catalan"],
+    ["table", "--chain", "m1c", "--points", "64"], ["table", "--chain", "m2c", "--points", "64"],
 ]
-_NEEDS_NUMPY = [["verify", "--suite", "all"], ["table", "--chain", "m1c", "--points", "64"]]
+_NEEDS_NUMPY = [["verify", "--suite", "all"], ["table", "--chain", "meanchain", "--points", "64"]]
 
 
 def test_no_command_imports_scipy():
@@ -137,7 +138,7 @@ def test_no_command_imports_scipy():
     """
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    assert len(_NUMPY_FREE) == 19
+    assert len(_NUMPY_FREE) == 21
     for argv, loaded in [(a, "[]") for a in _NUMPY_FREE] + [(a, "['numpy']") for a in _NEEDS_NUMPY]:
         proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)

@@ -6,8 +6,7 @@ import pytest
 
 from sincbounds import constants, core, corpus, means, verifier
 from sincbounds.constants import solve_sinc_lower_edge
-from sincbounds.core import cos_bound, cos_power_bound, sinc, sinhc
-from sincbounds.corpus import cos_chain_members, cosh_chain_members
+from sincbounds.core import cos_bound, cos_chain_members, cos_power_bound, cosh_chain_members, sinc, sinhc
 from sincbounds.means import half_log_ratio, mean_family, random_pairs
 from sincbounds.verifier import (
     FLOOR_ULPS,
