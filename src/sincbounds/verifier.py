@@ -47,6 +47,16 @@ floors.  The refinement centres of the next round are the 5 smallest
 margins so far; once 5 are held, a block offers only its margins below the
 5th, kth, as a margin equal to kth comes later in evaluation order and so
 cannot displace it.
+
+Every sharp edge and chain link compares a bound with core.sinc or
+core.sinhc, so _side keeps their read-only values on the blocks of the base
+grid: the 32 most recently used blocks that evaluated without an exception,
+at most 64 KiB each.  The key is the function, which must be the module's
+attribute at the call (a wrapper put there is kept as itself), the float64
+grid's lo, hi and points, numpy's error state, and the block's start and
+stop.  Refinement rounds, other grids and other functions are evaluated
+afresh.  A kept block holds the values a fresh evaluation gives, so a
+report never depends on what is kept.
 """
 
 from __future__ import annotations
@@ -225,9 +235,24 @@ def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
     return cx[keep], cm[keep]
 
 
-def _side(f: Callable, x: np.ndarray) -> np.ndarray:
-    v = np.asarray(f(x), dtype=float)
-    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+_KEPT: dict = {}  # base-grid block key -> read-only values, least recently used first
+_KEPT_BLOCKS = 32
+
+
+def _side(f: Callable, x: np.ndarray, block: tuple | None = None) -> np.ndarray:
+    """f at x, as an array of x's shape; kept for core.sinc or core.sinhc given block, x's key."""
+    if block is None or not (f is _core.sinc or f is _core.sinhc):
+        v = np.asarray(f(x), dtype=float)
+        return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+    key = (f, *block)
+    v = _KEPT.pop(key, None)
+    if v is None:
+        v = _side(f, x).view()
+        v.flags.writeable = False
+        if len(_KEPT) >= _KEPT_BLOCKS:
+            _KEPT.pop(next(iter(_KEPT)), None)
+    _KEPT[key] = v
+    return v
 
 
 def _report(case_id: str, grid_points: int, x: np.ndarray, lv: np.ndarray, rv: np.ndarray,
@@ -254,6 +279,8 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     lo, hi = case.domain
     spacing = (hi - lo) / (points + 1)
     xs = _interior_grid(lo, hi, points)
+    # a float64 grid is fixed by its endpoints as floats and its size
+    grid = (float(lo), float(hi), points, *np.geterr().values()) if xs.dtype == float else None
     grid_points = 0
     # Each block of the base grid, which is in x order, keeps the points that
     # can decide the report: its first minimum and its first violations.  A
@@ -267,8 +294,9 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             refining = round_no < refine_rounds
             for start in range(0, xs.size, _BLOCK):
                 x = xs[start:start + _BLOCK]
-                lv = _side(case.lhs, x)
-                rv = _side(case.rhs, x)
+                block = None if round_no or grid is None else (*grid, start, start + x.size)
+                lv = _side(case.lhs, x, block)
+                rv = _side(case.rhs, x, block)
                 margin = rv - lv
                 i = int(margin.argmin())
                 if refining:

@@ -855,6 +855,141 @@ def test_verify_memory_stays_below_one_round():
     assert peak < 1.5 * 2 ** 20, peak
 
 
+# ------------------------------------ base-grid values of sinc and sinhc kept
+
+@pytest.mark.parametrize("points", [64, 4096])
+def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
+    real = verifier.verify
+    calls = [0]
+    served = []
+
+    def counted(f):
+        def target(x):
+            calls[0] += 1
+            return f(x)
+        return target
+
+    def checked(case, points=4096, refine_rounds=2):
+        verifier._KEPT.clear()
+        before = calls[0]
+        cold = real(case, points, refine_rounds)
+        between = calls[0]
+        _assert_same_report(real(case, points, refine_rounds), cold)
+        # the warm run skips the one base-grid block of each target
+        targets = {core.sinc, core.sinhc} & {case.lhs, case.rhs}
+        assert (between - before) - (calls[0] - between) == len(targets), case.id
+        served.append(len(targets))
+        return cold
+
+    # the targets are the module's counting wrappers, each kept as itself
+    monkeypatch.setattr(core, "sinc", counted(core.sinc))
+    monkeypatch.setattr(core, "sinhc", counted(core.sinhc))
+    monkeypatch.setattr(verifier, "_KEPT", {})
+    monkeypatch.setattr(verifier, "verify", checked)
+    monkeypatch.setattr(corpus, "verify", checked)
+    corpus.run_suite("all", points=points)
+    for fam in SharpnessFamily:
+        for side in ThresholdSide:
+            for offset in (1e-3, 1e-5, 1e-7, 1e-9):
+                verify_sharpness(fam, side, offset, points=points)
+    assert len(served) == 99 and sum(served) == 65
+
+
+def test_kept_blocks_follow_the_block_size(monkeypatch):
+    # the key holds each block's extent: blocks of 8192 points kept warm are
+    # never served for blocks of 64, or the other way round
+    monkeypatch.setattr(verifier, "_KEPT", {})
+    cases = [edge_case(SharpnessFamily.SINC_LOWER, 0.7), edge_case(SharpnessFamily.SINHC_UPPER, 1.2),
+             InequalityCase("short blocks", lambda x: 0.5 + 0 * x, sinc, (0.0, 2.0))]
+    for case in cases:
+        want = _reference_verify(case, points=8193)
+        for block in (verifier._BLOCK, 64, verifier._BLOCK):
+            monkeypatch.setattr(verifier, "_BLOCK", block)
+            _assert_same_report(verify(case, points=8193), want)
+    # the last 8192-point run, after the last blocks of 64 (the final one
+    # is the same slice, of one point, in both)
+    assert {key[-2:] for key in verifier._KEPT} >= {(0, 8192), (8192, 8193), (8128, 8192)}
+
+
+def test_only_the_module_targets_are_kept(monkeypatch):
+    # a wrapper of sinc is never served core.sinc's values, nor core.sinc
+    # a wrapper's: a case's function is kept only as the module's own
+    monkeypatch.setattr(verifier, "_KEPT", {})
+    real = core.sinc
+
+    def shifted(x):
+        return real(x) + 1.0
+
+    def check(rhs):
+        case = InequalityCase("shifted", lambda x: 1.5 + 0 * x, rhs, (0.0, HALF_PI))
+        got = verify(case, points=1000)
+        _assert_same_report(got, _reference_verify(case, points=1000))
+        return got
+
+    base = check(real)
+    assert base.verdict is Verdict.FAILS
+    assert check(shifted).verdict is Verdict.HOLDS  # shifted is not core.sinc: not kept
+    assert [key[0] for key in verifier._KEPT] == [real]
+    monkeypatch.setattr(core, "sinc", shifted)
+    assert check(core.member("sinc")[1]).verdict is Verdict.HOLDS  # kept as itself
+    assert [key[0] for key in verifier._KEPT] == [real, shifted]
+    monkeypatch.setattr(core, "sinc", real)
+    _assert_same_report(check(real), base)
+
+
+def test_a_failed_evaluation_is_not_kept(monkeypatch):
+    # near the largest double sinc underflows, which an errstate may raise;
+    # the values kept under one errstate are not served under another
+    monkeypatch.setattr(verifier, "_KEPT", {})
+    case = InequalityCase("underflow", lambda x: -1.0 + 0 * x, sinc, (1e307, 1.7e308))
+    diagnostic = "evaluation failed: FloatingPointError('underflow encountered in divide')"
+    for _ in range(2):
+        with np.errstate(under="raise"):
+            got = verify(case, points=64)
+        assert (got.verdict, got.diagnostic) == (Verdict.INCONCLUSIVE, diagnostic)
+        assert verifier._KEPT == {}
+    assert verify(case, points=64).verdict is Verdict.HOLDS
+    assert len(verifier._KEPT) == 1
+    with np.errstate(under="raise"):
+        assert verify(case, points=64).diagnostic == diagnostic
+
+
+def test_only_float64_grids_are_kept(monkeypatch):
+    # a float32 domain makes a float32 grid, with other points than the
+    # float64 grid of the same endpoints; a 0-d array endpoint makes the
+    # float64 grid of its float
+    wide = InequalityCase("f64", _ZERO, sinc, (0.0, 1.5))
+    narrow = InequalityCase("f32", _ZERO, sinc, (np.float32(0.0), np.float32(1.5)))
+    boxed = InequalityCase("f64", _ZERO, sinc, (np.array(0.0), np.array(1.5)))
+    cold = {}
+    for case in (wide, narrow):
+        monkeypatch.setattr(verifier, "_KEPT", {})
+        cold[case.id] = verify(case, points=1000)
+    assert cold["f64"].min_margin != cold["f32"].min_margin
+    for case in (wide, narrow, boxed, narrow):
+        _assert_same_report(verify(case, points=1000), cold[case.id])
+    assert [key[1:4] for key in verifier._KEPT] == [(0.0, 1.5, 1000)]
+
+
+def test_kept_values_are_read_only_and_within_budget(monkeypatch):
+    monkeypatch.setattr(verifier, "_KEPT", {})
+    for suite in ("theorem1", "theorem2", "chains"):
+        corpus.run_suite(suite, points=65536)
+    kept = verifier._KEPT.values()
+    # 8 blocks each of sinc on (0, pi/2), and of sinhc on (0, 50) and (0, 20)
+    assert len(kept) == 24
+    assert sum(v.nbytes for v in kept) <= verifier._KEPT_BLOCKS * verifier._BLOCK * 8 == 2 * 2 ** 20
+    for v in kept:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.0
+    # past the budget the least recently used block goes first
+    monkeypatch.setattr(verifier, "_BLOCK", 64)
+    verify(edge_case(SharpnessFamily.SINC_LOWER, 0.7), points=4096)
+    assert len(verifier._KEPT) == verifier._KEPT_BLOCKS
+    assert [key[-2:] for key in verifier._KEPT] == [(s, s + 64) for s in range(2048, 4096, 64)]
+
+
 # ------------------------------------------------- monotone mean family rows
 
 def _stacked_rows(p_grid, a, b):
