@@ -125,8 +125,8 @@ def chain_table(chain: str, xs) -> tuple[list[str], list[list[float]]]:
         members, head = core.CHAINS[chain][0](), ["x"]
         points = [([float(x)], float(x)) for x in xs]
     elif chain == "meanchain":
-        from . import corpus, means
-        members, head = corpus.mean_chain_members(), ["a", "b"]
+        from . import means
+        members, head = core.mean_chain_members(), ["a", "b"]
         pts = [means.MeanPoint(float(a), float(b)) for a, b in xs]  # validated once, not per member
         points = [([m.a, m.b], m) for m in pts]
     else:

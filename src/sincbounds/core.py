@@ -507,5 +507,16 @@ def cosh_chain_members() -> list[tuple[str, object]]:
     return _chain("cosh_bound", _LOW + _HIGH, "sinhc", 5)
 
 
+def mean_chain_members() -> list[tuple[str, object]]:
+    """Family members below the log mean, then the log mean, then the two above."""
+    rows = tuple((f"{p:.6g}", p) for _, p in _LOW) + _HIGH
+    return _chain("mean_family", rows, "log_mean", 5)
+
+
+# the theorems' domains in x; only verify_sharpness(SINHC_UPPER) looks past
+# HYP_DOMAIN, a margin below cosh's overflow, by a scan of the scaled gap
+TRIG_DOMAIN = (0.0, _HALF_PI)
+HYP_DOMAIN = (0.0, 50.0)
+
 # the fixed-parameter chains in x: name -> (members, domain)
-CHAINS = {"m1c": (cos_chain_members, (0.0, _HALF_PI)), "m2c": (cosh_chain_members, (0.0, 20.0))}
+CHAINS = {"m1c": (cos_chain_members, TRIG_DOMAIN), "m2c": (cosh_chain_members, (0.0, 20.0))}

@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, constants, integrals, means
-from .core import _HALF_PI, _HIGH, _LOW, _UPPER_EDGE, CHAINS, _chain, member
+from .core import _HALF_PI, _UPPER_EDGE, CHAINS, HYP_DOMAIN, TRIG_DOMAIN, member
 from .verifier import (
-    HYP_DOMAIN,
-    TRIG_DOMAIN,
     InequalityCase,
     SharpnessFamily,
     ThresholdSide,
@@ -50,12 +48,6 @@ class CheckResult:
     observed: str
     detail: str = ""
     report: VerificationReport | None = field(default=None, compare=False)
-
-
-def mean_chain_members() -> list[tuple[str, object]]:
-    """Family members below the log mean, then the log mean, then the two above."""
-    rows = tuple((f"{p:.6g}", p) for _, p in _LOW) + _HIGH
-    return _chain("mean_family", rows, "log_mean", 5)
 
 
 def _verdict_result(suite: str, report: VerificationReport, expected: Verdict) -> CheckResult:

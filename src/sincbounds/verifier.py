@@ -30,12 +30,13 @@ block by block, and lhs before rhs within a block).
 Each round is evaluated and reduced in blocks of _BLOCK = 8192 consecutive
 points: lhs and rhs are called once per block, on a slice of the round, so
 they must be elementwise.  The base grid is made once per call, by
-np.linspace, and each block is a slice of it; the grid is the only
-round-sized array.  A block's float64 arrays take 64 KiB, below glibc's
-128 KiB mmap threshold, so their memory is reused from the heap; the
-temporaries of a whole 65536-point round were mapped and page-faulted in
-afresh on every round (about 81,000 minor faults per dense_grid benchmark
-cycle, a third of its time in the kernel, against under 1,000 in blocks).
+np.linspace from the case's float endpoints, so every grid and window is
+float64; each block is a slice of it, the only round-sized array.  A
+block's arrays take 64 KiB, below glibc's 128 KiB mmap threshold, so their
+memory is reused from the heap; the temporaries of a whole 65536-point
+round were mapped and page-faulted in afresh on every round (about 81,000
+minor faults per dense_grid benchmark cycle, a third of its time in the
+kernel, against under 1,000 in blocks).
 
 Most blocks are settled by a few whole-block reductions.  Every floor is at
 least 64 ulps of 1, so a block whose smallest margin is not below minus
@@ -44,19 +45,19 @@ ulps of max(1, max|lhs|, max|rhs|) capped at the largest double, is a hold,
 after which no block needs that test.  A NaN margin fails both
 comparisons.  Only a block these bounds do not settle takes the per-point
 floors.  The refinement centres of the next round are the 5 smallest
-margins so far; once 5 are held, a block offers only its margins below the
-5th, kth, as a margin equal to kth comes later in evaluation order and so
-cannot displace it.
+margins so far; once 5 are held, a block whose smallest margin is not below
+the 5th offers none, as a margin equal to it comes later in evaluation
+order and so cannot displace it; any other block offers its own 5 smallest.
 
 Every sharp edge and chain link compares a bound with core.sinc or
 core.sinhc, so _side keeps their read-only values on the blocks of the base
 grid: the 32 most recently used blocks that evaluated without an exception,
 at most 64 KiB each.  The key is the function, which must be the module's
-attribute at the call (a wrapper put there is kept as itself), the float64
-grid's lo, hi and points, numpy's error state, and the block's start and
-stop.  Refinement rounds, other grids and other functions are evaluated
-afresh.  A kept block holds the values a fresh evaluation gives, so a
-report never depends on what is kept.
+attribute at the call (a wrapper put there is kept as itself), the grid's
+lo, hi and points, numpy's error state, and the block's start and stop.
+Refinement rounds, other grids and other functions are evaluated afresh.
+A kept block holds the values a fresh evaluation gives, so a report never
+depends on what is kept.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from . import constants as _constants
 from . import core as _core
 from . import means as _means
 from .constants import LEIBNIZ_RATIO_BOUND
+from .core import HYP_DOMAIN, TRIG_DOMAIN  # the one definition of each, re-exported
 
 _EPS = math.ulp(1.0)
 FLOOR_ULPS = 64.0
@@ -80,10 +82,6 @@ _MAX_DOUBLE = sys.float_info.max
 _BLOCK = 8192  # points per lhs/rhs call; see the module docstring
 _DEADBAND = FLOOR_ULPS * _EPS  # the smallest floor
 _SMALL = 256  # _smallest5 sorts arrays up to this size outright
-
-TRIG_DOMAIN = (0.0, _core._HALF_PI)
-HYP_DOMAIN = (0.0, 50.0)  # cosh overflow margin; only verify_sharpness(SINHC_UPPER)
-                          # looks beyond it, by a scan of the scaled gap
 
 
 class Verdict(enum.Enum):
@@ -94,7 +92,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """Claim lhs(x) < rhs(x) on the open interval domain.
+    """Claim lhs(x) < rhs(x) on the open interval domain, held as two floats.
 
     lhs and rhs take a float64 array of points and return the values at
     those points, an array of its shape or a scalar.  verify calls them on
@@ -108,7 +106,8 @@ class InequalityCase:
     domain: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.domain
+        lo, hi = map(float, self.domain)  # so every grid and window is float64
+        object.__setattr__(self, "domain", (lo, hi))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"domain endpoints must be finite, got {self.domain!r}")
         if not lo < hi:
@@ -219,16 +218,11 @@ def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
            lowest: float) -> tuple[np.ndarray, np.ndarray]:
     """The 5 smallest of the candidates (cx, cm), sorted with ties in
     evaluation order, followed by the block (x, margin) whose smallest
-    margin is lowest.
-
-    Once 5 candidates are held, their 5th-smallest margin kth bounds the
-    block: only its margins below kth can enter, as a margin equal to kth
-    comes later in evaluation order than the 5 held.
-    """
-    kth = cm[4] if cm.size == 5 else math.nan
-    if lowest >= kth:  # false where either is NaN
+    margin is lowest: with 5 held, nothing if that is not below the 5th (a
+    tie comes later in evaluation order), else the block's 5 smallest."""
+    if cm.size == 5 and lowest >= cm[4]:  # false where either is NaN
         return cx, cm
-    sel = _smallest5(margin) if math.isnan(kth) else np.flatnonzero(margin < kth)
+    sel = _smallest5(margin)
     cx = np.concatenate((cx, x[sel]))
     cm = np.concatenate((cm, margin[sel]))
     keep = _smallest5(cm)
@@ -279,8 +273,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
     lo, hi = case.domain
     spacing = (hi - lo) / (points + 1)
     xs = _interior_grid(lo, hi, points)
-    # a float64 grid is fixed by its endpoints as floats and its size
-    grid = (float(lo), float(hi), points, *np.geterr().values()) if xs.dtype == float else None
+    grid = (lo, hi, points, *np.geterr().values())  # the base grid's part of a kept block's key
     grid_points = 0
     # Each block of the base grid, which is in x order, keeps the points that
     # can decide the report: its first minimum and its first violations.  A
@@ -294,7 +287,7 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             refining = round_no < refine_rounds
             for start in range(0, xs.size, _BLOCK):
                 x = xs[start:start + _BLOCK]
-                block = None if round_no or grid is None else (*grid, start, start + x.size)
+                block = None if round_no else (*grid, start, start + x.size)
                 lv = _side(case.lhs, x, block)
                 rv = _side(case.rhs, x, block)
                 margin = rv - lv

@@ -304,6 +304,21 @@ def test_table_fixed_chain_bytes(capsys, argv, digest):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_table_meanchain_loads_no_corpus_or_verifier():
+    # the mean chain's members come from core, like the fixed chains'
+    code = """if True:
+        import contextlib, io, sys
+        from sincbounds import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["table", "--chain", "meanchain", "--points", "64"]) == 0
+        print(sorted(set(sys.modules) & {"sincbounds.corpus", "sincbounds.verifier", "sincbounds.means"}))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(sincbounds.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['sincbounds.means']"
+
+
 def test_table_meanchain_rejects_a_bad_pair(capsys):
     code, out, err = run(capsys, "table", "--chain", "meanchain", "--pair", "-1", "4")
     assert (code, out, err) == (2, "", "need finite and positive arguments, got (-1.0, 4.0)\n")

@@ -173,6 +173,16 @@ def fam(fn, rule, errors=(), arrays=True, inf=False):
 
 
 CASE = verifier.InequalityCase("contract", partial(core.cos_bound, 0.5), core.sinc, (0.0, 1.0))
+# the forms of InequalityCase's upper endpoint: a float, a float32, a numpy scalar, an int, 0-d arrays
+HIGH_ENDPOINTS = (1.0, np.float32(1.0), np.float64(1.0), 1, np.array(1.0), np.array(1, dtype=np.float32))
+
+
+def case_domain(lo):
+    """InequalityCase's domain with lo as given, the same two floats for
+    every form of hi."""
+    (got,) = {verifier.InequalityCase("c", core.sinc, core.sinc, (lo, hi)).domain for hi in HIGH_ENDPOINTS}
+    assert [type(v) for v in got] == [float, float], got
+    return got
 QUARTIC = constants.quartic_constants(0.5)
 LOWER = verifier.SharpnessFamily.SINC_LOWER, verifier.ThresholdSide.ABOVE
 RECORD = Row("")  # fields as given, or an enum's member values
@@ -247,8 +257,7 @@ TABLE = {
     "verify_leibniz_ratio": Row("count", partial(verifier.verify_leibniz_ratio, 0.5), count("n_max", 4)),
     "verify_leibniz_ratio p": Row("p", lambda p: verifier.verify_leibniz_ratio(p, 8), leibniz),
     "verify_sharpness": Row("t", lambda o: verifier.verify_sharpness(*LOWER, o, points=64), sharpness_offset),
-    "InequalityCase": Row("t", lambda lo: verifier.InequalityCase("c", core.sinc, core.sinc,
-                                                                (float(lo), 1.0)).domain, domain),
+    "InequalityCase": Row("t", case_domain, domain),
     # taken as given or checked by their own tests: a chain needs 2 members, p_grid
     # 2 increasing orders and pairs 1 pair, run_suite one of its suites
     **{name: RECORD for name in ("verify_chain", "verify_param_monotone", "expected_sharpness_verdict",

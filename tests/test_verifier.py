@@ -508,6 +508,9 @@ _EDGE_CASES = [
     ("lower edge", lambda x: cos_bound(LOWER_EDGE + 1e-3, x), sinc, (0.0, HALF_PI)),
     ("upper edge", sinc, lambda x: cos_bound(UPPER_EDGE - 1e-3, x), (0.0, HALF_PI)),
     ("sinhc overflow", lambda x: 1.0 + 0 * x, sinhc, (0.0, 1000.0)),
+    # float32 endpoints, read as floats: the base grid and the windows are
+    # both float64, as the reference's are
+    ("float32 domain", _ZERO, sinc, (np.float32(0.0), np.float32(1.5))),
 ]
 
 
@@ -822,7 +825,8 @@ def test_corpus_takes_both_block_paths(monkeypatch):
     (1.0, 1.0 + 4 * _EPS),        # a few ulps wide: grid points repeat
     (0.0, 1e-320),                # the step underflows to zero
     (-1e308, 1e308),              # the width overflows
-    (np.float32(0.0), np.float32(1.5)),  # a float32 grid
+    (np.float32(0.0), np.float32(1.5)),  # float32 endpoints: the float64 grid of their values
+    (np.array(0.0), np.array(1.5)),      # 0-d endpoints, likewise
 ])
 @pytest.mark.parametrize("points", [64, 1000, 8193])
 def test_base_grid_blocks_equal_linspace(domain, points, block, monkeypatch):
@@ -835,9 +839,9 @@ def test_base_grid_blocks_equal_linspace(domain, points, block, monkeypatch):
 
     with np.errstate(invalid="ignore", over="ignore"):
         verify(InequalityCase("grid", lhs, _ZERO, domain), points=points, refine_rounds=0)
-        want = np.linspace(domain[0], domain[1], points + 2)[1:-1]
+        want = np.linspace(float(domain[0]), float(domain[1]), points + 2)[1:-1]
     got = np.concatenate(seen)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
     assert len(seen) == -(-points // block)
 
 
@@ -955,19 +959,27 @@ def test_a_failed_evaluation_is_not_kept(monkeypatch):
 
 
 def test_only_float64_grids_are_kept(monkeypatch):
-    # a float32 domain makes a float32 grid, with other points than the
-    # float64 grid of the same endpoints; a 0-d array endpoint makes the
-    # float64 grid of its float
-    wide = InequalityCase("f64", _ZERO, sinc, (0.0, 1.5))
-    narrow = InequalityCase("f32", _ZERO, sinc, (np.float32(0.0), np.float32(1.5)))
-    boxed = InequalityCase("f64", _ZERO, sinc, (np.array(0.0), np.array(1.5)))
-    cold = {}
-    for case in (wide, narrow):
-        monkeypatch.setattr(verifier, "_KEPT", {})
-        cold[case.id] = verify(case, points=1000)
-    assert cold["f64"].min_margin != cold["f32"].min_margin
-    for case in (wide, narrow, boxed, narrow):
-        _assert_same_report(verify(case, points=1000), cold[case.id])
+    # every endpoint is read as a float: a float32, int or 0-d endpoint
+    # gives the float64 grid of its value, is served that grid's kept
+    # blocks and gives its report
+    calls = [0]
+    real = core.sinc
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(core, "sinc", counted)  # kept as itself
+    monkeypatch.setattr(verifier, "_KEPT", {})
+    cold = verify(InequalityCase("grid", _ZERO, counted, (0.0, 1.5)), points=1000)
+    assert calls[0] == 3  # the base grid's one block, then the two refinement rounds
+    for domain in ((np.float32(0.0), np.float32(1.5)), (0, np.float64(1.5)),
+                   (np.array(0.0), np.array(1.5)), (np.int64(0), np.array(1.5, dtype=np.float32))):
+        case = InequalityCase("grid", _ZERO, counted, domain)
+        assert case.domain == (0.0, 1.5) and [type(v) for v in case.domain] == [float, float]
+        before = calls[0]
+        _assert_same_report(verify(case, points=1000), cold)
+        assert calls[0] - before == 2  # the base grid's block was kept
     assert [key[1:4] for key in verifier._KEPT] == [(0.0, 1.5, 1000)]
 
 
