@@ -101,4 +101,6 @@ def quartic_bound_eval(q: QuarticBound, x, side: Side):
             v = cos_bound(q.p, x) + c * x ** 4
         except OverflowError:  # x ** 4, or cos_bound at the p = 0 limit
             v = math.inf
+        except ValueError:  # cos_bound at x = +-inf
+            raise ValueError(f"quartic_bound_eval needs a finite x, got {x!r}") from None
     return _core._no_overflow(v, x, "quartic_bound_eval") if xp is math else v

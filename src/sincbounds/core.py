@@ -428,9 +428,10 @@ def sinhc_gap_scaled(p, x):
         e^{(1-p)x} (1 - e^{-2x})/(2x) - (1 - e^{-px})^2/(6p^2) - e^{-px}
 
     Limits at x -> inf: -1/(6p^2) for p > 1, -1/6 at p = 1, +inf for 0 < p < 1;
-    x = inf gives the limit and a NaN x gives nan.  Returns +inf instead of
-    overflowing when the first term exceeds double range.  An array's product
-    that overflows is inf without a warning, as a number's is.
+    x = inf gives the limit and a NaN x gives nan.  Returns +inf instead of overflowing when the
+    first term exceeds double range, and -1/(6p^2), the formula's bits, unevaluated where (1-p)x <
+    -750 (its exponentials are 0 there, and 1 - e^{-px} is 1).  An array's product that overflows
+    is inf without a warning, as a number's is.
     """
     p = _check(float(p), False)
     if p <= _LIMIT_FAMILY_CUTOFF:
@@ -443,16 +444,16 @@ def sinhc_gap_scaled(p, x):
             t = 0.0 if xp is math else xp.zeros_like(x)
         else:
             t = (1.0 - p) * x
+        w = 1.0 / (6.0 * p * p)
         if xp is math:
-            if t > 700.0:
-                return math.inf
+            if t > 700.0 or t < -750.0:
+                return math.inf if t > 0.0 else -w
         else:
             # only the kept points are computed: on the far grids of the
-            # sharpness scan most points lie past the cut; a NaN x is kept
-            out = xp.full_like(x, xp.inf)
-            kept = ~(t > 700.0)
+            # sharpness scan most points lie past a cut; a NaN x is kept
+            out = xp.where(t > 0.0, xp.inf, -w)
+            kept = ~((t > 700.0) | (t < -750.0))
             x, t = x[kept], t[kept]
-        w = 1.0 / (6.0 * p * p)
         grow = xp.exp(t) * -xp.expm1(-2.0 * x) / (2.0 * x)
         # = w (1 + e^{-2px}) + (1 - 2w) e^{-px}, without its cancelling w and -2w
         v = grow - w * xp.expm1(-p * x) ** 2 - xp.exp(-p * x)

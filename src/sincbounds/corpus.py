@@ -168,8 +168,9 @@ def _suite_remarks(points: int, seed: int) -> list[CheckResult]:
     for power, additive, target, domain, power_wins, additive_wins in _REMARKS:
         for best, other, ps in ((power, additive, power_wins), (additive, power, additive_wins)):
             for p in ps:
-                cases += [family_case(member(best, p), member(target), domain),
-                          family_case(member(other, p), member(best, p), domain)]
+                fam = member(best, p)  # one callable for both cases, so verify hands its values on
+                cases += [family_case(fam, member(target), domain),
+                          family_case(member(other, p), fam, domain)]
     out = _holds("remarks", cases, points)
     # closing comparison: D(x) >= 0 and its odd-series coefficients
     grid = np.geomspace(1e-3, 30.0, 200)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .constants import quartic_constants
-from .core import _HALF_PI, _UPPER_EDGE, _count
+from .core import _HALF_PI, _UPPER_EDGE, _count, _is_number
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
@@ -59,15 +59,19 @@ class Enclosure:
     """Closed interval [lo, hi] certifying lo <= value <= hi.
 
     contains(value, slack) tests value against [lo - slack, hi + slack]; a
-    negative slack narrows the interval.  lo and hi may also be equal-shape
-    arrays, one interval per element (as means.log_mean_sandwich returns
-    for an array pair); contains then returns a boolean array.
+    negative slack narrows the interval.  A number endpoint is held as a float;
+    lo and hi may also be equal-shape arrays, one interval per element (as
+    means.log_mean_sandwich returns for an array pair); contains then returns a boolean array.
     """
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        if not type(self.lo) is type(self.hi) is float:  # read numbers as MeanPoint and InequalityCase do
+            for name in ("lo", "hi"):
+                if _is_number(v := getattr(self, name)):
+                    object.__setattr__(self, name, float(v))
         ordered = self.lo <= self.hi
         if not (ordered.all() if hasattr(ordered, "all") else ordered):
             raise ValueError(f"empty enclosure: [{self.lo!r}, {self.hi!r}]")

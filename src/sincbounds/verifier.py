@@ -55,9 +55,13 @@ grid: the 32 most recently used blocks that evaluated without an exception,
 at most 64 KiB each.  The key is the function, which must be the module's
 attribute at the call (a wrapper put there is kept as itself), the grid's
 lo, hi and points, numpy's error state, and the block's start and stop.
-Refinement rounds, other grids and other functions are evaluated afresh.
-A kept block holds the values a fresh evaluation gives, so a report never
-depends on what is kept.
+Consecutive cases share members (adjacent chain links, each remarks pair),
+so any other core member, a function of core.FUNCTIONS or a keyword-free
+partial of one, is kept alike in _HANDED for the next call alone, which
+drops all but its own sides on its own grid.  The base grid is kept,
+read-only, while its part of the key matches.  Refinement rounds, other grids
+and other callables are evaluated afresh.  A kept block holds the values a
+fresh evaluation gives, so a report never depends on what is kept.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,8 +153,11 @@ def _verdict(bad, good) -> Verdict:
     return Verdict.FAILS if bad else Verdict.HOLDS if good else Verdict.INCONCLUSIVE
 
 
-def _interior_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    return np.linspace(lo, hi, points + 2)[1:-1]
+@lru_cache(maxsize=1)  # the previous call's grid, read-only, keyed as its blocks are
+def _interior_grid(lo: float, hi: float, points: int, *errstate) -> np.ndarray:
+    xs = np.linspace(lo, hi, points + 2)[1:-1]
+    xs.flags.writeable = False
+    return xs
 
 
 def _refine_windows(centres: np.ndarray, spacing: float, lo: float, hi: float) -> np.ndarray:
@@ -230,22 +238,31 @@ def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
 
 
 _KEPT: dict = {}  # base-grid block key -> read-only values, least recently used first
-_KEPT_BLOCKS = 32
+_HANDED: dict = {}  # the same for the other core members of the latest call
+_KEPT_BLOCKS = 32  # in each
+_MEMBERS = tuple(name for name in _core.FUNCTIONS.values() if "." not in name)
+
+
+def _core_member(f: Callable) -> bool:
+    """f is a core function of FUNCTIONS, as the module's attribute, or a keyword-free partial of one."""
+    g = f.func if type(f) is partial and not f.keywords else f
+    return any(g is getattr(_core, name) for name in _MEMBERS)
 
 
 def _side(f: Callable, x: np.ndarray, block: tuple | None = None) -> np.ndarray:
-    """f at x, as an array of x's shape; kept for core.sinc or core.sinhc given block, x's key."""
-    if block is None or not (f is _core.sinc or f is _core.sinhc):
+    """f at x, as an array of x's shape; given block, x's key, a core member kept in _KEPT or _HANDED."""
+    if block is None:
         v = np.asarray(f(x), dtype=float)
         return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
     key = (f, *block)
-    v = _KEPT.pop(key, None)
+    store = _KEPT if f is _core.sinc or f is _core.sinhc else _HANDED
+    v = store.pop(key, None)
     if v is None:
         v = _side(f, x).view()
         v.flags.writeable = False
-        if len(_KEPT) >= _KEPT_BLOCKS:
-            _KEPT.pop(next(iter(_KEPT)), None)
-    _KEPT[key] = v
+        if len(store) >= _KEPT_BLOCKS:
+            store.pop(next(iter(store)), None)
+    store[key] = v
     return v
 
 
@@ -268,12 +285,16 @@ def _report(case_id: str, grid_points: int, x: np.ndarray, lv: np.ndarray, rv: n
 
 def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
     """Check lhs < rhs on an interior grid, refining near the worst margins."""
+    global _HANDED
     points = _core._count(points, "points", 64)
     refine_rounds = _core._count(refine_rounds, "refine_rounds", 0)
     lo, hi = case.domain
     spacing = (hi - lo) / (points + 1)
-    xs = _interior_grid(lo, hi, points)
     grid = (lo, hi, points, *np.geterr().values())  # the base grid's part of a kept block's key
+    xs = _interior_grid(*grid)
+    # of the previous call's values, only this call's sides on this grid may be used
+    _HANDED = {k: v for k, v in _HANDED.items() if k[0] in (case.lhs, case.rhs) and k[1:-2] == grid}
+    keyed = _core_member(case.lhs), _core_member(case.rhs)
     grid_points = 0
     # Each block of the base grid, which is in x order, keeps the points that
     # can decide the report: its first minimum and its first violations.  A
@@ -288,8 +309,8 @@ def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> 
             for start in range(0, xs.size, _BLOCK):
                 x = xs[start:start + _BLOCK]
                 block = None if round_no else (*grid, start, start + x.size)
-                lv = _side(case.lhs, x, block)
-                rv = _side(case.rhs, x, block)
+                lv = _side(case.lhs, x, block if keyed[0] else None)
+                rv = _side(case.rhs, x, block if keyed[1] else None)
                 margin = rv - lv
                 i = int(margin.argmin())
                 if refining:

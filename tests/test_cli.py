@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sincbounds
-from sincbounds import core, corpus
+from sincbounds import core, corpus, verifier
 from sincbounds.cli import _linspace, build_parser, chain_table, main
 from sincbounds.corpus import CheckResult
 from sincbounds.means import MeanPoint, log_mean
@@ -421,6 +421,23 @@ def test_run_suite_all_digest_unchanged():
     for seed in (20250810, 1, 2, 3, 7, 42):
         h.update(repr(corpus.run_suite("all", seed=seed)).encode())
     assert h.hexdigest()[:16] == "0fa2b868da750def"
+
+
+def test_dense_grid_reports_unchanged():
+    # the reports at 65536 points, where no golden command runs, repr for
+    # repr: the chains, the remarks and the 8 SINHC_UPPER sharpness cells
+    # (each with its scan of the scaled gap on (1, 1e12))
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    points = 65536
+    assert digest(corpus.run_suite("chains", points=points)) == \
+        "4c67e870e179c14bf06f58d7716fbd3f60b2278f727f59050a73a16953c1dc77"
+    assert digest(corpus.run_suite("remarks", points=points)) == \
+        "c9d73116e1ffc746d7152bdea5dd8219bf15aefe434299690b873bdc199da445"
+    cells = [verifier.verify_sharpness(verifier.SharpnessFamily.SINHC_UPPER, side, offset, points=points)
+             for side in verifier.ThresholdSide for offset in (1e-3, 1e-5, 1e-7, 1e-9)]
+    assert digest(cells) == "d0e02a809f991afe939bc32d4c709958ad73af4442100896307a802c10c62265"
 
 
 def test_run_suite_all_calls_each_suite_through_module_attribute(monkeypatch):

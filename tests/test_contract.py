@@ -142,6 +142,10 @@ def sharpness_offset(offset):
     return trig(constants.solve_sinc_lower_edge().value + offset)
 
 
+def enclosure_lo(lo):
+    return ANY if lo <= 1.0 else ValueError(f"empty enclosure: [{lo!r}, 1.0]")
+
+
 def domain(lo):
     if not math.isfinite(lo):
         return ValueError(f"domain endpoints must be finite, got {(lo, 1.0)!r}")
@@ -219,7 +223,8 @@ TABLE = {
     "sinc_gap_at_half_pi": Row("p", constants.sinc_gap_at_half_pi, trig),
     "quartic_constants": Row("p", constants.quartic_constants, certified),
     "quartic_bound_eval": Row("x", lambda x: constants.quartic_bound_eval(QUARTIC, x, constants.Side.LOWER),
-                              partial(finite_x, "cos_bound"), ("quartic_bound_eval overflows",), arrays=True),
+                              partial(finite_x, "quartic_bound_eval"), ("quartic_bound_eval overflows",),
+                              arrays=True),
     "solve_sinc_lower_edge": Row("t", constants.solve_sinc_lower_edge, lambda t: None if t >= 1e-15 else
                                  ValueError("tolerance must be >= 1e-15")),
     "sinc_upper_edge": Row("", constants.sinc_upper_edge),
@@ -249,8 +254,9 @@ TABLE = {
     "trigamma_half_enclosure": Row("", integrals.trigamma_half_enclosure),
     "catalan_enclosure": Row("", integrals.catalan_enclosure),
     "bound_reciprocal_integrals": Row("", integrals.bound_reciprocal_integrals),
-    "Enclosure": Row("t", lambda lo: integrals.Enclosure(float(lo), 1.0), lambda lo: ANY if lo <= 1.0 else
-                     ValueError(f"empty enclosure: [{lo!r}, 1.0]")),
+    "Enclosure": Row("t", lambda lo: integrals.Enclosure(float(lo), 1.0), enclosure_lo),
+    # numeric strings are read with float(), then ordered as numbers
+    "Enclosure str": Row("t", lambda lo: integrals.Enclosure(repr(float(lo)), "1"), enclosure_lo),
     # verifier: the counts, the parameters and the domain
     "verify": Row("count", lambda n: verifier.verify(CASE, points=n), count("points", 64)),
     "verify refine_rounds": Row("count", lambda n: verifier.verify(CASE, 64, n), count("refine_rounds", 0)),

@@ -458,6 +458,26 @@ def test_scaled_gap_consistent_with_direct():
             assert sinhc_gap_scaled(p, x) == pytest.approx(expect, rel=1e-11, abs=1e-18)
 
 
+@pytest.mark.parametrize("p", [1.0 + 1e-12, 1.0 + 1e-6, 1.001, 1.5, 2.0, 10.0, 1e3, 1e6, 1e12, 1e50, 1e150])
+def test_scaled_gap_cut_gives_the_formulas_bits(p):
+    # past (1-p)x = -750 the value is -1/(6p^2) without the terms: the same
+    # bits the formula gives there, for an array with numpy's exp and expm1
+    # and for a number with math's, on a grid across the cut and the ulps
+    # around it
+    w = 1.0 / (6.0 * p * p)
+    edge = 750.0 / (p - 1.0)
+    x = np.concatenate((np.linspace(0.9, 1.1, 2001) * edge, [np.nextafter(edge, 0.0), edge,
+                                                            np.nextafter(edge, np.inf)]))
+    with np.errstate(over="ignore"):
+        want = np.exp((1.0 - p) * x) * -np.expm1(-2.0 * x) / (2.0 * x) - w * np.expm1(-p * x) ** 2 \
+            - np.exp(-p * x)
+    assert ((1.0 - p) * x < -750.0).sum() > 900  # the cut is taken
+    assert sinhc_gap_scaled(p, x).tobytes() == want.tobytes()
+    numbers = [math.exp((1.0 - p) * v) * -math.expm1(-2.0 * v) / (2.0 * v) - w * math.expm1(-p * v) ** 2
+               - math.exp(-p * v) for v in x.tolist()]
+    assert np.array([sinhc_gap_scaled(p, v) for v in x.tolist()]).tobytes() == np.array(numbers).tobytes()
+
+
 @pytest.mark.parametrize("p", [1e-7, 1e-5, 1e-3, 0.1, 0.5, UPPER_EDGE, 0.99, 1.0, 1.01, 2.0])
 def test_scaled_gap_within_its_bound_of_mpmath(p):
     # within 4 + 2|1-p|x ulps of the largest of its three terms,

@@ -1002,6 +1002,71 @@ def test_kept_values_are_read_only_and_within_budget(monkeypatch):
     assert [key[-2:] for key in verifier._KEPT] == [(s, s + 64) for s in range(2048, 4096, 64)]
 
 
+@pytest.mark.parametrize("suite, members", [("chains", 17), ("remarks", 26)])
+def test_each_core_member_is_evaluated_once_per_base_grid_block(suite, members, monkeypatch):
+    # adjacent chain links and each remarks pair share a member: its values
+    # on a base-grid block are handed on, not evaluated twice
+    seen = []
+
+    def counted(name):
+        real = getattr(core, name)
+
+        def member(*args):
+            x = args[-1]
+            if x.size > 65:  # a base-grid block: a refinement round has at most 5 windows of 13
+                seen.append((name, args[:-1], x[0], x.size))
+            return real(*args)
+        return member
+
+    for name in ("sinc", "sinhc", "cos_bound", "cosh_bound", "cos_power_bound", "cosh_power_bound"):
+        monkeypatch.setattr(core, name, counted(name))
+    monkeypatch.setattr(verifier, "_KEPT", {})
+    monkeypatch.setattr(verifier, "_HANDED", {})
+    corpus.run_suite(suite, points=2 * verifier._BLOCK + 100)
+    assert len(seen) == len(set(seen)) == 3 * members, len(seen)  # 2 full blocks and one of 100
+    assert len({key[:2] for key in seen}) == members
+
+
+def test_handed_values_keep_the_kept_rules(monkeypatch):
+    monkeypatch.setattr(verifier, "_HANDED", {})
+    bound = core.member("cos_bound", 0.7)
+    first = verifier.family_case(bound, core.member("sinc"), (0.0, HALF_PI))
+    verify(first, points=65536)
+    # read-only values of the core member only, one per block, under _KEPT's key
+    handed = verifier._HANDED
+    assert [key[0] for key in handed] == [bound[1]] * 8
+    assert [key[-2:] for key in handed] == [(s, s + 8192) for s in range(0, 65536, 8192)]
+    assert all(not v.flags.writeable for v in handed.values())
+    # the next call keeps only its own sides on its own grid, and hands on no
+    # lambda; its base grid, the same, is kept read-only
+    blocks = []
+
+    def lhs(x):
+        blocks.append(x.flags.writeable)
+        return cos_bound(0.7, x)
+
+    hits = verifier._interior_grid.cache_info().hits
+    verify(InequalityCase("lambda", lhs, bound[1], (0.0, HALF_PI)), points=65536)
+    assert len(verifier._HANDED) == 8
+    assert verifier._interior_grid.cache_info().hits == hits + 1 and blocks[:8] == [False] * 8
+    verify(InequalityCase("other grid", bound[1], sinc, (0.0, 1.5)), points=4096)
+    assert [key[1:3] for key in verifier._HANDED] == [(0.0, 1.5)]
+    verify(InequalityCase("lambdas", lambda x: 0.5 + 0 * x, sinc, (0.0, 1.5)), points=4096)
+    assert verifier._HANDED == {}
+    # at most _KEPT_BLOCKS blocks, the latest
+    monkeypatch.setattr(verifier, "_BLOCK", 64)
+    verify(first, points=4096)
+    assert [key[-2:] for key in verifier._HANDED] == [(s, s + 64) for s in range(2048, 4096, 64)]
+    # a failed block is not handed on
+    scaled = core.member("scaled_gap", 2.0)
+    case = InequalityCase("underflow", scaled[1], lambda x: 0.0, (700.0, 745.0))
+    with np.errstate(under="raise"):
+        assert verify(case, points=64).verdict is Verdict.INCONCLUSIVE
+    assert verifier._HANDED == {}
+    assert verify(case, points=64).verdict is Verdict.HOLDS
+    assert len(verifier._HANDED) == 1
+
+
 # ------------------------------------------------- monotone mean family rows
 
 def _stacked_rows(p_grid, a, b):
