@@ -96,11 +96,11 @@ def quartic_bound_eval(q: QuarticBound, x, side: Side):
     cos_bound reads it, with its overflow rule (x^4 overflows from 1.2e77)."""
     c = q.c_lo if side is Side.LOWER else q.c_hi
     x, xp = _core._converted(x)
-    with nullcontext() if xp is math else xp.errstate(over="raise"):
+    if xp is math and math.isinf(x):  # no limit: at p = 0 the terms go to -inf and +inf
+        raise ValueError(f"quartic_bound_eval needs a finite x, got {x!r}")
+    with nullcontext() if xp is math else xp.errstate(over="raise", invalid="raise"):
         try:
             v = cos_bound(q.p, x) + c * x ** 4
         except OverflowError:  # x ** 4, or cos_bound at the p = 0 limit
             v = math.inf
-        except ValueError:  # cos_bound at x = +-inf
-            raise ValueError(f"quartic_bound_eval needs a finite x, got {x!r}") from None
     return _core._no_overflow(v, x, "quartic_bound_eval") if xp is math else v

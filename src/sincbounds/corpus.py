@@ -28,10 +28,10 @@ from .verifier import (
     Verdict,
     VerificationReport,
     _at_most,
+    _verify_cases,
     edge_case,
     expected_sharpness_verdict,
     family_case,
-    verify,
     verify_chain,
     verify_param_monotone,
     verify_sharpness,
@@ -65,7 +65,7 @@ def _verdict_result(suite: str, report: VerificationReport, expected: Verdict) -
 
 
 def _holds(suite: str, cases: list[InequalityCase], points: int) -> list[CheckResult]:
-    return [_verdict_result(suite, verify(case, points), Verdict.HOLDS) for case in cases]
+    return [_verdict_result(suite, rep, Verdict.HOLDS) for rep in _verify_cases(cases, points, 2)]
 
 
 def _theorem(suite: str, lower, upper, lower_edge: SharpnessFamily,
@@ -168,7 +168,7 @@ def _suite_remarks(points: int, seed: int) -> list[CheckResult]:
     for power, additive, target, domain, power_wins, additive_wins in _REMARKS:
         for best, other, ps in ((power, additive, power_wins), (additive, power, additive_wins)):
             for p in ps:
-                fam = member(best, p)  # one callable for both cases, so verify hands its values on
+                fam = member(best, p)  # one callable for both cases, evaluated once per block
                 cases += [family_case(fam, member(target), domain),
                           family_case(member(other, p), fam, domain)]
     out = _holds("remarks", cases, points)

@@ -29,14 +29,14 @@ block by block, and lhs before rhs within a block).
 
 Each round is evaluated and reduced in blocks of _BLOCK = 8192 consecutive
 points: lhs and rhs are called once per block, on a slice of the round, so
-they must be elementwise.  The base grid is made once per call, by
-np.linspace from the case's float endpoints, so every grid and window is
-float64; each block is a slice of it, the only round-sized array.  A
-block's arrays take 64 KiB, below glibc's 128 KiB mmap threshold, so their
-memory is reused from the heap; the temporaries of a whole 65536-point
-round were mapped and page-faulted in afresh on every round (about 81,000
-minor faults per dense_grid benchmark cycle, a third of its time in the
-kernel, against under 1,000 in blocks).
+they must be elementwise.  The base grid is made by np.linspace from the
+case's float endpoints, so every grid and window is float64; each block
+is a slice of it, the only round-sized array.  A block's arrays take 64
+KiB, below glibc's 128 KiB mmap threshold, so their memory is reused from
+the heap; the temporaries of a whole 65536-point round were mapped and
+page-faulted in afresh on every round (about 81,000 minor faults per
+dense_grid benchmark cycle, a third of its time in the kernel, against
+under 1,000 in blocks).
 
 Most blocks are settled by a few whole-block reductions.  Every floor is at
 least 64 ulps of 1, so a block whose smallest margin is not below minus
@@ -49,19 +49,18 @@ margins so far; once 5 are held, a block whose smallest margin is not below
 the 5th offers none, as a margin equal to it comes later in evaluation
 order and so cannot displace it; any other block offers its own 5 smallest.
 
-Every sharp edge and chain link compares a bound with core.sinc or
-core.sinhc, so _side keeps their read-only values on the blocks of the base
-grid: the 32 most recently used blocks that evaluated without an exception,
-at most 64 KiB each.  The key is the function, which must be the module's
-attribute at the call (a wrapper put there is kept as itself), the grid's
-lo, hi and points, numpy's error state, and the block's start and stop.
-Consecutive cases share members (adjacent chain links, each remarks pair),
-so any other core member, a function of core.FUNCTIONS or a keyword-free
-partial of one, is kept alike in _HANDED for the next call alone, which
-drops all but its own sides on its own grid.  The base grid is kept,
-read-only, while its part of the key matches.  Refinement rounds, other grids
-and other callables are evaluated afresh.  A kept block holds the values a
-fresh evaluation gives, so a report never depends on what is kept.
+verify checks one case, _verify_cases a list (a suite's, a chain's) in
+one pass: each domain's base grid is built once, each side, by identity,
+is evaluated once per block for all the cases that read it, and each case
+then refines on its own.  The sharpness cells are separate calls, so _side
+keeps the read-only base-grid blocks of core.sinc and core.sinhc, the
+targets of every sharp edge and chain, across calls in _KEPT: the 32 most
+recently used that evaluated without an exception, 64 KiB at most each,
+keyed by the function as the module's attribute at the call (a wrapper put
+there is kept as itself), the grid's lo, hi and points, numpy's error
+state, and the block's start and stop.  A kept or shared block holds the
+values a fresh evaluation gives, so no report depends on what is kept or
+on which cases share a call.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -153,13 +151,6 @@ def _verdict(bad, good) -> Verdict:
     return Verdict.FAILS if bad else Verdict.HOLDS if good else Verdict.INCONCLUSIVE
 
 
-@lru_cache(maxsize=1)  # the previous call's grid, read-only, keyed as its blocks are
-def _interior_grid(lo: float, hi: float, points: int, *errstate) -> np.ndarray:
-    xs = np.linspace(lo, hi, points + 2)[1:-1]
-    xs.flags.writeable = False
-    return xs
-
-
 def _refine_windows(centres: np.ndarray, spacing: float, lo: float, hi: float) -> np.ndarray:
     """13-point windows of half-width spacing around the centres, inside (lo, hi).
 
@@ -238,31 +229,22 @@ def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
 
 
 _KEPT: dict = {}  # base-grid block key -> read-only values, least recently used first
-_HANDED: dict = {}  # the same for the other core members of the latest call
-_KEPT_BLOCKS = 32  # in each
-_MEMBERS = tuple(name for name in _core.FUNCTIONS.values() if "." not in name)
-
-
-def _core_member(f: Callable) -> bool:
-    """f is a core function of FUNCTIONS, as the module's attribute, or a keyword-free partial of one."""
-    g = f.func if type(f) is partial and not f.keywords else f
-    return any(g is getattr(_core, name) for name in _MEMBERS)
+_KEPT_BLOCKS = 32
 
 
 def _side(f: Callable, x: np.ndarray, block: tuple | None = None) -> np.ndarray:
-    """f at x, as an array of x's shape; given block, x's key, a core member kept in _KEPT or _HANDED."""
-    if block is None:
+    """f at x, as an array of x's shape; given block, x's key, core.sinc and core.sinhc kept in _KEPT."""
+    if block is None or not (f is _core.sinc or f is _core.sinhc):
         v = np.asarray(f(x), dtype=float)
         return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
     key = (f, *block)
-    store = _KEPT if f is _core.sinc or f is _core.sinhc else _HANDED
-    v = store.pop(key, None)
+    v = _KEPT.pop(key, None)
     if v is None:
         v = _side(f, x).view()
         v.flags.writeable = False
-        if len(store) >= _KEPT_BLOCKS:
-            store.pop(next(iter(store)), None)
-    store[key] = v
+        if len(_KEPT) >= _KEPT_BLOCKS:
+            _KEPT.pop(next(iter(_KEPT)), None)
+    _KEPT[key] = v
     return v
 
 
@@ -283,73 +265,107 @@ def _report(case_id: str, grid_points: int, x: np.ndarray, lv: np.ndarray, rv: n
                               n_violations=n_bad)
 
 
-def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
-    """Check lhs < rhs on an interior grid, refining near the worst margins."""
-    global _HANDED
+class _Fold:
+    """One case's check, reduced block by block.  Each block of the base
+    grid, which is in x order, keeps the points that can decide the report:
+    its first minimum and its first violations.  A refinement round (at
+    most 5 windows of 13 points) is kept whole."""
+
+    def __init__(self, case: InequalityCase, points: int):
+        self.case = case
+        self.spacing = (case.domain[1] - case.domain[0]) / (points + 1)
+        self.n_bad = 0
+        self.any_good = False
+        self.picks = []
+        self.cx = self.cm = np.empty(0)  # refinement candidates and their margins
+        self.grid_points = 0
+        self.error = None  # the first exception of an evaluation
+
+    def add(self, x, lv, rv, refining: bool, whole: bool):
+        margin = rv - lv
+        i = int(margin.argmin())
+        if refining:
+            self.cx, self.cm = _take5(self.cx, self.cm, x, margin, margin[i])
+        # Every floor is at least _DEADBAND, so a block whose smallest
+        # margin is not below -_DEADBAND has no violation, and a margin
+        # above the block's largest floor is a hold.  A block with a NaN
+        # margin, or one these bounds do not settle, takes the floors
+        # point by point.
+        if margin[i] >= -_DEADBAND and (self.any_good or margin.max() > _largest_floor(lv, rv)):
+            self.any_good = True
+            keep = [i]
+        else:
+            bad, good = _definite(margin, lv, rv)
+            idx = np.flatnonzero(bad)
+            self.n_bad += idx.size
+            self.any_good = self.any_good or bool(good.any())
+            # the sorted union of keep and i; np.union1d would import numpy.ma
+            keep = idx[:_MAX_STORED_VIOLATIONS]
+            keep = keep if i in keep else np.sort(np.append(keep, i))
+        self.picks.append((x, lv, rv) if whole else (x[keep], lv[keep], rv[keep]))
+
+    def windows(self) -> np.ndarray:
+        """The next round: triple the density around the 5 smallest margins
+        of all rounds so far (ties in evaluation order)."""
+        self.spacing /= 3.0
+        return _refine_windows(self.cx, self.spacing, *self.case.domain)
+
+    def report(self) -> VerificationReport:
+        if self.error is not None:  # evaluation failure -> inconclusive
+            return VerificationReport(case_id=self.case.id, grid_points=self.grid_points,
+                                      min_margin=math.nan, argmin_x=math.nan, violations=[],
+                                      verdict=Verdict.INCONCLUSIVE,
+                                      diagnostic=f"evaluation failed: {self.error!r}")
+        x, lv, rv = (np.concatenate(col) for col in zip(*self.picks))
+        order = np.argsort(x, kind="stable")  # equal x keeps round order
+        return _report(self.case.id, self.grid_points, x[order], lv[order], rv[order],
+                       self.n_bad, self.any_good)
+
+
+def _shared(values: dict, f: Callable, x: np.ndarray, block: tuple | None) -> np.ndarray:
+    """_side(f, x, block), evaluated once for all the cases of a block that read f."""
+    if id(f) not in values:  # by identity: a side need not be hashable
+        values[id(f)] = _side(f, x, block)
+    return values[id(f)]
+
+
+def _verify_cases(cases: Sequence[InequalityCase], points: int,
+                  refine_rounds: int) -> list[VerificationReport]:
+    """[verify(case, points, refine_rounds) for case in cases] in one pass:
+    each domain's base grid is built once, and each side is evaluated once
+    per block of it for all the cases that read it."""
     points = _core._count(points, "points", 64)
     refine_rounds = _core._count(refine_rounds, "refine_rounds", 0)
-    lo, hi = case.domain
-    spacing = (hi - lo) / (points + 1)
-    grid = (lo, hi, points, *np.geterr().values())  # the base grid's part of a kept block's key
-    xs = _interior_grid(*grid)
-    # of the previous call's values, only this call's sides on this grid may be used
-    _HANDED = {k: v for k, v in _HANDED.items() if k[0] in (case.lhs, case.rhs) and k[1:-2] == grid}
-    keyed = _core_member(case.lhs), _core_member(case.rhs)
-    grid_points = 0
-    # Each block of the base grid, which is in x order, keeps the points that
-    # can decide the report: its first minimum and its first violations.  A
-    # refinement round (at most 5 windows of 13 points) is kept whole.
-    n_bad = 0
-    any_good = False
-    picks = []
-    cx = cm = np.empty(0)  # refinement candidates and their margins
-    try:
-        for round_no in range(refine_rounds + 1):
-            refining = round_no < refine_rounds
+    folds = [_Fold(case, points) for case in cases]
+    # a round's grids, each with its part of a kept block's key and its cases
+    grids = [(np.linspace(lo, hi, points + 2)[1:-1], (lo, hi, points, *np.geterr().values()),
+              [fold for fold in folds if fold.case.domain == (lo, hi)])
+             for lo, hi in dict.fromkeys(case.domain for case in cases)]
+    for round_no in range(refine_rounds + 1):
+        if round_no:  # each case refines on its own, until a round has no points
+            left = [fold for *_, mine in grids for fold in mine if fold.error is None]
+            grids = [(xs, None, [fold]) for fold in left if (xs := fold.windows()).size]
+        for xs, grid, mine in grids:
             for start in range(0, xs.size, _BLOCK):
                 x = xs[start:start + _BLOCK]
-                block = None if round_no else (*grid, start, start + x.size)
-                lv = _side(case.lhs, x, block if keyed[0] else None)
-                rv = _side(case.rhs, x, block if keyed[1] else None)
-                margin = rv - lv
-                i = int(margin.argmin())
-                if refining:
-                    cx, cm = _take5(cx, cm, x, margin, margin[i])
-                # Every floor is at least _DEADBAND, so a block whose smallest
-                # margin is not below -_DEADBAND has no violation, and a margin
-                # above the block's largest floor is a hold.  A block with a
-                # NaN margin, or one these bounds do not settle, takes the
-                # floors point by point.
-                if margin[i] >= -_DEADBAND and (any_good or margin.max() > _largest_floor(lv, rv)):
-                    any_good = True
-                    keep = [i]
-                else:
-                    bad, good = _definite(margin, lv, rv)
-                    idx = np.flatnonzero(bad)
-                    n_bad += idx.size
-                    any_good = any_good or bool(good.any())
-                    # the sorted union of keep and i; np.union1d would import numpy.ma
-                    keep = idx[:_MAX_STORED_VIOLATIONS]
-                    keep = keep if i in keep else np.sort(np.append(keep, i))
-                picks.append((x, lv, rv) if round_no else (x[keep], lv[keep], rv[keep]))
-            grid_points += xs.size
-            if not refining:
-                break
-            # triple the density around the 5 smallest margins of all rounds
-            # so far (ties in evaluation order)
-            spacing /= 3.0
-            xs = _refine_windows(cx, spacing, lo, hi)
-            if xs.size == 0:
-                break
-    except (ArithmeticError, ValueError) as exc:  # evaluation failure -> inconclusive
-        return VerificationReport(case_id=case.id, grid_points=grid_points,
-                                  min_margin=math.nan, argmin_x=math.nan, violations=[],
-                                  verdict=Verdict.INCONCLUSIVE,
-                                  diagnostic=f"evaluation failed: {exc!r}")
+                block = None if grid is None else (*grid, start, start + x.size)
+                values = {}
+                for fold in [f for f in mine if f.error is None]:
+                    try:
+                        fold.add(x, _shared(values, fold.case.lhs, x, block),
+                                 _shared(values, fold.case.rhs, x, block),
+                                 round_no < refine_rounds, grid is None)
+                    except (ArithmeticError, ValueError) as exc:
+                        fold.error = exc
+            for fold in mine:
+                if fold.error is None:
+                    fold.grid_points += xs.size
+    return [fold.report() for fold in folds]
 
-    x, lv, rv = (np.concatenate(col) for col in zip(*picks))
-    order = np.argsort(x, kind="stable")  # equal x keeps round order
-    return _report(case.id, grid_points, x[order], lv[order], rv[order], n_bad, any_good)
+
+def verify(case: InequalityCase, points: int = 4096, refine_rounds: int = 2) -> VerificationReport:
+    """Check lhs < rhs on an interior grid, refining near the worst margins."""
+    return _verify_cases([case], points, refine_rounds)[0]
 
 
 def verify_chain(members: Sequence[tuple[str, Callable]], domain: tuple[float, float],
@@ -357,7 +373,7 @@ def verify_chain(members: Sequence[tuple[str, Callable]], domain: tuple[float, f
     """One report per adjacent pair of the ordered (id, function) members."""
     if len(members) < 2:
         raise ValueError("a chain needs at least 2 members")
-    return [verify(family_case(a, b, domain), points=points) for a, b in zip(members, members[1:])]
+    return _verify_cases([family_case(a, b, domain) for a, b in zip(members, members[1:])], points, 2)
 
 
 def verify_param_monotone(p_grid: Sequence[float], pairs) -> VerificationReport:

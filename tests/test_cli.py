@@ -425,12 +425,16 @@ def test_run_suite_all_digest_unchanged():
 
 def test_dense_grid_reports_unchanged():
     # the reports at 65536 points, where no golden command runs, repr for
-    # repr: the chains, the remarks and the 8 SINHC_UPPER sharpness cells
-    # (each with its scan of the scaled gap on (1, 1e12))
+    # repr: the two theorems, the chains, the remarks and the 8 SINHC_UPPER
+    # sharpness cells (each with its scan of the scaled gap on (1, 1e12))
     def digest(value):
         return hashlib.sha256(repr(value).encode()).hexdigest()
 
     points = 65536
+    assert digest(corpus.run_suite("theorem1", points=points)) == \
+        "0dd011bcda2f46eb5c7e4d38377e77a1be35ee0acf037be10472d1f18823d8ec"
+    assert digest(corpus.run_suite("theorem2", points=points)) == \
+        "0421dc7b4eeb4e6a778f5acb6479535172ed35b89c310b6310fae337950d8076"
     assert digest(corpus.run_suite("chains", points=points)) == \
         "4c67e870e179c14bf06f58d7716fbd3f60b2278f727f59050a73a16953c1dc77"
     assert digest(corpus.run_suite("remarks", points=points)) == \

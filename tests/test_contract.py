@@ -188,6 +188,7 @@ def case_domain(lo):
     assert [type(v) for v in got] == [float, float], got
     return got
 QUARTIC = constants.quartic_constants(0.5)
+QUARTIC_0 = constants.quartic_constants(0.0)
 LOWER = verifier.SharpnessFamily.SINC_LOWER, verifier.ThresholdSide.ABOVE
 RECORD = Row("")  # fields as given, or an enum's member values
 
@@ -225,6 +226,10 @@ TABLE = {
     "quartic_bound_eval": Row("x", lambda x: constants.quartic_bound_eval(QUARTIC, x, constants.Side.LOWER),
                               partial(finite_x, "quartic_bound_eval"), ("quartic_bound_eval overflows",),
                               arrays=True),
+    # at p = 0, x = +-inf would be -inf + inf
+    "quartic_bound_eval p=0": Row("x", lambda x: constants.quartic_bound_eval(QUARTIC_0, x, constants.Side.UPPER),
+                                  partial(finite_x, "quartic_bound_eval"), ("quartic_bound_eval overflows",),
+                                  arrays=True),
     "solve_sinc_lower_edge": Row("t", constants.solve_sinc_lower_edge, lambda t: None if t >= 1e-15 else
                                  ValueError("tolerance must be >= 1e-15")),
     "sinc_upper_edge": Row("", constants.sinc_upper_edge),

@@ -17,7 +17,6 @@ from sincbounds.verifier import (
     VerificationReport,
     Violation,
     _EPS,
-    _interior_grid,
     _refine_windows,
     edge_case,
     expected_sharpness_verdict,
@@ -374,7 +373,7 @@ def _reference_verify(case, points=4096, refine_rounds=2):
     if points < 64:
         raise ValueError("points must be >= 64")
     lo, hi = case.domain
-    xs = _interior_grid(lo, hi, points)
+    xs = np.linspace(lo, hi, points + 2)[1:-1]
     spacing = (hi - lo) / (points + 1)
     got_x, got_l, got_r = [], [], []
     try:
@@ -438,17 +437,18 @@ def _assert_same_report(got, want):
 
 @pytest.mark.parametrize("points", [64, 256, 4096])
 def test_verify_matches_reference_on_corpus_and_sharpness(points, monkeypatch):
-    real = verifier.verify
+    real = verifier._verify_cases
     seen = []
 
-    def checked(case, points=4096, refine_rounds=2):
-        got = real(case, points, refine_rounds)
-        _assert_same_report(got, _reference_verify(case, points, refine_rounds))
-        seen.append(case.id)
+    def checked(cases, points, refine_rounds):
+        got = real(cases, points, refine_rounds)
+        for case, report in zip(cases, got, strict=True):
+            _assert_same_report(report, _reference_verify(case, points, refine_rounds))
+            seen.append(case.id)
         return got
 
-    monkeypatch.setattr(verifier, "verify", checked)
-    monkeypatch.setattr(corpus, "verify", checked)
+    monkeypatch.setattr(verifier, "_verify_cases", checked)
+    monkeypatch.setattr(corpus, "_verify_cases", checked)
     corpus.run_suite("all", points=points)
     for fam in SharpnessFamily:
         for side in ThresholdSide:
@@ -794,29 +794,30 @@ def test_take5_equals_stable_argsort_of_all_blocks(seed):
 
 def test_corpus_takes_both_block_paths(monkeypatch):
     # blocks settled by the bounds, and blocks that take the per-point
-    # floors: each verify call takes the floors once more, on its picks
-    counts = {"sides": 0, "floors": 0, "calls": 0}
-    side, definite, real = verifier._side, verifier._definite, verifier.verify
+    # floors: each report takes the floors once more, on its picks
+    counts = {"blocks": 0, "floors": 0, "reports": 0}
+    add, definite, real = verifier._Fold.add, verifier._definite, verifier._verify_cases
 
-    def counted_side(*args):
-        counts["sides"] += 1  # twice per block, lhs and rhs
-        return side(*args)
+    def counted_add(*args):
+        counts["blocks"] += 1  # one case's block
+        return add(*args)
 
     def counted_definite(*args):
         counts["floors"] += 1
         return definite(*args)
 
-    def counted_verify(*args, **kwargs):
-        counts["calls"] += 1
-        return real(*args, **kwargs)
+    def counted_cases(*args):
+        got = real(*args)
+        counts["reports"] += len(got)
+        return got
 
-    monkeypatch.setattr(verifier, "_side", counted_side)
+    monkeypatch.setattr(verifier._Fold, "add", counted_add)
     monkeypatch.setattr(verifier, "_definite", counted_definite)
-    monkeypatch.setattr(verifier, "verify", counted_verify)
-    monkeypatch.setattr(corpus, "verify", counted_verify)
+    monkeypatch.setattr(verifier, "_verify_cases", counted_cases)
+    monkeypatch.setattr(corpus, "_verify_cases", counted_cases)
     corpus.run_suite("all", points=4096)
-    exact = counts["floors"] - counts["calls"]
-    assert 0 < exact < counts["sides"] // 4, counts
+    exact = counts["floors"] - counts["reports"]
+    assert 0 < exact < counts["blocks"] // 2, counts
 
 
 @pytest.mark.parametrize("block", [64, verifier._BLOCK])
@@ -863,9 +864,10 @@ def test_verify_memory_stays_below_one_round():
 
 @pytest.mark.parametrize("points", [64, 4096])
 def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
-    real = verifier.verify
+    real = verifier._verify_cases
     calls = [0]
     served = []
+    reports = []
 
     def counted(f):
         def target(x):
@@ -873,30 +875,35 @@ def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
             return f(x)
         return target
 
-    def checked(case, points=4096, refine_rounds=2):
+    def checked(cases, points, refine_rounds):
         verifier._KEPT.clear()
         before = calls[0]
-        cold = real(case, points, refine_rounds)
+        cold = real(cases, points, refine_rounds)
         between = calls[0]
-        _assert_same_report(real(case, points, refine_rounds), cold)
-        # the warm run skips the one base-grid block of each target
-        targets = {core.sinc, core.sinhc} & {case.lhs, case.rhs}
-        assert (between - before) - (calls[0] - between) == len(targets), case.id
+        for warm, report in zip(real(cases, points, refine_rounds), cold, strict=True):
+            _assert_same_report(warm, report)
+        # the warm run skips the one base-grid block of each target on each
+        # domain, which the cold run evaluated once for all its cases
+        targets = {(f, case.domain) for case in cases for f in (case.lhs, case.rhs)
+                   if f is core.sinc or f is core.sinhc}
+        assert (between - before) - (calls[0] - between) == len(targets), [c.id for c in cases]
         served.append(len(targets))
+        reports.extend(cold)
         return cold
 
     # the targets are the module's counting wrappers, each kept as itself
     monkeypatch.setattr(core, "sinc", counted(core.sinc))
     monkeypatch.setattr(core, "sinhc", counted(core.sinhc))
     monkeypatch.setattr(verifier, "_KEPT", {})
-    monkeypatch.setattr(verifier, "verify", checked)
-    monkeypatch.setattr(corpus, "verify", checked)
+    monkeypatch.setattr(verifier, "_verify_cases", checked)
+    monkeypatch.setattr(corpus, "_verify_cases", checked)
     corpus.run_suite("all", points=points)
     for fam in SharpnessFamily:
         for side in ThresholdSide:
             for offset in (1e-3, 1e-5, 1e-7, 1e-9):
                 verify_sharpness(fam, side, offset, points=points)
-    assert len(served) == 99 and sum(served) == 65
+    # 99 reports from 51 calls; 65 served blocks when each case was its own call
+    assert (len(reports), len(served), sum(served)) == (99, 51, 42)
 
 
 def test_kept_blocks_follow_the_block_size(monkeypatch):
@@ -1021,50 +1028,80 @@ def test_each_core_member_is_evaluated_once_per_base_grid_block(suite, members, 
     for name in ("sinc", "sinhc", "cos_bound", "cosh_bound", "cos_power_bound", "cosh_power_bound"):
         monkeypatch.setattr(core, name, counted(name))
     monkeypatch.setattr(verifier, "_KEPT", {})
-    monkeypatch.setattr(verifier, "_HANDED", {})
     corpus.run_suite(suite, points=2 * verifier._BLOCK + 100)
     assert len(seen) == len(set(seen)) == 3 * members, len(seen)  # 2 full blocks and one of 100
     assert len({key[:2] for key in seen}) == members
 
 
-def test_handed_values_keep_the_kept_rules(monkeypatch):
-    monkeypatch.setattr(verifier, "_HANDED", {})
-    bound = core.member("cos_bound", 0.7)
-    first = verifier.family_case(bound, core.member("sinc"), (0.0, HALF_PI))
-    verify(first, points=65536)
-    # read-only values of the core member only, one per block, under _KEPT's key
-    handed = verifier._HANDED
-    assert [key[0] for key in handed] == [bound[1]] * 8
-    assert [key[-2:] for key in handed] == [(s, s + 8192) for s in range(0, 65536, 8192)]
-    assert all(not v.flags.writeable for v in handed.values())
-    # the next call keeps only its own sides on its own grid, and hands on no
-    # lambda; its base grid, the same, is kept read-only
-    blocks = []
+# ------------------------------------------- several cases in one pass
 
-    def lhs(x):
-        blocks.append(x.flags.writeable)
-        return cos_bound(0.7, x)
+class _Unhashable:
+    """A side that cannot be a dict key, as a case's side need not be."""
 
-    hits = verifier._interior_grid.cache_info().hits
-    verify(InequalityCase("lambda", lhs, bound[1], (0.0, HALF_PI)), points=65536)
-    assert len(verifier._HANDED) == 8
-    assert verifier._interior_grid.cache_info().hits == hits + 1 and blocks[:8] == [False] * 8
-    verify(InequalityCase("other grid", bound[1], sinc, (0.0, 1.5)), points=4096)
-    assert [key[1:3] for key in verifier._HANDED] == [(0.0, 1.5)]
-    verify(InequalityCase("lambdas", lambda x: 0.5 + 0 * x, sinc, (0.0, 1.5)), points=4096)
-    assert verifier._HANDED == {}
-    # at most _KEPT_BLOCKS blocks, the latest
+    __hash__ = None
+
+    def __call__(self, x):
+        return 2.0 + 0 * x
+
+
+@pytest.mark.parametrize("block", [64, verifier._BLOCK])
+def test_verify_cases_equals_verify_of_each_case(block, monkeypatch):
+    # two interleaved domains; a partial and a lambda each shared by two
+    # cases, one callable on both sides, and an unhashable side
+    monkeypatch.setattr(verifier, "_BLOCK", block)
+    bound = core.member("cos_bound", 0.7)[1]
+    level = lambda x: 0.5 + 0 * x  # noqa: E731
+    odd = _Unhashable()
+    trig, wide = (0.0, HALF_PI), (0.0, 3.0)
+    cases = [InequalityCase("bound < sinc", bound, sinc, trig),
+             InequalityCase("level < bound", level, bound, wide),
+             InequalityCase("bound < odd", bound, odd, trig),
+             InequalityCase("sinc < level", sinc, level, wide),
+             InequalityCase("sinc < sinc", sinc, sinc, trig),
+             InequalityCase("odd < level", odd, level, wide)]
+    got = verifier._verify_cases(cases, 1000, 2)
+    assert [r.verdict for r in got] == [Verdict.HOLDS, Verdict.FAILS, Verdict.HOLDS,
+                                        Verdict.FAILS, Verdict.INCONCLUSIVE, Verdict.FAILS]
+    for case, report in zip(cases, got, strict=True):
+        _assert_same_report(report, verify(case, points=1000))
+        _assert_same_report(report, _reference_verify(case, points=1000))
+    assert verifier._verify_cases([], 1000, 2) == []
+
+
+def test_verify_cases_share_a_failing_side(monkeypatch):
+    # late raises on the 13th of 16 blocks: each case that reads it gets
+    # verify's own report of it, and the other cases' reports do not move
     monkeypatch.setattr(verifier, "_BLOCK", 64)
-    verify(first, points=4096)
-    assert [key[-2:] for key in verifier._HANDED] == [(s, s + 64) for s in range(2048, 4096, 64)]
-    # a failed block is not handed on
-    scaled = core.member("scaled_gap", 2.0)
-    case = InequalityCase("underflow", scaled[1], lambda x: 0.0, (700.0, 745.0))
-    with np.errstate(under="raise"):
-        assert verify(case, points=64).verdict is Verdict.INCONCLUSIVE
-    assert verifier._HANDED == {}
-    assert verify(case, points=64).verdict is Verdict.HOLDS
-    assert len(verifier._HANDED) == 1
+    calls = []
+
+    def late(x):
+        if np.any(x > 0.8):
+            raise FloatingPointError(f"late side on {x.size} points")
+        calls.append((x[0], x.size))
+        return 2.0 + 0 * x
+
+    def early(x):
+        if np.any(x > 0.5):
+            raise ValueError("early side")
+        return 0 * x
+
+    unit = (0.0, 1.0)
+    cases = [InequalityCase("late on the right", _ZERO, late, unit),
+             InequalityCase("no late", _ZERO, lambda x: 1.0 + x, unit),
+             InequalityCase("late on the left", late, lambda x: 3.0 + x, unit),
+             InequalityCase("late on a short domain", _ZERO, late, (0.0, 0.5)),
+             InequalityCase("early before late", early, late, unit)]
+    got = verifier._verify_cases(cases, 1000, 2)
+    assert len(calls) == len(set(calls))  # each block it evaluates, once for all its cases
+    for case, report in zip(cases, got, strict=True):
+        _assert_same_report(report, verify(case, points=1000))
+    diagnostics = ["evaluation failed: FloatingPointError('late side on 64 points')", "",
+                   "evaluation failed: FloatingPointError('late side on 64 points')", "",
+                   "evaluation failed: ValueError('early side')"]
+    assert [r.diagnostic for r in got] == diagnostics
+    assert [r.grid_points for r in got] == [0, 1000 + 2 * 65, 0, 1000 + 2 * 65, 0]
+    assert [r.verdict for r in got] == [Verdict.INCONCLUSIVE, Verdict.HOLDS, Verdict.INCONCLUSIVE,
+                                        Verdict.HOLDS, Verdict.INCONCLUSIVE]
 
 
 # ------------------------------------------------- monotone mean family rows
