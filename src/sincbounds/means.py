@@ -437,7 +437,10 @@ def lower_bound_comparison(x: float) -> float:
     for x >= 0.
 
     Vanishes to sixth order at 0 (leading term x^6/40500), so small x goes
-    through the cancelled series; direct evaluation elsewhere.
+    through the cancelled series; direct evaluation elsewhere.  Its series
+    coefficients alternate in sign from x^8 (-2.94e-8), so D >= 0 near 0
+    does not follow from them: it rests on the d_n of comparison_coeff.
+    The remarks suite samples D on [1e-3, 30] only.
     """
     x = float(x)
     if x < 0.0:

@@ -49,18 +49,18 @@ margins so far; once 5 are held, a block whose smallest margin is not below
 the 5th offers none, as a margin equal to it comes later in evaluation
 order and so cannot displace it; any other block offers its own 5 smallest.
 
-verify checks one case, _verify_cases a list (a suite's, a chain's) in
-one pass: each domain's base grid is built once, each side, by identity,
-is evaluated once per block for all the cases that read it, and each case
-then refines on its own.  The sharpness cells are separate calls, so _side
-keeps the read-only base-grid blocks of core.sinc and core.sinhc, the
-targets of every sharp edge and chain, across calls in _KEPT: the 32 most
-recently used that evaluated without an exception, 64 KiB at most each,
-keyed by the function as the module's attribute at the call (a wrapper put
-there is kept as itself), the grid's lo, hi and points, numpy's error
-state, and the block's start and stop.  A kept or shared block holds the
-values a fresh evaluation gives, so no report depends on what is kept or
-on which cases share a call.
+verify checks one case, _verify_cases a list (a suite's, a chain's) in one
+pass: each domain's base grid is built once, and each case then refines on
+its own.  _side is the one evaluator: it evaluates a side, by identity,
+once per block for all the cases that read it, and keeps the read-only
+base-grid blocks of core.sinc and core.sinhc, the targets of every sharp
+edge and chain, across calls in _KEPT: the 32 most recently used that
+evaluated without an exception, keyed by the function as the module's
+attribute at the call (a wrapper put there is kept as itself), the grid's
+lo, hi and points, numpy's error state and the block's start and stop.  A
+side that raises is evaluated again for each case that reads it.  A shared
+or kept block holds the values a fresh evaluation gives, so no report
+depends on what is kept or on which cases share a call.
 """
 
 from __future__ import annotations
@@ -232,19 +232,24 @@ _KEPT: dict = {}  # base-grid block key -> read-only values, least recently used
 _KEPT_BLOCKS = 32
 
 
-def _side(f: Callable, x: np.ndarray, block: tuple | None = None) -> np.ndarray:
-    """f at x, as an array of x's shape; given block, x's key, core.sinc and core.sinhc kept in _KEPT."""
-    if block is None or not (f is _core.sinc or f is _core.sinhc):
-        v = np.asarray(f(x), dtype=float)
-        return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
-    key = (f, *block)
+def _side(f: Callable, x: np.ndarray, values: dict, block: tuple | None) -> np.ndarray:
+    """f at x, as an array of x's shape: from the block's values by id(f), else for core.sinc
+    and core.sinhc on a base-grid block (x's key) from _KEPT, else evaluated and stored where sought."""
+    if id(f) in values:  # by identity: a side need not be hashable
+        return values[id(f)]
+    key = (f, *block) if block is not None and (f is _core.sinc or f is _core.sinhc) else None
     v = _KEPT.pop(key, None)
     if v is None:
-        v = _side(f, x).view()
-        v.flags.writeable = False
-        if len(_KEPT) >= _KEPT_BLOCKS:
-            _KEPT.pop(next(iter(_KEPT)), None)
-    _KEPT[key] = v
+        v = np.asarray(f(x), dtype=float)
+        v = v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+        if key is not None:
+            v = v.view()
+            v.flags.writeable = False
+            if len(_KEPT) >= _KEPT_BLOCKS:
+                _KEPT.pop(next(iter(_KEPT)))
+    if key is not None:
+        _KEPT[key] = v
+    values[id(f)] = v
     return v
 
 
@@ -304,12 +309,6 @@ class _Fold:
             keep = keep if i in keep else np.sort(np.append(keep, i))
         self.picks.append((x, lv, rv) if whole else (x[keep], lv[keep], rv[keep]))
 
-    def windows(self) -> np.ndarray:
-        """The next round: triple the density around the 5 smallest margins
-        of all rounds so far (ties in evaluation order)."""
-        self.spacing /= 3.0
-        return _refine_windows(self.cx, self.spacing, *self.case.domain)
-
     def report(self) -> VerificationReport:
         if self.error is not None:  # evaluation failure -> inconclusive
             return VerificationReport(case_id=self.case.id, grid_points=self.grid_points,
@@ -320,13 +319,6 @@ class _Fold:
         order = np.argsort(x, kind="stable")  # equal x keeps round order
         return _report(self.case.id, self.grid_points, x[order], lv[order], rv[order],
                        self.n_bad, self.any_good)
-
-
-def _shared(values: dict, f: Callable, x: np.ndarray, block: tuple | None) -> np.ndarray:
-    """_side(f, x, block), evaluated once for all the cases of a block that read f."""
-    if id(f) not in values:  # by identity: a side need not be hashable
-        values[id(f)] = _side(f, x, block)
-    return values[id(f)]
 
 
 def _verify_cases(cases: Sequence[InequalityCase], points: int,
@@ -342,9 +334,12 @@ def _verify_cases(cases: Sequence[InequalityCase], points: int,
               [fold for fold in folds if fold.case.domain == (lo, hi)])
              for lo, hi in dict.fromkeys(case.domain for case in cases)]
     for round_no in range(refine_rounds + 1):
-        if round_no:  # each case refines on its own, until a round has no points
+        if round_no:  # each case alone, at 3x the density around its 5 smallest margins so far
             left = [fold for *_, mine in grids for fold in mine if fold.error is None]
-            grids = [(xs, None, [fold]) for fold in left if (xs := fold.windows()).size]
+            for fold in left:
+                fold.spacing /= 3.0
+            grids = [(xs, None, [fold]) for fold in left
+                     if (xs := _refine_windows(fold.cx, fold.spacing, *fold.case.domain)).size]
         for xs, grid, mine in grids:
             for start in range(0, xs.size, _BLOCK):
                 x = xs[start:start + _BLOCK]
@@ -352,8 +347,8 @@ def _verify_cases(cases: Sequence[InequalityCase], points: int,
                 values = {}
                 for fold in [f for f in mine if f.error is None]:
                     try:
-                        fold.add(x, _shared(values, fold.case.lhs, x, block),
-                                 _shared(values, fold.case.rhs, x, block),
+                        fold.add(x, _side(fold.case.lhs, x, values, block),
+                                 _side(fold.case.rhs, x, values, block),
                                  round_no < refine_rounds, grid is None)
                     except (ArithmeticError, ValueError) as exc:
                         fold.error = exc

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sincbounds import core
 from sincbounds.constants import quartic_constants
 from sincbounds.integrals import catalan_reference
 from sincbounds.means import comparison_coeff
@@ -114,6 +115,20 @@ def test_cos_bound_square_identity():
     assert cos_bound(p, x) == pytest.approx(0.25, rel=1e-14)
     for x in np.linspace(0.1, 2.0, 9):
         assert cos_bound(p, x) == pytest.approx(math.cos(x / math.sqrt(6.0)) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.7708607411268668, 1.0])  # 0.77... is p0, the lower edge
+def test_cos_bound_within_its_stated_ulps_of_mpmath(p):
+    # 1.5 ulps of max(1, |v|) on 4,001 points of [0, pi/2], on the number
+    # and the array path; 1 - w s^2 rounds in ulps of 1, so the bound is in those
+    xs = np.linspace(0.0, math.pi / 2, 4001)
+    pm = mp.mpf(p)
+    w = 1 / (3 * pm * pm)
+    for x, got in zip(xs, cos_bound(p, xs)):
+        truth = w * mp.cos(pm * mp.mpf(x)) + 1 - w
+        ulp = math.ulp(max(1.0, abs(float(truth))))
+        for v in (cos_bound(p, float(x)), got):
+            assert abs(mp.mpf(v) - truth) <= 1.5 * ulp, (x, v)
 
 
 def test_cosh_bound_values():
@@ -302,6 +317,37 @@ def test_gap_series_certified_against_high_precision():
             truth = mp.sinh(xm) / xm - (mp.cosh(pm * xm) / (3 * pm * pm) + 1 - 1 / (3 * pm * pm))
             got = sinhc_gap(p, x)
             assert abs(got.value - float(truth)) <= got.tail_bound
+
+
+def _series_domain_sweep(k):
+    """(p, x, hyperbolic) over the series domain, |x| <= SERIES_SWITCH and
+    p|x| <= 2: p at its edges and k uniform in [0, 4] and k log-uniform in
+    [1, 1e308], x at the domain's edge, inside it and at 1e-3 of the edge."""
+    rng = np.random.default_rng(13)
+    ps = [0.0, 4.0, math.nextafter(4.0, math.inf), 1e-300, 1e300, 1.7e308]
+    ps += [*rng.uniform(0.0, 4.0, k), *10.0 ** rng.uniform(0.0, 308.0, k)]
+    for p in map(float, ps):
+        edge = min(SERIES_SWITCH, 2.0 / p) if p else SERIES_SWITCH
+        while p * edge > 2.0:
+            edge = math.nextafter(edge, 0.0)
+        for x in (edge, 0.37 * edge, 1e-3 * edge):
+            yield p, x, False
+            yield p, x, True
+
+
+def test_gap_series_returns_by_n_13(monkeypatch):
+    # the series' order, _SERIES_MAX_TERMS, is not a guess: a table cut to
+    # n <= 13 gives every value and tail bound, and one cut to n <= 12 does not
+    assert core._SERIES_STEPS[-1][0] == core._SERIES_MAX_TERMS >= 13
+    sweep = list(_series_domain_sweep(5000))
+    full = [_gap_series(*args) for args in sweep]
+    steps = core._SERIES_STEPS
+    monkeypatch.setattr(core, "_SERIES_STEPS", tuple(s for s in steps if s[0] <= 13))
+    assert [_gap_series(*args) for args in sweep] == full
+    monkeypatch.setattr(core, "_SERIES_STEPS", tuple(s for s in steps if s[0] <= 12))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        for args in sweep:
+            _gap_series(*args)
 
 
 def test_series_direct_agreement_across_switch():
