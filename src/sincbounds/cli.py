@@ -13,7 +13,11 @@ Exit codes: 0 all verified, 1 violation/inconclusive, 2 usage error
 Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
 17 significant digits, JSON uses repr round-tripping).  Only verify,
 table --chain meanchain and special --name sb|log-mean import numpy; the
-other commands, table --chain m1c|m2c among them, run on math alone.
+other commands, table --chain m1c|m2c among them, run on math alone.  A
+process started by `python -m sincbounds` or the `sincbounds` script runs
+numpy's OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1 unless the caller set
+it): no command calls a BLAS routine, and the idle helper thread only burns a
+core.  main() itself leaves the environment alone.
 """
 
 from __future__ import annotations

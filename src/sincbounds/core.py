@@ -59,10 +59,11 @@ _UPPER_EDGE = math.sqrt(15.0) / 5.0
 # in doubles lands just above 3/5
 _C_MAX = 0.6 * (1.0 + 1e-12)
 
-# (n, 2n+1, n(2n+1), (2n+2)(2n+3)) for the series terms n = 2.._SERIES_MAX_TERMS;
-# the integers are exact as floats, so each product rounds as with ints
-_SERIES_STEPS = tuple((n, float(2 * n + 1), float(n * (2 * n + 1)), float((2 * n + 2) * (2 * n + 3)))
-                      for n in range(2, _SERIES_MAX_TERMS + 1))
+# (n, 2n+1, n(2n+1), (2n+2)(2n+3), (-1)^n) for the series terms
+# n = 2.._SERIES_MAX_TERMS; the integers are exact as floats, so each product
+# rounds as with ints, and the last is the sign of the trig family's term
+_SERIES_STEPS = tuple((n, float(2 * n + 1), float(n * (2 * n + 1)), float((2 * n + 2) * (2 * n + 3)),
+                       float((-1) ** n)) for n in range(2, _SERIES_MAX_TERMS + 1))
 
 
 def _check(v: float, trig: bool) -> float:
@@ -283,17 +284,18 @@ def _gap_series(p: float, x: float, hyperbolic: bool):
         m, a, b = u2 * x2 / 360.0, 3.0 * inv_c, 1.0
         m_step, a_step, b_step = u2, inv_c, 1.0
     total = 0.0
-    sign = 1.0
     round_acc = 0.0
-    for n, k, nk, d in _SERIES_STEPS:
-        majorant = m * (a + k * b)  # >= |a_n(c)| x^{2n}/(3(2n+1)!)
-        if n >= 6 and majorant < 1e-20 * max(1.0, abs(total)):
-            tail = 2.0 * majorant + 4.0 * _EPS * round_acc
-            return total, tail
-        term = (a - k * b) * m
+    for n, k, nk, d, sign in _SERIES_STEPS:
+        kb = k * b
+        if n >= 6:  # the first term whose majorant may end the sum
+            majorant = m * (a + kb)  # >= |a_n(c)| x^{2n}/(3(2n+1)!)
+            scale = abs(total)  # max(1, |total|), and 1 at a nan total
+            if majorant < 1e-20 * (scale if scale > 1.0 else 1.0):
+                tail = 2.0 * majorant + 4.0 * _EPS * round_acc
+                return total, tail
+        term = (a - kb) * m
         total += term if hyperbolic else sign * term
         round_acc += m * (a + nk * b)
-        sign = -sign
         m *= m_step / d
         a *= a_step
         b *= b_step

@@ -22,6 +22,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(sincbounds.__file__).resolve().parents[1]))
+
+
 def test_constants_text(capsys):
     code, out, _ = run(capsys, "constants")
     assert code == 0
@@ -172,10 +176,9 @@ def test_eval_fn_choices_are_the_numpy_free_names_of_the_map():
 
 
 def test_a_closed_pipe_ends_quietly():
-    env = dict(os.environ, PYTHONPATH=str(Path(sincbounds.__file__).resolve().parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "sincbounds", "table", "--chain", "m1c", "--points", "5000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert proc.stdout.readline().startswith(b"x,")  # the rows fill the pipe, then block
     proc.stdout.close()
     err = proc.stderr.read()
@@ -313,8 +316,8 @@ def test_table_meanchain_loads_no_corpus_or_verifier():
             assert cli.main(["table", "--chain", "meanchain", "--points", "64"]) == 0
         print(sorted(set(sys.modules) & {"sincbounds.corpus", "sincbounds.verifier", "sincbounds.means"}))
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(sincbounds.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['sincbounds.means']"
 
@@ -413,6 +416,61 @@ def test_verify_matches_golden_bytes(capsys):
     for g in entries:
         code, out, _ = run(capsys, *g["args"])
         assert (code, out) == (g["exit"], g["stdout"]), g["args"]
+
+
+def test_the_process_entry_matches_golden_bytes():
+    # the first variant of each command through `python -m sincbounds`, the
+    # path the benchmark's cli workload runs
+    golden = json.loads(GOLDEN_CLI.read_text())
+    for variants in golden.values():
+        g = variants[0]
+        proc = subprocess.run([sys.executable, "-m", "sincbounds", *g["args"]], env=_child_env(),
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (g["exit"], g["stdout"].encode()), g["args"]
+
+
+def _threads_at_exit(code, env):
+    """The thread count of a child python that runs code, read at its exit."""
+    code = ("import atexit, os, sys\n"
+            "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+            + code)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-1])
+
+
+# `python -m sincbounds verify ...`, as -m runs it
+_VERIFY_AS_MAIN = ("import runpy\n"
+                   "sys.argv = ['sincbounds', 'verify', '--suite', 'theorem1', '--points', '64']\n"
+                   "runpy.run_module('sincbounds', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_a_cli_process_runs_one_blas_thread():
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    assert _threads_at_exit(_VERIFY_AS_MAIN, env) == 1
+    # the caller's value wins: as many threads as numpy alone starts under it
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert _threads_at_exit(_VERIFY_AS_MAIN, env) == _threads_at_exit("import numpy", env)
+
+
+def test_the_library_leaves_the_environment_alone():
+    code = """if True:
+        import contextlib, io, os
+        before = dict(os.environ)
+        import sincbounds
+        from sincbounds import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--suite", "theorem1", "--points", "64"]) == 0
+        assert dict(os.environ) == before
+    """
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_suite_all_digest_unchanged():

@@ -1,8 +1,12 @@
 import importlib
+import os
+import runpy
+from pathlib import Path
 
 import pytest
 
 import sincbounds
+from sincbounds import cli
 
 # what `from sincbounds import *` bound when the package imported every
 # module eagerly: the re-exported names and the six submodules
@@ -52,3 +56,14 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from sincbounds import no_such_name", {})
 
+
+def test_the_console_script_runs_what_python_m_runs(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(sincbounds.__file__).resolve().parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["sincbounds"]
+    module, _, attr = target.partition(":")
+    # running the entry module sets OPENBLAS_NUM_THREADS; keep this process's environment
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    # __main__.py's globals, run under its own name so that it does not call main()
+    ran = runpy.run_module("sincbounds")["main"]
+    assert getattr(importlib.import_module(module), attr) is ran is cli.main
