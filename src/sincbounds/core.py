@@ -35,7 +35,6 @@ import importlib
 import math
 import numbers
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -237,20 +236,20 @@ def gap_series_coeff(n: int, c: float) -> float:
     return _no_overflow(v, c, "gap_series_coeff", "c")
 
 
-@dataclass(frozen=True)
-class CoefficientSeq:
+class CoefficientSeq(NamedTuple("CoefficientSeq", [("c", float)])):
     """Gap-series coefficients for fixed c in (0, 3/5].
 
     On that range every term is nonnegative and for n >= 3 the consecutive
     ratio lies in (1, 11/5].
     """
 
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))  # a number, as MeanPoint holds floats
-        if not 0.0 < self.c <= _C_MAX:
-            raise ValueError(f"c must lie in (0, 3/5], got {self.c!r}")
+    def __new__(cls, c: float):
+        c = float(c)  # a number, as MeanPoint holds floats
+        if not 0.0 < c <= _C_MAX:
+            raise ValueError(f"c must lie in (0, 3/5], got {c!r}")
+        return super().__new__(cls, c)
 
     def term(self, n: int) -> float:
         return gap_series_coeff(n, self.c)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import quartic_constants
 from .core import _HALF_PI, _UPPER_EDGE, _count, _is_number
@@ -54,8 +54,7 @@ class QuadratureBudgetError(RuntimeError):
     """Raised when one Gauss-Kronrod panel cannot meet the tolerance."""
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(NamedTuple("Enclosure", [("lo", float), ("hi", float)])):
     """Closed interval [lo, hi] certifying lo <= value <= hi.
 
     contains(value, slack) tests value against [lo - slack, hi + slack]; a
@@ -64,24 +63,21 @@ class Enclosure:
     means.log_mean_sandwich returns for an array pair); contains then returns a boolean array.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not type(self.lo) is type(self.hi) is float:  # read numbers as MeanPoint and InequalityCase do
-            for name in ("lo", "hi"):
-                if _is_number(v := getattr(self, name)):
-                    object.__setattr__(self, name, float(v))
-        ordered = self.lo <= self.hi
+    def __new__(cls, lo: float, hi: float):
+        if not type(lo) is type(hi) is float:  # read numbers as MeanPoint and InequalityCase do
+            lo, hi = (float(v) if _is_number(v) else v for v in (lo, hi))
+        ordered = lo <= hi
         if not (ordered.all() if hasattr(ordered, "all") else ordered):
-            raise ValueError(f"empty enclosure: [{self.lo!r}, {self.hi!r}]")
+            raise ValueError(f"empty enclosure: [{lo!r}, {hi!r}]")
+        return super().__new__(cls, lo, hi)
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return (self.lo - slack <= value) & (value <= self.hi + slack)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int

@@ -720,18 +720,6 @@ def test_the_overflowing_array_products_give_the_number_limits():
             == -1.0 / (6.0 * p * p)
 
 
-# ----------------------------------------------------- scalar path record
-
-def test_gap_evaluation_record():
-    g = GapEvaluation(0.25, 1.5e-6, GapMethod.SERIES, 3e-22)
-    assert repr(g) == ("GapEvaluation(x=0.25, value=1.5e-06, "
-                       "method=<GapMethod.SERIES: 'series'>, tail_bound=3e-22)")
-    assert GapEvaluation(1.0, 0.5, GapMethod.DIRECT).tail_bound == 0.0
-    with pytest.raises(AttributeError):
-        g.value = 0.0
-    assert (g.x, g.value, g.method, g.tail_bound) == (0.25, 1.5e-6, GapMethod.SERIES, 3e-22)
-
-
 # An inline copy of the scalar path as it was when each call built a
 # validating parameter object and dispatched through np.ndim.  The scalar
 # path must give the same values, methods, tail bounds and exceptions,
