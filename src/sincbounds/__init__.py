@@ -5,8 +5,8 @@ engine for every inequality in the corpus.
 core, constants and integrals are imported with the package and need no
 numpy for a number.  The names of means, verifier and corpus, which import
 numpy, resolve on first access (PEP 562), so a process that only computes
-numbers never loads it.  Such a process loads no dataclasses, inspect or
-json either: the records of core, constants and integrals are NamedTuples.
+numbers never loads it, nor inspect or json.  No process loads dataclasses:
+every record of the package is a NamedTuple.
 """
 
 __version__ = "0.1.0"

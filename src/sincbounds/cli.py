@@ -13,9 +13,9 @@ Exit codes: 0 all verified, 1 violation/inconclusive, 2 usage error
 Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
 17 significant digits, JSON uses repr round-tripping).  Only verify,
 table --chain meanchain and special --name sb|log-mean import numpy; the
-other commands, table --chain m1c|m2c among them, run on math alone, and
-load no dataclasses, inspect or json (json only for --format json), which
-would cost such a process about 12 of its 57 ms of CPU (2-core Xeon).  A
+other commands, table --chain m1c|m2c among them, run on math alone and load
+no inspect or json (json only for --format json); no command loads dataclasses.
+The three would cost such a process 12 of its 57 ms of CPU (2-core Xeon).  A
 process started by `python -m sincbounds` or the `sincbounds` script runs
 numpy's OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1 unless the caller set
 it): no command calls a BLAS routine, and the idle helper thread only burns a

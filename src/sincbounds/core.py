@@ -58,6 +58,9 @@ _UPPER_EDGE = math.sqrt(15.0) / 5.0
 # in doubles lands just above 3/5
 _C_MAX = 0.6 * (1.0 + 1e-12)
 
+# _make, which _replace calls, of a record that validates: through __new__, as pickle and copy are
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
 # (n, 2n+1, n(2n+1), (2n+2)(2n+3), (-1)^n) for the series terms
 # n = 2.._SERIES_MAX_TERMS; the integers are exact as floats, so each product
 # rounds as with ints, and the last is the sign of the trig family's term
@@ -99,9 +102,10 @@ class GapEvaluation(NamedTuple):
 
 
 def _is_number(x) -> bool:
-    """The number-or-array rule: a float, an int or a 0-d value (x.ndim read
+    """The number-or-array rule, np.ndim(x) == 0: a float, an int, a str or
+    another numbers.Number (told without numpy) or a 0-d value (x.ndim read
     first, as np.ndim does) is a number; anything else is an array."""
-    if isinstance(x, (float, int)):
+    if isinstance(x, (float, int, str, numbers.Number)):
         return True
     try:
         return x.ndim == 0
@@ -244,6 +248,7 @@ class CoefficientSeq(NamedTuple("CoefficientSeq", [("c", float)])):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, c: float):
         c = float(c)  # a number, as MeanPoint holds floats

@@ -15,7 +15,7 @@ expected outcome (sharpness entries are expected to fail past the edge).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .verifier import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     id: str
     kind: str               # "inequality" | "enclosure" | "value"
@@ -47,7 +46,7 @@ class CheckResult:
     expected: str
     observed: str
     detail: str = ""
-    report: VerificationReport | None = field(default=None, compare=False)
+    report: VerificationReport | None = None
 
 
 def _verdict_result(suite: str, report: VerificationReport, expected: Verdict) -> CheckResult:

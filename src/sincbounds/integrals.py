@@ -22,7 +22,7 @@ import sys
 from typing import NamedTuple
 
 from .constants import quartic_constants
-from .core import _HALF_PI, _UPPER_EDGE, _count, _is_number
+from .core import _HALF_PI, _UPPER_EDGE, _checked_make, _count, _is_number
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT15 = math.sqrt(15.0)
@@ -64,6 +64,7 @@ class Enclosure(NamedTuple("Enclosure", [("lo", float), ("hi", float)])):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, lo: float, hi: float):
         if not type(lo) is type(hi) is float:  # read numbers as MeanPoint and InequalityCase do

@@ -12,21 +12,21 @@ logarithmic mean is (a - b)/(2x) at the same x, so the half log ratio is
 the one place that chooses how to take the log.  No mean takes a series
 near a = b: its log1p and asin forms are accurate up to a = b itself.
 
-The pair argument m is a MeanPoint or an (a, b) pair, read by core's rule:
-two numbers (each a float, an int or 0-d), or else two equal-length 1-D
-arrays, lists or tuples, taken as float64 arrays.  For an array pair,
-geometric_mean, half_log_ratio, log_mean, sb_mean, sb_lower_bound and
-mean_family return an array of the values, one per element pair, and
-log_mean_sandwich returns one Enclosure whose lo and hi are arrays.  Each
-call validates its input once by the one pair rule, _pair_ok (finite and
-positive; a >= 0, b > 0 for the Schwab-Borchardt pair), and then runs one
-kernel: the scalar kernel for numbers, the array kernel for arrays.  A bad
-number pair or MeanPoint raises _number_pair's "need finite and positive
-arguments, got (a, b)", and an array pair the same for its first bad pair,
-with " at index i".  The two kernels take the same branches; the array
-kernels run numpy's ufuncs where the scalar kernels call the C library, so
-the two may differ in the last bits.  The contract, in ulps of the scalar
-result:
+The pair argument m is a MeanPoint, itself an (a, b) pair already
+validated, or an (a, b) pair read by core's rule: two numbers (each a
+float, an int or 0-d), or else two equal-length 1-D arrays, lists or
+tuples, taken as float64 arrays.  For an array pair, geometric_mean,
+half_log_ratio, log_mean, sb_mean, sb_lower_bound and mean_family return an
+array of the values, one per element pair, and log_mean_sandwich returns
+one Enclosure whose lo and hi are arrays.  Each call validates its input
+once by the one pair rule, _pair_ok (finite and positive; a >= 0, b > 0 for
+the Schwab-Borchardt pair), and then runs one kernel: the scalar kernel for
+numbers, the array kernel for arrays.  A bad number pair or MeanPoint
+raises _number_pair's "need finite and positive arguments, got (a, b)", and
+an array pair the same for its first bad pair, with " at index i".  The two
+kernels take the same branches; the array kernels run numpy's ufuncs where
+the scalar kernels call the C library, so the two may differ in the last
+bits.  The contract, in ulps of the scalar result:
 
 - geometric_mean, half_log_ratio, log_mean, sb_mean and sb_lower_bound:
   within 4 ulps;
@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _cosh_family, _count, _is_number,
-                   _no_overflow, cosh_bound)
+from .core import (_LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _checked_make, _cosh_family, _count,
+                   _is_number, _no_overflow, cosh_bound)
 from .integrals import Enclosure
 
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
@@ -68,17 +68,14 @@ def _number_pair(a, b, sb: bool = False, where: str = "") -> tuple[float, float]
     return a, b
 
 
-@dataclass(frozen=True)
-class MeanPoint:
-    """A pair of positive reals, held as floats."""
+class MeanPoint(NamedTuple("MeanPoint", [("a", float), ("b", float)])):
+    """A pair of positive reals, held as floats: an (a, b) pair already validated."""
 
-    a: float
-    b: float
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        a, b = _number_pair(self.a, self.b)  # as _apply reads two numbers
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __new__(cls, a: float, b: float):
+        return super().__new__(cls, *_number_pair(a, b))  # as _apply reads two numbers
 
 
 def _array_pair(a, b, sb: bool) -> tuple[np.ndarray, np.ndarray]:

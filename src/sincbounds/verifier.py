@@ -68,8 +68,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,8 +92,8 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class InequalityCase:
+class InequalityCase(NamedTuple("InequalityCase", [
+        ("id", str), ("lhs", Callable), ("rhs", Callable), ("domain", tuple[float, float])])):
     """Claim lhs(x) < rhs(x) on the open interval domain, held as two floats.
 
     lhs and rhs take a float64 array of points and return the values at
@@ -103,18 +102,16 @@ class InequalityCase:
     point only.
     """
 
-    id: str
-    lhs: Callable
-    rhs: Callable
-    domain: tuple[float, float]
+    __slots__ = ()
+    _make = _core._checked_make
 
-    def __post_init__(self):
-        lo, hi = map(float, self.domain)  # so every grid and window is float64
-        object.__setattr__(self, "domain", (lo, hi))
+    def __new__(cls, id: str, lhs: Callable, rhs: Callable, domain: tuple[float, float]):
+        domain = lo, hi = tuple(map(float, domain))  # so every grid and window is float64
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"domain endpoints must be finite, got {self.domain!r}")
+            raise ValueError(f"domain endpoints must be finite, got {domain!r}")
         if not lo < hi:
-            raise ValueError(f"domain must satisfy xmin < xmax, got {self.domain!r}")
+            raise ValueError(f"domain must satisfy xmin < xmax, got {domain!r}")
+        return super().__new__(cls, id, lhs, rhs, domain)
 
 
 def family_case(lhs, rhs, domain) -> InequalityCase:
@@ -124,15 +121,13 @@ def family_case(lhs, rhs, domain) -> InequalityCase:
     return InequalityCase(f"{a} < {b}", f, g, domain)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     x: float
     lhs: float
     rhs: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     case_id: str
     grid_points: int
     min_margin: float

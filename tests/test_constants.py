@@ -23,10 +23,10 @@ LOWER_EDGE_40DPS = 0.7708607411268670163182403
 
 
 def _mp_lower_edge():
-    mp.mp.dps = 40
-    return float(mp.findroot(
-        lambda p: 2 / mp.pi - 1 + (2 / (3 * p ** 2)) * mp.sin(p * mp.pi / 4) ** 2,
-        mp.mpf("0.77")))
+    with mp.workdps(40):
+        return float(mp.findroot(
+            lambda p: 2 / mp.pi - 1 + (2 / (3 * p ** 2)) * mp.sin(p * mp.pi / 4) ** 2,
+            mp.mpf("0.77")))
 
 
 def test_lower_edge_matches_high_precision_oracle():

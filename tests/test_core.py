@@ -37,8 +37,6 @@ from sincbounds.core import (
 EPS = math.ulp(1.0)
 UPPER_EDGE = math.sqrt(15.0) / 5.0
 
-mp.mp.dps = 40
-
 
 # ---------------------------------------------------------------- sinc/sinhc
 
@@ -51,7 +49,8 @@ def test_sinc_values():
 def test_sinc_relative_accuracy():
     # contract: relative error <= 4 machine epsilons
     for x in np.linspace(1e-8, math.pi - 1e-3, 211):
-        truth = mp.sin(mp.mpf(x)) / mp.mpf(x)
+        with mp.workdps(40):
+            truth = mp.sin(mp.mpf(x)) / mp.mpf(x)
         assert abs(sinc(float(x)) - float(truth)) <= 4 * EPS * abs(float(truth))
 
 
@@ -122,13 +121,14 @@ def test_cos_bound_within_its_stated_ulps_of_mpmath(p):
     # 1.5 ulps of max(1, |v|) on 4,001 points of [0, pi/2], on the number
     # and the array path; 1 - w s^2 rounds in ulps of 1, so the bound is in those
     xs = np.linspace(0.0, math.pi / 2, 4001)
-    pm = mp.mpf(p)
-    w = 1 / (3 * pm * pm)
-    for x, got in zip(xs, cos_bound(p, xs)):
-        truth = w * mp.cos(pm * mp.mpf(x)) + 1 - w
-        ulp = math.ulp(max(1.0, abs(float(truth))))
-        for v in (cos_bound(p, float(x)), got):
-            assert abs(mp.mpf(v) - truth) <= 1.5 * ulp, (x, v)
+    with mp.workdps(40):
+        pm = mp.mpf(p)
+        w = 1 / (3 * pm * pm)
+        for x, got in zip(xs, cos_bound(p, xs)):
+            truth = w * mp.cos(pm * mp.mpf(x)) + 1 - w
+            ulp = math.ulp(max(1.0, abs(float(truth))))
+            for v in (cos_bound(p, float(x)), got):
+                assert abs(mp.mpf(v) - truth) <= 1.5 * ulp, (x, v)
 
 
 def test_cosh_bound_values():
@@ -302,21 +302,22 @@ def test_gap_method_switch():
 
 def test_gap_series_certified_against_high_precision():
     # |true - value| <= tail_bound on the series path, broad sweep
-    for p in (0.05, 0.3, 0.5, 0.7, UPPER_EDGE, 0.9, 1.0):
-        pm = mp.mpf(p)
-        for x in (1e-4, 1e-3, 0.02, 0.1, 0.25, 0.35, 0.45, 0.5):
-            xm = mp.mpf(x)
-            truth = mp.sin(xm) / xm - (mp.cos(pm * xm) / (3 * pm * pm) + 1 - 1 / (3 * pm * pm))
-            got = sinc_gap(p, x)
-            assert got.method is GapMethod.SERIES
-            assert abs(got.value - float(truth)) <= got.tail_bound
-    for p in (0.2, 0.6, UPPER_EDGE, 1.0, 2.0 / math.sqrt(3.0), 1.5):
-        pm = mp.mpf(p)
-        for x in (1e-3, 0.1, 0.3, 0.5):
-            xm = mp.mpf(x)
-            truth = mp.sinh(xm) / xm - (mp.cosh(pm * xm) / (3 * pm * pm) + 1 - 1 / (3 * pm * pm))
-            got = sinhc_gap(p, x)
-            assert abs(got.value - float(truth)) <= got.tail_bound
+    with mp.workdps(40):
+        for p in (0.05, 0.3, 0.5, 0.7, UPPER_EDGE, 0.9, 1.0):
+            pm = mp.mpf(p)
+            for x in (1e-4, 1e-3, 0.02, 0.1, 0.25, 0.35, 0.45, 0.5):
+                xm = mp.mpf(x)
+                truth = mp.sin(xm) / xm - (mp.cos(pm * xm) / (3 * pm * pm) + 1 - 1 / (3 * pm * pm))
+                got = sinc_gap(p, x)
+                assert got.method is GapMethod.SERIES
+                assert abs(got.value - float(truth)) <= got.tail_bound
+        for p in (0.2, 0.6, UPPER_EDGE, 1.0, 2.0 / math.sqrt(3.0), 1.5):
+            pm = mp.mpf(p)
+            for x in (1e-3, 0.1, 0.3, 0.5):
+                xm = mp.mpf(x)
+                truth = mp.sinh(xm) / xm - (mp.cosh(pm * xm) / (3 * pm * pm) + 1 - 1 / (3 * pm * pm))
+                got = sinhc_gap(p, x)
+                assert abs(got.value - float(truth)) <= got.tail_bound
 
 
 def _series_domain_sweep(k):

@@ -121,14 +121,16 @@ _NUMPY_FREE = [
     ["special", "--name", "catalan"],
     ["table", "--chain", "m1c", "--points", "64"], ["table", "--chain", "m2c", "--points", "64"],
 ]
-_NEEDS_NUMPY = [["verify", "--suite", "all"], ["table", "--chain", "meanchain", "--points", "64"]]
+_NEEDS_NUMPY = [["verify", "--suite", "all"], ["table", "--chain", "meanchain", "--points", "64"],
+                ["special", "--name", "sb", "--a", "1", "--b", "2"],
+                ["special", "--name", "log-mean", "--a", "1", "--b", "2"]]
 
 
 def test_no_command_imports_scipy():
     # each command in a fresh interpreter, since a module once imported stays
-    # loaded; numpy.ma is listed too, which no command may load.  A numpy-free
-    # command also loads no dataclasses, inspect or json (the import budget),
-    # save json for --format json; numpy itself loads inspect
+    # loaded; numpy.ma is listed too, which no command may load.  No command
+    # loads dataclasses (the import budget); a numpy-free command also loads
+    # no inspect or json, save json for --format json; numpy itself loads inspect
     code = """if True:
         import contextlib, io, sys
         if len(sys.argv) > 1:
@@ -150,9 +152,32 @@ def test_no_command_imports_scipy():
         assert proc.returncode == 0, (argv, proc.stderr)
         loaded = proc.stdout.split()
         if argv in _NEEDS_NUMPY:
-            assert "numpy" in loaded and not {"scipy", "numpy.ma"} & set(loaded), argv
+            assert "numpy" in loaded and not {"scipy", "numpy.ma", "dataclasses"} & set(loaded), argv
         else:
             assert loaded == (["json"] if "json" in argv else []), argv
+
+
+def test_number_rule_reads_a_str_or_a_number_without_numpy():
+    # core._is_number decides a str and a numbers.Number itself, so these
+    # calls load no numpy; its answers agree with np.ndim(x) == 0
+    code = """if True:
+        import sys
+        from decimal import Decimal
+        from fractions import Fraction
+        from sincbounds import core, integrals
+        integrals.Enclosure("0.5", "1")
+        core.sinc(Fraction(1, 2))
+        print("numpy" in sys.modules)
+        import numpy as np
+        for x in (0.5, 2, True, "0.5", Fraction(1, 2), Decimal("0.5"), 1j, np.float32(0.5),
+                  np.array(0.5), [0.5, 1.0], (0.5, 1.0), np.array([0.5, 1.0])):
+            assert core._is_number(x) is (np.ndim(x) == 0), repr(x)
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _si(x):

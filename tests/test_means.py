@@ -121,16 +121,16 @@ def test_sb_mean_not_symmetric():
 def test_sb_mean_series_crossover():
     # no series switch: both sides of the former 1e-4 one, and both
     # branches, against a 40-digit oracle
-    mp.mp.dps = 40
     for b in (1.0, 3.0):
         for u in (9.9e-5, 1.01e-4):
             for sign in (1.0, -1.0):
                 a = b * (1.0 - sign * u)
-                am, bm = mp.mpf(a), mp.mpf(b)
-                if a < b:
-                    truth = mp.sqrt(bm ** 2 - am ** 2) / mp.acos(am / bm)
-                else:
-                    truth = mp.sqrt(am ** 2 - bm ** 2) / mp.acosh(am / bm)
+                with mp.workdps(40):
+                    am, bm = mp.mpf(a), mp.mpf(b)
+                    if a < b:
+                        truth = mp.sqrt(bm ** 2 - am ** 2) / mp.acos(am / bm)
+                    else:
+                        truth = mp.sqrt(am ** 2 - bm ** 2) / mp.acosh(am / bm)
                 assert sb_mean(MeanPoint(a, b)) == pytest.approx(float(truth), rel=1e-14)
 
 

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import math
 import os
 import pickle
 import runpy
@@ -72,9 +73,12 @@ def test_the_console_script_runs_what_python_m_runs(monkeypatch):
     assert getattr(importlib.import_module(module), attr) is ran is cli.main
 
 
-# the records of the numpy-free modules, each with its repr (GapEvaluation's
-# shows its default tail_bound); a numpy scalar field of CoefficientSeq and
-# Enclosure is held as a float, which its repr shows
+# every record of the package, each with its repr (the defaults of
+# GapEvaluation, VerificationReport and CheckResult show); a number field of
+# CoefficientSeq, Enclosure, MeanPoint and InequalityCase's domain is held as
+# a float, which its repr shows.  The case's sides are module-level functions,
+# so that it pickles
+_VIOLATION = sincbounds.Violation(0.5, 1.0, 0.9)
 RECORDS = [
     (sincbounds.GapEvaluation(0.25, 1.5e-6, sincbounds.GapMethod.SERIES),
      "GapEvaluation(x=0.25, value=1.5e-06, method=<GapMethod.SERIES: 'series'>, tail_bound=0.0)"),
@@ -84,6 +88,19 @@ RECORDS = [
     (sincbounds.Enclosure(np.float64(1.0), np.int64(2)), "Enclosure(lo=1.0, hi=2.0)"),
     (sincbounds.QuadratureResult(1.5, 1e-14, 21),
      "QuadratureResult(value=1.5, error_estimate=1e-14, evaluations=21)"),
+    (sincbounds.MeanPoint(np.float32(2.0), 1), "MeanPoint(a=2.0, b=1.0)"),
+    (sincbounds.InequalityCase("sinc < sinhc", sincbounds.sinc, sincbounds.sinhc,
+                               [0, np.float32(1.5)]),
+     f"InequalityCase(id='sinc < sinhc', lhs={sincbounds.sinc!r}, rhs={sincbounds.sinhc!r}, "
+     "domain=(0.0, 1.5))"),
+    (_VIOLATION, "Violation(x=0.5, lhs=1.0, rhs=0.9)"),
+    (sincbounds.VerificationReport("c", 64, -0.1, 0.5, [_VIOLATION], sincbounds.Verdict.FAILS, 1),
+     "VerificationReport(case_id='c', grid_points=64, min_margin=-0.1, argmin_x=0.5, "
+     "violations=[Violation(x=0.5, lhs=1.0, rhs=0.9)], verdict=<Verdict.FAILS: 'fails'>, "
+     "n_violations=1, diagnostic='')"),
+    (sincbounds.CheckResult("theorem1", "a < b", "inequality", True, "holds", "holds"),
+     "CheckResult(suite='theorem1', id='a < b', kind='inequality', ok=True, expected='holds', "
+     "observed='holds', detail='', report=None)"),
 ]
 
 
@@ -104,8 +121,45 @@ def test_a_record_is_an_immutable_tuple_of_its_fields(record, text):
     (sincbounds.Enclosure, (2.0, np.float32(1.0)), "empty enclosure: [2.0, 1.0]"),
     (sincbounds.Enclosure, (np.array([0.0, 3.0]), np.array([1.0, 2.0])),
      "empty enclosure: [array([0., 3.]), array([1., 2.])]"),
-], ids=["seq", "seq-numpy", "enclosure", "enclosure-arrays"])
+    (sincbounds.MeanPoint, (1.0, -2.0), "need finite and positive arguments, got (1.0, -2.0)"),
+    (sincbounds.MeanPoint, (np.float32(0.0), 1), "need finite and positive arguments, got (0.0, 1.0)"),
+    (sincbounds.InequalityCase, ("c", sincbounds.sinc, sincbounds.sinc, (0, math.inf)),
+     "domain endpoints must be finite, got (0.0, inf)"),
+    (sincbounds.InequalityCase, ("c", sincbounds.sinc, sincbounds.sinc, (np.float32(1.0), 1)),
+     "domain must satisfy xmin < xmax, got (1.0, 1.0)"),
+], ids=["seq", "seq-numpy", "enclosure", "enclosure-arrays", "mean-point", "mean-point-numpy",
+        "case-infinite", "case-empty"])
 def test_a_validating_record_names_its_bad_fields(make, args, message):
     with pytest.raises(ValueError) as err:
         make(*args)
     assert str(err.value) == message
+
+
+# a valid record of each validating class, a field change its constructor
+# rejects and one it converts
+_VALIDATING = [
+    (sincbounds.CoefficientSeq(0.5), {"c": 0.9}, {"c": np.float32(0.25)}),
+    (sincbounds.Enclosure(1.0, 2.0), {"lo": 5.0}, {"lo": np.float32(0.5)}),
+    (sincbounds.MeanPoint(1.0, 2.0), {"b": -1.0}, {"b": np.float32(0.5)}),
+    (sincbounds.InequalityCase("c", sincbounds.sinc, sincbounds.sinc, (0.0, 1.0)),
+     {"domain": (1.0, 0.0)}, {"domain": [0, np.float32(0.5)]}),
+]
+
+
+def _outcome(build) -> str:
+    try:
+        return repr(build())
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@pytest.mark.parametrize("record, bad, good", _VALIDATING,
+                         ids=[type(r).__name__ for r, _, _ in _VALIDATING])
+def test_replace_and_make_check_as_the_constructor_does(record, bad, good):
+    cls = type(record)
+    for change in (bad, good):
+        fields = [change.get(f, getattr(record, f)) for f in record._fields]
+        want = _outcome(lambda: cls(*fields))
+        assert want.startswith("ValueError: ") is (change is bad), want
+        assert _outcome(lambda: record._replace(**change)) == want
+        assert _outcome(lambda: cls._make(fields)) == want
