@@ -194,10 +194,10 @@ def cmd_special(args: argparse.Namespace) -> int:
     err = 0.0  # the oracle's proven error, where one is stated
     if name == "si":
         enc = integrals.si_enclosure(opts["t"], opts["p"])
-        oracle = integrals.si_reference(opts["t"]).value
+        oracle, err = integrals._proven(integrals.si_reference(opts["t"]))
     elif name == "sh":
         enc = integrals.sh_enclosure(opts["t"])
-        oracle = integrals.sh_reference(opts["t"]).value
+        oracle, err = integrals._proven(integrals.sh_reference(opts["t"]))
     elif name == "trigamma-half":
         enc = integrals.trigamma_half_enclosure()
         oracle = math.pi ** 2 / 2.0
@@ -217,9 +217,7 @@ def cmd_special(args: argparse.Namespace) -> int:
                        f"<= mean {_fmt(mean)} : {'ok' if ok else 'VIOLATION'}")
             return 0 if ok else 1
         enc, oracle = means.log_mean_sandwich(pair), means.log_mean(pair)
-    # contained when oracle +- err lies inside the enclosure, not when the
-    # two are disjoint, and neither (None) otherwise
-    ok = True if enc.contains(oracle, -err) else None if enc.contains(oracle, err) else False
+    ok = integrals._contained(enc, oracle, err)
     word = {True: "contained", None: "INCONCLUSIVE", False: "NOT CONTAINED"}[ok]
     rows = [{"name": name, "lo": enc.lo, "hi": enc.hi, "oracle": oracle, "contained": ok}]
     _emit_rows(rows, args, lambda r: f"{name}: enclosure [{_fmt(enc.lo)}, {_fmt(enc.hi)}] "

@@ -95,14 +95,13 @@ def _suite_chains(points: int, seed: int) -> list[CheckResult]:
             for rep in verify_chain(members(), domain, points)]
 
 
-def _enclosure_result(name: str, enc: integrals.Enclosure, value: float,
+def _enclosure_result(name: str, enc: integrals.Enclosure, value: float, err: float = 0.0,
                       extra: str = "") -> CheckResult:
-    ok = enc.contains(value)
     return CheckResult(
         suite="propositions",
         id=name,
         kind="enclosure",
-        ok=ok,
+        ok=integrals._contained(enc, value, err) is True,
         expected=f"[{enc.lo:.10g}, {enc.hi:.10g}]",
         observed=f"{value:.12g}",
         detail=extra,
@@ -115,16 +114,17 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
     for p in (0.0, 1.0 / 3.0, 2.0 / 3.0, _UPPER_EDGE):
         for t, ref in refs.items():
             enc = integrals.si_enclosure(t, p)
-            out.append(_enclosure_result(f"si_enclosure(t={t:.6g}, p={p:.6g})", enc, ref.value,
-                                         extra=f"oracle err<={ref.error_estimate:.1e}"))
+            out.append(_enclosure_result(f"si_enclosure(t={t:.6g}, p={p:.6g})", enc,
+                                         *integrals._proven(ref), f"oracle err<={ref.error_estimate:.1e}"))
     for t in (0.5, 1.0, 3.0, 10.0):
         enc = integrals.sh_enclosure(t)
         ref = integrals.sh_reference(t)
-        out.append(_enclosure_result(f"sh_enclosure(t={t:.6g})", enc, ref.value))
+        out.append(_enclosure_result(f"sh_enclosure(t={t:.6g})", enc, *integrals._proven(ref)))
     out.append(_enclosure_result("trigamma_half_enclosure", integrals.trigamma_half_enclosure(),
                                  math.pi ** 2 / 2.0))
-    out.append(_enclosure_result("catalan_enclosure", integrals.catalan_enclosure(),
-                                 integrals.catalan_reference(21)))  # every count >= 21 gives this double
+    catalan = integrals.catalan_reference(21)  # every count >= 21 gives this double
+    out.append(_enclosure_result("catalan_enclosure", integrals.catalan_enclosure(), catalan,
+                                 integrals._catalan_error(21, catalan)))
     lo_closed, hi_closed = integrals.bound_reciprocal_integrals()
     for name, closed, p in (("reciprocal integral (tight side)", lo_closed, _UPPER_EDGE),
                             ("reciprocal integral (loose side)", hi_closed, 0.75)):

@@ -84,6 +84,21 @@ class QuadratureResult(NamedTuple):
     evaluations: int
 
 
+def _proven(ref: QuadratureResult) -> tuple[float, float]:
+    """ref's value and proven error: the stated bound of an oracle that
+    evaluates no integrand (a series or a closed form), and 0 for a qk21
+    panel, whose error_estimate is QUADPACK's heuristic: its rounding floor,
+    50 epsilons of the integral, is wider than sh_enclosure(1e-3) itself."""
+    return ref.value, ref.error_estimate if ref.evaluations == 0 else 0.0
+
+
+def _contained(enc: Enclosure, oracle: float, err: float = 0.0) -> bool | None:
+    """True when oracle +- err lies inside enc, False when the two are
+    disjoint, and None (inconclusive) otherwise; err is the oracle's proven
+    error, 0 where none is stated.  The one rule of special and propositions."""
+    return True if enc.contains(oracle, -err) else None if enc.contains(oracle, err) else False
+
+
 def _quad(f, a: float, b: float) -> QuadratureResult:
     """One qk21 panel on [a, b], returned only where QUADPACK's qags would
     accept it as its answer.

@@ -52,20 +52,20 @@ order and so cannot displace it; any other block offers its own 5 smallest.
 verify checks one case, _verify_cases a list (a suite's, a chain's) in one
 pass: each domain's base grid is built once, and each case then refines on
 its own.  _side is the one evaluator: it evaluates a side, by identity,
-once per block for all the cases that read it, and keeps the read-only
-base-grid blocks of core.sinc and core.sinhc, the targets of every sharp
-edge and chain, across calls in _KEPT: the 32 most recently used that
-evaluated without an exception, keyed by the function as the module's
-attribute at the call (a wrapper put there is kept as itself), the grid's
-lo, hi and points, numpy's error state and the block's start and stop.  A
-side that raises is evaluated again for each case that reads it.  A shared
-or kept block holds the values a fresh evaluation gives, so no report
-depends on what is kept or on which cases share a call.
+once per block for all the cases that read it.  The functools.lru_cache
+_kept keeps the 32 most recently used read-only base-grid blocks of
+core.sinc and core.sinhc, the targets of every sharp edge and chain, keyed
+by the function as the module's attribute at the call (a wrapper put there
+is kept as itself), lo, hi, points, numpy's error state, start and stop; no
+evaluation that raised is kept, and _kept.cache_info() counts hits and
+misses.  A shared or kept block holds the values a fresh evaluation gives,
+so no report depends on what is kept or on which cases share a call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -84,6 +84,7 @@ _MAX_DOUBLE = sys.float_info.max
 _BLOCK = 8192  # points per lhs/rhs call; see the module docstring
 _DEADBAND = FLOOR_ULPS * _EPS  # the smallest floor
 _SMALL = 256  # _smallest5 sorts arrays up to this size outright
+_MAX_STORED_VIOLATIONS = 50
 
 
 class Verdict(enum.Enum):
@@ -136,9 +137,6 @@ class VerificationReport(NamedTuple):
     verdict: Verdict
     n_violations: int = 0
     diagnostic: str = ""
-
-
-_MAX_STORED_VIOLATIONS = 50
 
 
 def _verdict(bad, good) -> Verdict:
@@ -223,29 +221,30 @@ def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
     return cx[keep], cm[keep]
 
 
-_KEPT: dict = {}  # base-grid block key -> read-only values, least recently used first
-_KEPT_BLOCKS = 32
+def _grid(lo: float, hi: float, points: int) -> np.ndarray:  # the base grid
+    return np.linspace(lo, hi, points + 2)[1:-1]
+
+
+def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:  # f at x, as an array of x's shape
+    v = np.asarray(f(x), dtype=float)
+    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _kept(f: Callable, lo: float, hi: float, points: int, errstate: tuple, start: int, stop: int):
+    """f on the base-grid block [start:stop], read-only; errstate is only part of the key."""
+    v = _evaluate(f, _grid(lo, hi, points)[start:stop]).view()
+    v.flags.writeable = False
+    return v
 
 
 def _side(f: Callable, x: np.ndarray, values: dict, block: tuple | None) -> np.ndarray:
-    """f at x, as an array of x's shape: from the block's values by id(f), else for core.sinc
-    and core.sinhc on a base-grid block (x's key) from _KEPT, else evaluated and stored where sought."""
-    if id(f) in values:  # by identity: a side need not be hashable
-        return values[id(f)]
-    key = (f, *block) if block is not None and (f is _core.sinc or f is _core.sinhc) else None
-    v = _KEPT.pop(key, None)
-    if v is None:
-        v = np.asarray(f(x), dtype=float)
-        v = v if v.shape == x.shape else np.broadcast_to(v, x.shape)
-        if key is not None:
-            v = v.view()
-            v.flags.writeable = False
-            if len(_KEPT) >= _KEPT_BLOCKS:
-                _KEPT.pop(next(iter(_KEPT)))
-    if key is not None:
-        _KEPT[key] = v
-    values[id(f)] = v
-    return v
+    """f at x: by id(f) from the block's values, else from _kept for core.sinc and
+    core.sinhc on a base-grid block (block is the key after f), else evaluated."""
+    if id(f) not in values:  # by identity: a side need not be hashable
+        kept = block is not None and (f is _core.sinc or f is _core.sinhc)
+        values[id(f)] = _kept(f, *block) if kept else _evaluate(f, x)
+    return values[id(f)]
 
 
 def _report(case_id: str, grid_points: int, x: np.ndarray, lv: np.ndarray, rv: np.ndarray,
@@ -325,7 +324,7 @@ def _verify_cases(cases: Sequence[InequalityCase], points: int,
     refine_rounds = _core._count(refine_rounds, "refine_rounds", 0)
     folds = [_Fold(case, points) for case in cases]
     # a round's grids, each with its part of a kept block's key and its cases
-    grids = [(np.linspace(lo, hi, points + 2)[1:-1], (lo, hi, points, *np.geterr().values()),
+    grids = [(_grid(lo, hi, points), (lo, hi, points, tuple(np.geterr().values())),
               [fold for fold in folds if fold.case.domain == (lo, hi)])
              for lo, hi in dict.fromkeys(case.domain for case in cases)]
     for round_no in range(refine_rounds + 1):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sincbounds
-from sincbounds import core, corpus, verifier
+from sincbounds import core, corpus, integrals, verifier
 from sincbounds.cli import _linspace, build_parser, chain_table, main
 from sincbounds.corpus import CheckResult
 from sincbounds.means import MeanPoint, log_mean
@@ -539,6 +539,25 @@ def test_special_catalan_decides_with_the_oracle_error(capsys, terms, word, code
     got, out, _ = run(capsys, *args, "--format", "json")
     assert got == code
     assert json.loads(out)[0]["contained"] == {"INCONCLUSIVE": None, "contained": True}[word]
+
+
+def test_an_oracle_within_its_error_of_an_end_is_inconclusive(capsys, monkeypatch):
+    # each sh oracle moved onto its enclosure's upper end, with a proven
+    # error (a series: no integrand evaluations): oracle +- err straddles
+    # the end, so neither the propositions suite nor special may call it
+    # contained
+    def straddling(t):
+        return integrals.QuadratureResult(integrals.sh_enclosure(t).hi, 1e-9, 0)
+
+    monkeypatch.setattr(integrals, "sh_reference", straddling)
+    code, out, _ = run(capsys, "verify", "--suite", "propositions", "--points", "64")
+    lines = [line for line in out.splitlines() if "sh_enclosure" in line]
+    assert code == 1 and out.endswith("\n25/29 checks ok\n")
+    assert len(lines) == 4 and all(line.startswith("[FAIL]") for line in lines), lines
+    got, out, _ = run(capsys, "special", "--name", "sh", "--t", "1")
+    assert got == 1 and out.endswith(" : INCONCLUSIVE\n"), out
+    got, out, _ = run(capsys, "special", "--name", "sh", "--t", "1", "--format", "json")
+    assert got == 1 and json.loads(out)[0]["contained"] is None
 
 
 def test_verify_propositions_at_seed_807(capsys):

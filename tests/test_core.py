@@ -285,14 +285,6 @@ def test_gap_even_in_x():
         assert sinhc_gap(p, -x).value == sinhc_gap(p, x).value
 
 
-@pytest.mark.parametrize("fn", [sinc_gap, sinhc_gap], ids=["sinc_gap", "sinhc_gap"])
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_gap_rejects_a_non_finite_x(fn, x):
-    with pytest.raises(ValueError) as info:
-        fn(0.5, x)
-    assert str(info.value) == f"{fn.__name__} needs a finite x, got {x!r}"
-
-
 def test_gap_method_switch():
     assert sinc_gap(0.7, SERIES_SWITCH).method is GapMethod.SERIES
     assert sinc_gap(0.7, SERIES_SWITCH + 1e-6).method is GapMethod.DIRECT
@@ -417,24 +409,22 @@ def test_gap_series_coeff_basics():
     assert ratio == pytest.approx(11.0 / 5.0, rel=1e-13)
 
 
-# each count's function, name and least value
+# each count's function and least value
 COUNTS = {
-    "gap_series_coeff": (lambda n: gap_series_coeff(n, 0.5), "n", 1),
-    "ratio_excess": (lambda n: CoefficientSeq(0.5).ratio_excess(n), "n", 3),
-    "verify_leibniz_ratio": (lambda n: verify_leibniz_ratio(0.5, n), "n_max", 4),
-    "comparison_coeff": (comparison_coeff, "n", 1),
-    "catalan_reference": (catalan_reference, "terms", 1),
+    "gap_series_coeff": (lambda n: gap_series_coeff(n, 0.5), 1),
+    "ratio_excess": (lambda n: CoefficientSeq(0.5).ratio_excess(n), 3),
+    "verify_leibniz_ratio": (lambda n: verify_leibniz_ratio(0.5, n), 4),
+    "comparison_coeff": (comparison_coeff, 1),
+    "catalan_reference": (catalan_reference, 1),
 }
 
 
 @pytest.mark.parametrize("count", COUNTS)
-def test_every_count_takes_an_integer(count):
-    # a float, even an integral one, is not a count
-    fn, name, least = COUNTS[count]
-    for bad in (2.5, 0, least - 1, float(least), least + 0.5, "3", None):
-        want = f"{name} must be an integer >= {least}, got {bad!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            fn(bad)
+def test_a_numpy_integer_counts_as_its_int(count):
+    # test_contract's count rows give each rejected count's words, but meet a
+    # numpy integer only at 65, past catalan_reference's 21 terms; here it is
+    # one above each least value
+    fn, least = COUNTS[count]
     assert fn(np.int64(least + 1)) == fn(least + 1)
 
 

@@ -862,8 +862,30 @@ def test_verify_memory_stays_below_one_round():
 
 # ------------------------------------ base-grid values of sinc and sinhc kept
 
+@pytest.fixture
+def kept():
+    """verifier._kept, empty at the start and at the end of the test."""
+    verifier._kept.cache_clear()
+    yield verifier._kept
+    verifier._kept.cache_clear()
+
+
+def _counts(kept):
+    info = kept.cache_info()
+    return info.hits, info.misses
+
+
+def _delta(kept, before):
+    return tuple(now - then for now, then in zip(_counts(kept), before))
+
+
+def _kept_block(f, domain, points, start, stop):
+    """The kept block of f on the base grid of domain, under today's error state."""
+    return verifier._kept(f, *domain, points, tuple(np.geterr().values()), start, stop)
+
+
 @pytest.mark.parametrize("points", [64, 4096])
-def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
+def test_cold_and_warm_reports_are_the_same(points, kept, monkeypatch):
     real = verifier._verify_cases
     calls = [0]
     served = []
@@ -876,10 +898,10 @@ def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
         return target
 
     def checked(cases, points, refine_rounds):
-        verifier._KEPT.clear()
+        kept.cache_clear()
         before = calls[0]
         cold = real(cases, points, refine_rounds)
-        between = calls[0]
+        between, counts = calls[0], _counts(kept)
         for warm, report in zip(real(cases, points, refine_rounds), cold, strict=True):
             _assert_same_report(warm, report)
         # the warm run skips the one base-grid block of each target on each
@@ -887,6 +909,7 @@ def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
         targets = {(f, case.domain) for case in cases for f in (case.lhs, case.rhs)
                    if f is core.sinc or f is core.sinhc}
         assert (between - before) - (calls[0] - between) == len(targets), [c.id for c in cases]
+        assert counts == (0, len(targets)) and _delta(kept, counts) == (len(targets), 0)
         served.append(len(targets))
         reports.extend(cold)
         return cold
@@ -894,7 +917,6 @@ def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
     # the targets are the module's counting wrappers, each kept as itself
     monkeypatch.setattr(core, "sinc", counted(core.sinc))
     monkeypatch.setattr(core, "sinhc", counted(core.sinhc))
-    monkeypatch.setattr(verifier, "_KEPT", {})
     monkeypatch.setattr(verifier, "_verify_cases", checked)
     monkeypatch.setattr(corpus, "_verify_cases", checked)
     corpus.run_suite("all", points=points)
@@ -906,26 +928,28 @@ def test_cold_and_warm_reports_are_the_same(points, monkeypatch):
     assert (len(reports), len(served), sum(served)) == (99, 51, 42)
 
 
-def test_kept_blocks_follow_the_block_size(monkeypatch):
+def test_kept_blocks_follow_the_block_size(kept, monkeypatch):
     # the key holds each block's extent: blocks of 8192 points kept warm are
     # never served for blocks of 64, or the other way round
-    monkeypatch.setattr(verifier, "_KEPT", {})
     cases = [edge_case(SharpnessFamily.SINC_LOWER, 0.7), edge_case(SharpnessFamily.SINHC_UPPER, 1.2),
              InequalityCase("short blocks", lambda x: 0.5 + 0 * x, sinc, (0.0, 2.0))]
     for case in cases:
         want = _reference_verify(case, points=8193)
+        deltas = []
         for block in (verifier._BLOCK, 64, verifier._BLOCK):
             monkeypatch.setattr(verifier, "_BLOCK", block)
+            before = _counts(kept)
             _assert_same_report(verify(case, points=8193), want)
-    # the last 8192-point run, after the last blocks of 64 (the final one
-    # is the same slice, of one point, in both)
-    assert {key[-2:] for key in verifier._KEPT} >= {(0, 8192), (8192, 8193), (8128, 8192)}
+            deltas.append(_delta(kept, before))
+        # (hits, misses): 2 blocks, then 129 blocks of 64 (the final one, of
+        # one point, evicted by the other 128), then 2 blocks again, of which
+        # only that final one is still kept
+        assert deltas == [(0, 2), (0, 129), (1, 1)]
 
 
-def test_only_the_module_targets_are_kept(monkeypatch):
+def test_only_the_module_targets_are_kept(kept, monkeypatch):
     # a wrapper of sinc is never served core.sinc's values, nor core.sinc
     # a wrapper's: a case's function is kept only as the module's own
-    monkeypatch.setattr(verifier, "_KEPT", {})
     real = core.sinc
 
     def shifted(x):
@@ -940,32 +964,33 @@ def test_only_the_module_targets_are_kept(monkeypatch):
     base = check(real)
     assert base.verdict is Verdict.FAILS
     assert check(shifted).verdict is Verdict.HOLDS  # shifted is not core.sinc: not kept
-    assert [key[0] for key in verifier._KEPT] == [real]
+    assert (kept.cache_info().currsize, _counts(kept)) == (1, (0, 1))
     monkeypatch.setattr(core, "sinc", shifted)
     assert check(core.member("sinc")[1]).verdict is Verdict.HOLDS  # kept as itself
-    assert [key[0] for key in verifier._KEPT] == [real, shifted]
+    assert (kept.cache_info().currsize, _counts(kept)) == (2, (0, 2))
     monkeypatch.setattr(core, "sinc", real)
     _assert_same_report(check(real), base)
+    assert _counts(kept) == (1, 2)
 
 
-def test_a_failed_evaluation_is_not_kept(monkeypatch):
+def test_a_failed_evaluation_is_not_kept(kept):
     # near the largest double sinc underflows, which an errstate may raise;
     # the values kept under one errstate are not served under another
-    monkeypatch.setattr(verifier, "_KEPT", {})
     case = InequalityCase("underflow", lambda x: -1.0 + 0 * x, sinc, (1e307, 1.7e308))
     diagnostic = "evaluation failed: FloatingPointError('underflow encountered in divide')"
-    for _ in range(2):
+    for n in (1, 2):
         with np.errstate(under="raise"):
             got = verify(case, points=64)
         assert (got.verdict, got.diagnostic) == (Verdict.INCONCLUSIVE, diagnostic)
-        assert verifier._KEPT == {}
+        assert (kept.cache_info().currsize, _counts(kept)) == (0, (0, n))
     assert verify(case, points=64).verdict is Verdict.HOLDS
-    assert len(verifier._KEPT) == 1
+    assert (kept.cache_info().currsize, _counts(kept)) == (1, (0, 3))
     with np.errstate(under="raise"):
         assert verify(case, points=64).diagnostic == diagnostic
+    assert (kept.cache_info().currsize, _counts(kept)) == (1, (0, 4))
 
 
-def test_only_float64_grids_are_kept(monkeypatch):
+def test_only_float64_grids_are_kept(kept, monkeypatch):
     # every endpoint is read as a float: a float32, int or 0-d endpoint
     # gives the float64 grid of its value, is served that grid's kept
     # blocks and gives its report
@@ -977,7 +1002,6 @@ def test_only_float64_grids_are_kept(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(core, "sinc", counted)  # kept as itself
-    monkeypatch.setattr(verifier, "_KEPT", {})
     cold = verify(InequalityCase("grid", _ZERO, counted, (0.0, 1.5)), points=1000)
     assert calls[0] == 3  # the base grid's one block, then the two refinement rounds
     for domain in ((np.float32(0.0), np.float32(1.5)), (0, np.float64(1.5)),
@@ -987,30 +1011,55 @@ def test_only_float64_grids_are_kept(monkeypatch):
         before = calls[0]
         _assert_same_report(verify(case, points=1000), cold)
         assert calls[0] - before == 2  # the base grid's block was kept
-    assert [key[1:4] for key in verifier._KEPT] == [(0.0, 1.5, 1000)]
+    assert (kept.cache_info().currsize, _counts(kept)) == (1, (4, 1))
+    assert _kept_block(counted, (0.0, 1.5), 1000, 0, 1000).dtype == np.float64
 
 
-def test_kept_values_are_read_only_and_within_budget(monkeypatch):
-    monkeypatch.setattr(verifier, "_KEPT", {})
-    for suite in ("theorem1", "theorem2", "chains"):
-        corpus.run_suite(suite, points=65536)
-    kept = verifier._KEPT.values()
+def test_kept_values_are_read_only_and_within_budget(kept, monkeypatch):
+    # a dense-size cycle: the four grid suites and the 32 sharpness cells
+    def cycle():
+        for suite in ("theorem1", "theorem2", "chains", "remarks"):
+            corpus.run_suite(suite, points=65536)
+        for fam in SharpnessFamily:
+            for side in ThresholdSide:
+                for offset in (1e-3, 1e-5, 1e-7, 1e-9):
+                    verify_sharpness(fam, side, offset, points=65536)
+
+    cycle()
     # 8 blocks each of sinc on (0, pi/2), and of sinhc on (0, 50) and (0, 20)
-    assert len(kept) == 24
-    assert sum(v.nbytes for v in kept) <= verifier._KEPT_BLOCKS * verifier._BLOCK * 8 == 2 * 2 ** 20
-    for v in kept:
-        assert not v.flags.writeable
+    assert kept.cache_info().currsize == 24
+    before = _counts(kept)
+    cycle()
+    hits, misses = _delta(kept, before)
+    assert hits > 0 and misses == 0
+    before = _counts(kept)
+    blocks = [_kept_block(f, domain, 65536, s, s + verifier._BLOCK)
+              for f, domain in ((sinc, (0.0, HALF_PI)), (sinhc, (0.0, 50.0)), (sinhc, (0.0, 20.0)))
+              for s in range(0, 65536, verifier._BLOCK)]
+    assert _delta(kept, before) == (24, 0)
+    assert kept.cache_parameters()["maxsize"] == 32
+    assert sum(v.nbytes for v in blocks) <= 32 * verifier._BLOCK * 8 == 2 * 2 ** 20
+    for v in blocks:
+        assert v.dtype == np.float64 and not v.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             v[0] = 0.0
     # past the budget the least recently used block goes first
     monkeypatch.setattr(verifier, "_BLOCK", 64)
+    before = _counts(kept)
     verify(edge_case(SharpnessFamily.SINC_LOWER, 0.7), points=4096)
-    assert len(verifier._KEPT) == verifier._KEPT_BLOCKS
-    assert [key[-2:] for key in verifier._KEPT] == [(s, s + 64) for s in range(2048, 4096, 64)]
+    assert _delta(kept, before) == (0, 64) and kept.cache_info().currsize == 32
+    # the last 32 blocks are kept; (2048, 2112) is the least recently used
+    # once (4032, 4096) is read, so the block of 1984 evicts it
+    before = _counts(kept)
+    for start, hit in ((4032, True), (1984, False), (2112, True), (2048, False)):
+        _kept_block(sinc, (0.0, HALF_PI), 4096, start, start + 64)
+        assert _delta(kept, before) == (hit, not hit), start
+        before = _counts(kept)
+    assert kept.cache_info().currsize == 32
 
 
 @pytest.mark.parametrize("suite, members", [("chains", 17), ("remarks", 26)])
-def test_each_core_member_is_evaluated_once_per_base_grid_block(suite, members, monkeypatch):
+def test_each_core_member_is_evaluated_once_per_base_grid_block(suite, members, kept, monkeypatch):
     # adjacent chain links and each remarks pair share a member: its values
     # on a base-grid block are handed on, not evaluated twice
     seen = []
@@ -1027,7 +1076,6 @@ def test_each_core_member_is_evaluated_once_per_base_grid_block(suite, members, 
 
     for name in ("sinc", "sinhc", "cos_bound", "cosh_bound", "cos_power_bound", "cosh_power_bound"):
         monkeypatch.setattr(core, name, counted(name))
-    monkeypatch.setattr(verifier, "_KEPT", {})
     corpus.run_suite(suite, points=2 * verifier._BLOCK + 100)
     assert len(seen) == len(set(seen)) == 3 * members, len(seen)  # 2 full blocks and one of 100
     assert len({key[:2] for key in seen}) == members
