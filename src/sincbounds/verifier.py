@@ -29,14 +29,15 @@ block by block, and lhs before rhs within a block).
 
 Each round is evaluated and reduced in blocks of _BLOCK = 8192 consecutive
 points: lhs and rhs are called once per block, on a slice of the round, so
-they must be elementwise.  The base grid is made by np.linspace from the
-case's float endpoints, so every grid and window is float64; each block
-is a slice of it, the only round-sized array.  A block's arrays take 64
-KiB, below glibc's 128 KiB mmap threshold, so their memory is reused from
-the heap; the temporaries of a whole 65536-point round were mapped and
-page-faulted in afresh on every round (about 81,000 minor faults per
-dense_grid benchmark cycle, a third of its time in the kernel, against
-under 1,000 in blocks).
+they must be elementwise.  Each base-grid block is built on its own, as
+its slice of np.linspace from the case's float endpoints, so every grid
+and window is float64 and no array is round-sized.  Every x a side sees
+is read-only: a side writing into it would move its block's other cases.
+A block's arrays take 64 KiB, below glibc's 128 KiB mmap threshold, so
+their memory is reused from the heap; the temporaries of a whole
+65536-point round were mapped and page-faulted in afresh on every round
+(about 81,000 minor faults per dense_grid benchmark cycle, a third of its
+time in the kernel, against under 1,000 in blocks).
 
 Most blocks are settled by a few whole-block reductions.  Every floor is at
 least 64 ulps of 1, so a block whose smallest margin is not below minus
@@ -50,14 +51,15 @@ the 5th offers none, as a margin equal to it comes later in evaluation
 order and so cannot displace it; any other block offers its own 5 smallest.
 
 verify checks one case, _verify_cases a list (a suite's, a chain's) in one
-pass: each domain's base grid is built once, and each case then refines on
+pass: each domain's base grid is read once, and each case then refines on
 its own.  _side is the one evaluator: it evaluates a side, by identity,
-once per block for all the cases that read it.  The functools.lru_cache
-_kept keeps the 32 most recently used read-only base-grid blocks of
-core.sinc and core.sinhc, the targets of every sharp edge and chain, keyed
-by the function as the module's attribute at the call (a wrapper put there
-is kept as itself), lo, hi, points, numpy's error state, start and stop; no
-evaluation that raised is kept, and _kept.cache_info() counts hits and
+once per block for all the cases that read it.  Two functools.lru_caches
+keep base-grid blocks across calls, keyed by lo, hi, points, numpy's error
+state, start and stop: _grid the last 64 blocks of x (a dense-size cycle
+reads 4 domains of 8), and _kept the last 32 of core.sinc and core.sinhc,
+the targets of every sharp edge and chain, keyed also by the function as
+the module's attribute at the call (a wrapper put there is kept as
+itself).  Neither keeps a call that raised; cache_info() counts hits and
 misses.  A shared or kept block holds the values a fresh evaluation gives,
 so no report depends on what is kept or on which cases share a call.
 """
@@ -100,7 +102,8 @@ class InequalityCase(NamedTuple("InequalityCase", [
     lhs and rhs take a float64 array of points and return the values at
     those points, an array of its shape or a scalar.  verify calls them on
     consecutive slices of each round, so a value may depend on its own
-    point only.
+    point only.  The points are read-only: a side that writes into them
+    raises ValueError, which makes its report INCONCLUSIVE.
     """
 
     __slots__ = ()
@@ -162,7 +165,9 @@ def _refine_windows(centres: np.ndarray, spacing: float, lo: float, hi: float) -
     fresh += start[:, None]
     fresh[:, -1] = stop
     fresh = fresh.ravel()
-    return fresh[(fresh > lo) & (fresh < hi)]
+    fresh = fresh[(fresh > lo) & (fresh < hi)]
+    fresh.flags.writeable = False  # a side reads x, never writes it
+    return fresh
 
 
 def _definite(margin: np.ndarray, lv: np.ndarray, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +226,15 @@ def _take5(cx: np.ndarray, cm: np.ndarray, x: np.ndarray, margin: np.ndarray,
     return cx[keep], cm[keep]
 
 
-def _grid(lo: float, hi: float, points: int) -> np.ndarray:  # the base grid
-    return np.linspace(lo, hi, points + 2)[1:-1]
+@functools.lru_cache(maxsize=64)
+def _grid(lo: float, hi: float, points: int, errstate: tuple, start: int, stop: int) -> np.ndarray:
+    """np.linspace(lo, hi, points + 2)[1:-1][start:stop] by linspace's own
+    operations, read-only; errstate is only part of the key."""
+    k = np.arange(start + 1.0, stop + 1.0)
+    step = (delta := np.float64(hi) - lo) / (points + 1)
+    x = (k / (points + 1) * delta if step == 0.0 else k * step) + lo  # linspace's zero-step path
+    x.flags.writeable = False
+    return x
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:  # f at x, as an array of x's shape
@@ -233,7 +245,7 @@ def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:  # f at x, as an array 
 @functools.lru_cache(maxsize=32)
 def _kept(f: Callable, lo: float, hi: float, points: int, errstate: tuple, start: int, stop: int):
     """f on the base-grid block [start:stop], read-only; errstate is only part of the key."""
-    v = _evaluate(f, _grid(lo, hi, points)[start:stop]).view()
+    v = _evaluate(f, _grid(lo, hi, points, errstate, start, stop)).view()
     v.flags.writeable = False
     return v
 
@@ -252,12 +264,14 @@ def _report(case_id: str, grid_points: int, x: np.ndarray, lv: np.ndarray, rv: n
     """The report on the points x with sides lv < rv, given in tie-breaking
     order.  n_bad and any_good, when given, count points beyond these."""
     margin = rv - lv
-    bad, good = _definite(margin, lv, rv)
-    if n_bad is None:
-        n_bad, any_good = int(np.count_nonzero(bad)), bool(good.any())
+    violations = []
+    if n_bad is None or n_bad:  # points without violations need no floors
+        bad, good = _definite(margin, lv, rv)
+        if n_bad is None:
+            n_bad, any_good = int(np.count_nonzero(bad)), bool(good.any())
+        violations = [Violation(float(x[i]), float(lv[i]), float(rv[i]))
+                      for i in np.flatnonzero(bad)[:_MAX_STORED_VIOLATIONS]]
     imin = int(np.argmin(margin))
-    violations = [Violation(float(x[i]), float(lv[i]), float(rv[i]))
-                  for i in np.flatnonzero(bad)[:_MAX_STORED_VIOLATIONS]]
     return VerificationReport(case_id=case_id, grid_points=grid_points,
                               min_margin=float(margin[imin]), argmin_x=float(x[imin]),
                               violations=violations, verdict=_verdict(n_bad, any_good),
@@ -323,32 +337,33 @@ def _verify_cases(cases: Sequence[InequalityCase], points: int,
     points = _core._count(points, "points", 64)
     refine_rounds = _core._count(refine_rounds, "refine_rounds", 0)
     folds = [_Fold(case, points) for case in cases]
-    # a round's grids, each with its part of a kept block's key and its cases
-    grids = [(_grid(lo, hi, points), (lo, hi, points, tuple(np.geterr().values())),
+    # a round's grids (base-grid keys, then refinement windows), each with its cases
+    grids = [((lo, hi, points, tuple(np.geterr().values())),
               [fold for fold in folds if fold.case.domain == (lo, hi)])
              for lo, hi in dict.fromkeys(case.domain for case in cases)]
     for round_no in range(refine_rounds + 1):
         if round_no:  # each case alone, at 3x the density around its 5 smallest margins so far
-            left = [fold for *_, mine in grids for fold in mine if fold.error is None]
+            left = [fold for _, mine in grids for fold in mine if fold.error is None]
             for fold in left:
                 fold.spacing /= 3.0
-            grids = [(xs, None, [fold]) for fold in left
+            grids = [(xs, [fold]) for fold in left
                      if (xs := _refine_windows(fold.cx, fold.spacing, *fold.case.domain)).size]
-        for xs, grid, mine in grids:
-            for start in range(0, xs.size, _BLOCK):
-                x = xs[start:start + _BLOCK]
-                block = None if grid is None else (*grid, start, start + x.size)
+        for grid, mine in grids:
+            size = grid.size if round_no else points
+            for start in range(0, size, _BLOCK):
+                block = None if round_no else (*grid, start, min(start + _BLOCK, size))
+                x = grid[start:start + _BLOCK] if round_no else _grid(*block)
                 values = {}
                 for fold in [f for f in mine if f.error is None]:
                     try:
                         fold.add(x, _side(fold.case.lhs, x, values, block),
                                  _side(fold.case.rhs, x, values, block),
-                                 round_no < refine_rounds, grid is None)
+                                 round_no < refine_rounds, block is None)
                     except (ArithmeticError, ValueError) as exc:
                         fold.error = exc
             for fold in mine:
                 if fold.error is None:
-                    fold.grid_points += xs.size
+                    fold.grid_points += size
     return [fold.report() for fold in folds]
 
 

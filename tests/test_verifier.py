@@ -794,30 +794,41 @@ def test_take5_equals_stable_argsort_of_all_blocks(seed):
 
 def test_corpus_takes_both_block_paths(monkeypatch):
     # blocks settled by the bounds, and blocks that take the per-point
-    # floors: each report takes the floors once more, on its picks
-    counts = {"blocks": 0, "floors": 0, "reports": 0}
-    add, definite, real = verifier._Fold.add, verifier._definite, verifier._verify_cases
+    # floors; a report takes the floors on its picks only when it lists
+    # violations, or counts them itself (verify_param_monotone)
+    counts = {"blocks": 0, "block floors": 0}
+    reports = []  # [n_bad given to a report, floors it took]
+    add, definite, report = verifier._Fold.add, verifier._definite, verifier._report
+    where = ["report"]
 
     def counted_add(*args):
         counts["blocks"] += 1  # one case's block
-        return add(*args)
+        where[0] = "block"
+        try:
+            return add(*args)
+        finally:
+            where[0] = "report"
 
     def counted_definite(*args):
-        counts["floors"] += 1
+        if where[0] == "block":
+            counts["block floors"] += 1
+        else:
+            reports[-1][1] += 1
         return definite(*args)
 
-    def counted_cases(*args):
-        got = real(*args)
-        counts["reports"] += len(got)
-        return got
+    def counted_report(*args):
+        reports.append([args[5] if len(args) > 5 else None, 0])
+        return report(*args)
 
     monkeypatch.setattr(verifier._Fold, "add", counted_add)
     monkeypatch.setattr(verifier, "_definite", counted_definite)
-    monkeypatch.setattr(verifier, "_verify_cases", counted_cases)
-    monkeypatch.setattr(corpus, "_verify_cases", counted_cases)
+    monkeypatch.setattr(verifier, "_report", counted_report)
     corpus.run_suite("all", points=4096)
-    exact = counts["floors"] - counts["reports"]
-    assert 0 < exact < counts["blocks"] // 2, counts
+    assert 0 < counts["block floors"] < counts["blocks"] // 2, counts
+    assert [floors for _, floors in reports] == \
+        [int(n_bad is None or n_bad > 0) for n_bad, _ in reports], reports
+    # some reports list violations, and verify_param_monotone counts its own
+    assert any(n_bad for n_bad, _ in reports) and any(n_bad is None for n_bad, _ in reports)
 
 
 @pytest.mark.parametrize("block", [64, verifier._BLOCK])
@@ -848,16 +859,49 @@ def test_base_grid_blocks_equal_linspace(domain, points, block, monkeypatch):
 
 def test_verify_memory_stays_below_one_round():
     # the 65536-point grid takes 0.5 MiB; its blocks' temporaries stay small,
-    # where arrays of a whole round came to about 3 MiB
+    # where arrays of a whole round came to about 3 MiB.  A warm call reads
+    # every base-grid block, 8 a domain, from the grid cache, so a warm
+    # sharpness cell (with its scaled-gap scan) stays below one grid
     case = InequalityCase("memory", lambda x: cos_bound(0.7, x), sinc, (0.0, HALF_PI))
-    verify(case, points=65536)
-    tracemalloc.start()
-    try:
-        verify(case, points=65536)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2 ** 20, peak
+    cell = (SharpnessFamily.SINHC_UPPER, ThresholdSide.BELOW, 1e-3)
+    for check, limit, blocks in ((lambda: verify(case, points=65536), 1.5 * 2 ** 20, 8),
+                                 (lambda: verify_sharpness(*cell, points=65536), 2 ** 19, 16)):
+        check()
+        before = verifier._grid.cache_info()
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        after = verifier._grid.cache_info()
+        assert peak < limit, (peak, limit)
+        assert (after.hits - before.hits, after.misses - before.misses) == (blocks, 0)
+
+
+def test_sides_read_x_read_only():
+    # a side that wrote into its x would move the points of every other case
+    # of its block: every x a side sees, base-grid block or refinement
+    # window, is read-only, and such a side's case is inconclusive
+    seen = []
+
+    def halving(x):
+        seen.append(x.flags.writeable)
+        x *= 0.5
+        return np.zeros_like(x)
+
+    def watched(x):
+        seen.append(x.flags.writeable)
+        return sinc(x)
+
+    other = InequalityCase("cos_bound(0.5) < sinc", lambda x: cos_bound(0.5, x), watched, (0.0, 1.5))
+    alone = verify(other)
+    mutating, got = verifier._verify_cases([InequalityCase("halving", halving, sinc, (0.0, 1.5)), other],
+                                           4096, 2)
+    assert (mutating.verdict, mutating.diagnostic) == \
+        (Verdict.INCONCLUSIVE, "evaluation failed: ValueError('output array is read-only')")
+    _assert_same_report(got, alone)
+    assert len(seen) == 7 and not any(seen)  # 3 rounds alone, 3 beside, 1 halving
 
 
 # ------------------------------------ base-grid values of sinc and sinhc kept
