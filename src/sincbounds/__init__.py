@@ -42,7 +42,6 @@ from .constants import (
 from .integrals import (
     Enclosure,
     QuadratureResult,
-    bound_reciprocal_integrals,
     catalan_enclosure,
     catalan_reference,
     sh_enclosure,

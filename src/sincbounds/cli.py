@@ -14,12 +14,12 @@ Output for fixed flags and seed is byte-identical (no timestamps; CSV uses
 17 significant digits, JSON uses repr round-tripping).  Only verify,
 table --chain meanchain and special --name sb|log-mean import numpy; the
 other commands, table --chain m1c|m2c among them, run on math alone and load
-no inspect or json (json only for --format json); no command loads dataclasses.
-The three would cost such a process 12 of its 57 ms of CPU (2-core Xeon).  A
-process started by `python -m sincbounds` or the `sincbounds` script runs
-numpy's OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1 unless the caller set
-it): no command calls a BLAS routine, and the idle helper thread only burns a
-core.  main() itself leaves the environment alone.
+no inspect or json (json or csv only for its --format); no command loads
+dataclasses.  The three would cost such a process 12 of its 57 ms of CPU
+(2-core Xeon).  A process started by `python -m sincbounds` or the
+`sincbounds` script runs numpy's OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1
+unless the caller set it): no command calls a BLAS routine, and the idle
+helper thread only burns a core.  main() itself leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ def _emit_rows(rows: list[dict], args: argparse.Namespace, text_line) -> None:
         import json  # only here: a text or CSV process never loads it
         print(json.dumps(rows))
     elif args.format == "csv":
-        keys = list(rows[0].keys()) if rows else []
-        print(",".join(keys))
-        for r in rows:
-            print(",".join(_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys))
+        import csv  # as json: only a CSV process loads it
+        keys = list(rows[0]) if rows else []
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(keys)
+        out.writerows([_fmt(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys] for r in rows)
     else:
         for r in rows:
             print(text_line(r))
@@ -110,11 +111,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import corpus
     results = corpus.run_suite(args.suite, points=args.points, seed=args.seed)
-    rows = [
-        {"suite": r.suite, "id": r.id, "kind": r.kind, "ok": r.ok,
-         "expected": r.expected, "observed": r.observed, "detail": r.detail}
-        for r in results
-    ]
+    rows = [{k: v for k, v in r._asdict().items() if k != "report"} for r in results]
     _emit_rows(rows, args, lambda r: f"[{'ok' if r['ok'] else 'FAIL':>4}] {r['suite']:<12} "
                f"{r['id']}  ({r['observed']}; {r['detail']})")
     n_bad = sum(not r.ok for r in results)
@@ -191,20 +188,15 @@ def cmd_special(args: argparse.Namespace) -> int:
             for o, default in _SPECIAL_OPTIONS[name].items()}
     if None in opts.values():
         raise ValueError(f"--a and --b are required for {name}")
-    err = 0.0  # the oracle's proven error, where one is stated
+    ref = None  # the integrals oracle; pi^2/2 and the log mean state no error
     if name == "si":
-        enc = integrals.si_enclosure(opts["t"], opts["p"])
-        oracle, err = integrals._proven(integrals.si_reference(opts["t"]))
+        enc, ref = integrals.si_enclosure(opts["t"], opts["p"]), integrals.si_reference(opts["t"])
     elif name == "sh":
-        enc = integrals.sh_enclosure(opts["t"])
-        oracle, err = integrals._proven(integrals.sh_reference(opts["t"]))
-    elif name == "trigamma-half":
-        enc = integrals.trigamma_half_enclosure()
-        oracle = math.pi ** 2 / 2.0
+        enc, ref = integrals.sh_enclosure(opts["t"]), integrals.sh_reference(opts["t"])
     elif name == "catalan":
-        enc = integrals.catalan_enclosure()
-        oracle = integrals.catalan_reference(opts["terms"])
-        err = integrals._catalan_error(opts["terms"], oracle)
+        enc, ref = integrals.catalan_enclosure(), integrals.catalan_reference(opts["terms"])
+    elif name == "trigamma-half":
+        enc, oracle = integrals.trigamma_half_enclosure(), math.pi ** 2 / 2.0
     else:
         from . import means, verifier
         a, b = pair = opts["a"], opts["b"]
@@ -217,6 +209,7 @@ def cmd_special(args: argparse.Namespace) -> int:
                        f"<= mean {_fmt(mean)} : {'ok' if ok else 'VIOLATION'}")
             return 0 if ok else 1
         enc, oracle = means.log_mean_sandwich(pair), means.log_mean(pair)
+    oracle, err = (oracle, 0.0) if ref is None else integrals._proven(ref)
     ok = integrals._contained(enc, oracle, err)
     word = {True: "contained", None: "INCONCLUSIVE", False: "NOT CONTAINED"}[ok]
     rows = [{"name": name, "lo": enc.lo, "hi": enc.hi, "oracle": oracle, "contained": ok}]

@@ -122,12 +122,12 @@ def _suite_propositions(points: int, seed: int) -> list[CheckResult]:
         out.append(_enclosure_result(f"sh_enclosure(t={t:.6g})", enc, *integrals._proven(ref)))
     out.append(_enclosure_result("trigamma_half_enclosure", integrals.trigamma_half_enclosure(),
                                  math.pi ** 2 / 2.0))
-    catalan = integrals.catalan_reference(21)  # every count >= 21 gives this double
-    out.append(_enclosure_result("catalan_enclosure", integrals.catalan_enclosure(), catalan,
-                                 integrals._catalan_error(21, catalan)))
-    lo_closed, hi_closed = integrals.bound_reciprocal_integrals()
-    for name, closed, p in (("reciprocal integral (tight side)", lo_closed, _UPPER_EDGE),
-                            ("reciprocal integral (loose side)", hi_closed, 0.75)):
+    catalan = integrals.catalan_enclosure()
+    out.append(_enclosure_result("catalan_enclosure", catalan,  # every count >= 21 gives this oracle
+                                 *integrals._proven(integrals.catalan_reference(21))))
+    # the integrals of 1/cos_bound over [0, pi/2] are twice the Catalan ends
+    for name, closed, p in (("reciprocal integral (tight side)", 2.0 * catalan.lo, _UPPER_EDGE),
+                            ("reciprocal integral (loose side)", 2.0 * catalan.hi, 0.75)):
         quad_val = integrals._quad(lambda x: 1.0 / core.cos_bound(p, x), 0.0, _HALF_PI)
         ok = abs(quad_val.value - closed) <= quad_val.error_estimate
         out.append(CheckResult("propositions", name, "value", ok,

@@ -7,8 +7,10 @@ endpoints are elementary closed forms; the oracles are one 21-point
 Gauss-Kronrod panel (QUADPACK's qk21, here in pure Python), at most 21 terms
 of the Cohen-Rodriguez Villegas-Zagier sum for Catalan's constant (error at
 most 2G/(3+sqrt8)^n after n terms), or, for the x/sinh x integral beyond
-t = 4, its exponential tail series below the closed form pi^2/4.  The
-x/sinh x ends are forms that do not cancel, widened outward by 4 ulps.
+t = 4, its exponential tail series below the closed form pi^2/4.  Every
+oracle returns a QuadratureResult, and _proven reads its value and proven
+error.  The x/sinh x ends are forms that do not cancel, widened outward by
+4 ulps.
 
 Nothing here imports scipy or numpy: the panel repeats qk21's nodes, weights
 and order of operations, so it gives the doubles scipy's quad gives wherever
@@ -86,9 +88,10 @@ class QuadratureResult(NamedTuple):
 
 def _proven(ref: QuadratureResult) -> tuple[float, float]:
     """ref's value and proven error: the stated bound of an oracle that
-    evaluates no integrand (a series or a closed form), and 0 for a qk21
-    panel, whose error_estimate is QUADPACK's heuristic: its rounding floor,
-    50 epsilons of the integral, is wider than sh_enclosure(1e-3) itself."""
+    evaluates no integrand (the Catalan sum, the x/sinh x tail series or a
+    closed form), and 0 for a qk21 panel, whose error_estimate is QUADPACK's
+    heuristic: its rounding floor, 50 epsilons of the integral, is wider than
+    sh_enclosure(1e-3) itself."""
     return ref.value, ref.error_estimate if ref.evaluations == 0 else 0.0
 
 
@@ -211,7 +214,9 @@ def si_enclosure(t: float, p) -> Enclosure:
     """Two-sided closed form for Si(t) on 0 < t <= pi/2.
 
     Integrates the quartic-corrected sandwich; p = 0 selects the quadratic
-    limit family t - t^3/18 + c t^5/5.
+    limit family t - t^3/18 + c t^5/5.  Known defect: the ends are not
+    widened, so below about t = 0.02 they can round past Si(t) (the last
+    miss found is at t = 0.0183, p = 0.7745).
     """
     t = float(t)
     if not 0.0 < t <= _HALF_PI:
@@ -261,37 +266,23 @@ def catalan_enclosure() -> Enclosure:
     return Enclosure(lo, hi)
 
 
-def bound_reciprocal_integrals() -> tuple[float, float]:
-    """The two closed-form integrals of 1/bound over [0, pi/2] (lo, hi).
-
-    These are exactly twice the Catalan enclosure endpoints and serve as
-    cross-checks against direct quadrature.
-    """
-    e = catalan_enclosure()
-    return 2.0 * e.lo, 2.0 * e.hi
-
-
-def catalan_reference(terms: int) -> float:
+def catalan_reference(terms: int) -> QuadratureResult:
     """Catalan's constant G = sum (-1)^k/(2k+1)^2 from n = min(terms, 21) terms
     of Algorithm 1 of Cohen, Rodriguez Villegas and Zagier (Experimental
     Math. 9, 2000).  1/(2k+1)^2 is the k-th moment of the positive weight
     -x^(-1/2) log(x)/4 on [0, 1], so the truncation error is at most
     2G/(3+sqrt8)^n, 1.5e-16 at n = 21; rounding adds at most 4 ulps, checked
-    against mpmath for each n.  _catalan_error states the sum of the two.
-    Every terms >= 21 gives the same double.
+    against mpmath for each n.  error_estimate is the proven bound on
+    |G - value|: 2/(3+sqrt8)^n, as G < 1, plus 4 ulps of value.  Every
+    terms >= 21 gives the same result.
     """
     n = min(_count(terms, "terms", 1), 21)
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
+    q = (3.0 + math.sqrt(8.0)) ** n
+    d = (q + 1.0 / q) / 2.0
     b, c, s = -1.0, -d, 0.0
     for k in range(n):
         c = b - c
         s += c / (2 * k + 1) ** 2
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
-    return s / d
-
-
-def _catalan_error(terms: int, value: float) -> float:
-    """The proven bound on |G - value|, value = catalan_reference(terms):
-    2/(3+sqrt8)^n with n = min(terms, 21), as G < 1, plus 4 ulps of value."""
-    return 2.0 / (3.0 + math.sqrt(8.0)) ** min(terms, 21) + 4.0 * math.ulp(value)
+    value = s / d
+    return QuadratureResult(value, 2.0 / q + 4.0 * math.ulp(value), 0)

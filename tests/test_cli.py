@@ -66,12 +66,17 @@ def test_verify_json_round_trip(capsys):
 
 
 def test_verify_csv(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "chains", "--points", "256",
-                       "--format", "csv")
+    # csv.reader gives 7 fields on every row: the fields that hold commas, such
+    # as the "[lo, hi]" expected strings and the id "d1=d2=0, d_n>0", are quoted
+    import csv
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "csv")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "suite,id,kind,ok,expected,observed,detail"
-    assert len(lines) == 1 + 15
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["suite", "id", "kind", "ok", "expected", "observed", "detail"]
+    assert all(len(row) == 7 for row in rows)
+    assert rows[1:] == [[str(v) for v in r[:7]] for r in corpus.run_suite("all")]
+    assert sum(row[0] == "chains" for row in rows) == 15
+    assert any("," in row[1] for row in rows) and any("," in row[4] for row in rows)
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):

@@ -258,7 +258,6 @@ TABLE = {
     "catalan_reference": Row("count", integrals.catalan_reference, count("terms", 1)),
     "trigamma_half_enclosure": Row("", integrals.trigamma_half_enclosure),
     "catalan_enclosure": Row("", integrals.catalan_enclosure),
-    "bound_reciprocal_integrals": Row("", integrals.bound_reciprocal_integrals),
     "Enclosure": Row("t", lambda lo: integrals.Enclosure(float(lo), 1.0), enclosure_lo),
     # numeric strings are read with float(), then ordered as numbers
     "Enclosure str": Row("t", lambda lo: integrals.Enclosure(repr(float(lo)), "1"), enclosure_lo),

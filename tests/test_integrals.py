@@ -16,10 +16,8 @@ from sincbounds.core import cos_bound, sinc_gap
 from sincbounds.integrals import (
     Enclosure,
     QuadratureBudgetError,
-    _catalan_error,
     _quad,
     _sh_series,
-    bound_reciprocal_integrals,
     catalan_enclosure,
     catalan_reference,
     sh_enclosure,
@@ -130,7 +128,8 @@ def test_no_command_imports_scipy():
     # each command in a fresh interpreter, since a module once imported stays
     # loaded; numpy.ma is listed too, which no command may load.  No command
     # loads dataclasses (the import budget); a numpy-free command also loads
-    # no inspect or json, save json for --format json; numpy itself loads inspect
+    # no inspect, json or csv, save json or csv for that --format; numpy itself
+    # loads inspect
     code = """if True:
         import contextlib, io, sys
         if len(sys.argv) > 1:
@@ -140,7 +139,7 @@ def test_no_command_imports_scipy():
         else:
             import sincbounds
         print(*sorted({m.split(".")[0] for m in sys.modules}
-                      & {"numpy", "scipy", "dataclasses", "inspect", "json"}
+                      & {"numpy", "scipy", "dataclasses", "inspect", "json", "csv"}
                       | set(sys.modules) & {"numpy.ma"}))
     """
     src = Path(__file__).resolve().parent.parent / "src"
@@ -154,7 +153,7 @@ def test_no_command_imports_scipy():
         if argv in _NEEDS_NUMPY:
             assert "numpy" in loaded and not {"scipy", "numpy.ma", "dataclasses"} & set(loaded), argv
         else:
-            assert loaded == (["json"] if "json" in argv else []), argv
+            assert loaded == [m for m in ("csv", "json") if m in argv], argv
 
 
 def test_number_rule_reads_a_str_or_a_number_without_numpy():
@@ -270,6 +269,27 @@ def test_si_enclosure_small_t():
     assert e.lo == pytest.approx(1e-6, rel=1e-9)
 
 
+SI_SMALL_T_P = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.7745, UPPER_EDGE)
+
+
+def _si_enclosure_misses(ts):
+    import mpmath as mp
+    with mp.workdps(40):
+        return [(t, p) for t in ts for p in SI_SMALL_T_P
+                if not mp.mpf(si_enclosure(t, p).lo) <= mp.si(t) <= mp.mpf(si_enclosure(t, p).hi)]
+
+
+@pytest.mark.xfail(strict=True, reason="si_enclosure's ends are not widened outward: below "
+                   "t = 0.02 they fall on one double or round past Si(t)")
+def test_si_enclosure_contains_si_at_small_t():
+    assert _si_enclosure_misses((1e-4, 1e-3, 1e-2)) == []
+
+
+def test_si_enclosure_contains_si_from_t_002():
+    # the stated range of the defect above: the last miss found is at t = 0.0183
+    assert _si_enclosure_misses(np.geomspace(0.02, HALF_PI, 60).tolist()) == []
+
+
 def test_si_enclosure_monotone_lo_in_p():
     for t in (0.5, 1.0, HALF_PI):
         los = [si_enclosure(t, p).lo for p in (0.0, 0.2, 0.4, 0.6, UPPER_EDGE)]
@@ -324,7 +344,7 @@ def test_catalan_reference():
 
     with mp.workdps(40):
         for n in range(1, 22):
-            got = catalan_reference(n)
+            got = catalan_reference(n).value
             bound = 2 * mp.catalan / (3 + mp.sqrt(8)) ** n + 4 * math.ulp(got)
             assert abs(mp.mpf(got) - mp.catalan) <= bound, n
 
@@ -337,7 +357,8 @@ def test_catalan_reference_takes_an_integer_count(terms):
 
 @pytest.mark.parametrize("terms", [21, 22, 10 ** 12])
 def test_catalan_reference_uses_at_most_21_terms(terms):
-    assert catalan_reference(terms) == 0.9159655941772191
+    assert catalan_reference(terms) == catalan_reference(21)
+    assert catalan_reference(terms).value == 0.9159655941772191
 
 
 @pytest.mark.parametrize("terms", [47, 48, 49, 50, 1000, 200_000, 1_000_000])
@@ -352,18 +373,20 @@ def test_catalan_reference_bit_identical_to_pow_form(terms):
     partials = head + np.cumsum((-1.0) ** (kw % 2) / (2.0 * kw + 1.0) ** 2)
     while partials.size > 1:
         partials = 0.5 * (partials[:-1] + partials[1:])
-    assert catalan_reference(terms) == float(partials[0])
+    assert catalan_reference(terms).value == float(partials[0])
 
 
 def test_catalan_cross_oracle_quadrature():
     # G = (1/2) integral of x/sin x over [0, pi/2]
     val, err = quad(lambda x: x / math.sin(x) if x > 0 else 1.0, 0.0, HALF_PI,
                     epsabs=1e-13, epsrel=1e-13)
-    assert 0.5 * val == pytest.approx(catalan_reference(100_000), abs=1e-10)
+    assert 0.5 * val == pytest.approx(catalan_reference(100_000).value, abs=1e-10)
 
 
 def test_reciprocal_integrals_match_quadrature():
-    lo_closed, hi_closed = bound_reciprocal_integrals()
+    # the integrals of 1/cos_bound over [0, pi/2] are twice the Catalan ends
+    e = catalan_enclosure()
+    lo_closed, hi_closed = 2.0 * e.lo, 2.0 * e.hi
     quad_lo, _ = quad(lambda x: 1.0 / cos_bound(UPPER_EDGE, x), 0.0, HALF_PI,
                       epsabs=1e-13, epsrel=1e-13)
     quad_hi, _ = quad(lambda x: 1.0 / cos_bound(0.75, x), 0.0, HALF_PI,
@@ -399,4 +422,5 @@ def test_catalan_error_bounds_the_reference():
     with mp.workdps(40):
         for n in (*range(1, 26), 1_000_000):
             got = catalan_reference(n)
-            assert abs(mp.mpf(got) - mp.catalan) <= _catalan_error(n, got), n
+            assert got.evaluations == 0, n
+            assert abs(mp.mpf(got.value) - mp.catalan) <= got.error_estimate, n
