@@ -31,8 +31,6 @@ from .core import (
 from .constants import (
     QuarticBound,
     SharpConstant,
-    Side,
-    quartic_bound_eval,
     quartic_constants,
     sinc_gap_at_half_pi,
     sinc_upper_edge,

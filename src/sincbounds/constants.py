@@ -10,13 +10,11 @@ sandwich whose best constants are computed here.
 
 from __future__ import annotations
 
-import enum
 import math
-from contextlib import nullcontext
 from typing import NamedTuple
 
 from . import core as _core
-from .core import _HALF_PI, cos_bound, quartic_gap_coeff
+from .core import _HALF_PI, quartic_gap_coeff
 
 LEIBNIZ_RATIO_BOUND = 11.0 * math.pi ** 2 / 360.0
 
@@ -63,11 +61,6 @@ def sinhc_upper_edge() -> SharpConstant:
     return SharpConstant(1.0, 0.0)
 
 
-class Side(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
 class QuarticBound(NamedTuple):
     """Best x^4 correction constants for one trig family member.
 
@@ -88,17 +81,3 @@ def quartic_constants(p) -> QuarticBound:
     c_lo = _HALF_PI ** -4 * sinc_gap_at_half_pi(p)
     return QuarticBound(p, c_lo, quartic_gap_coeff(p))
 
-
-def quartic_bound_eval(q: QuarticBound, x, side: Side):
-    """Evaluate the chosen side of the quartic-corrected bound at x, read as
-    cos_bound reads it, with its overflow rule (x^4 overflows from 1.2e77)."""
-    c = q.c_lo if side is Side.LOWER else q.c_hi
-    x, xp = _core._converted(x)
-    if xp is math and math.isinf(x):  # no limit: at p = 0 the terms go to -inf and +inf
-        raise ValueError(f"quartic_bound_eval needs a finite x, got {x!r}")
-    with nullcontext() if xp is math else xp.errstate(over="raise", invalid="raise"):
-        try:
-            v = cos_bound(q.p, x) + c * x ** 4
-        except OverflowError:  # x ** 4, or cos_bound at the p = 0 limit
-            v = math.inf
-    return _core._no_overflow(v, x, "quartic_bound_eval") if xp is math else v

@@ -53,9 +53,11 @@ _HALF_PI = math.pi / 2.0
 
 # sqrt(15)/5, the root of quartic_gap_coeff and the sharp edge of both families
 _UPPER_EDGE = math.sqrt(15.0) / 5.0
+# the double below the edge, for the lower bounds of sinhc: _UPPER_EDGE squares to 3/5 + 4.2e-17
+_EDGE_BELOW = math.nextafter(_UPPER_EDGE, 0.0)
 
-# the certified range p^2 <= 3/5, with a small slack: squaring _UPPER_EDGE
-# in doubles lands just above 3/5
+# the certified range p^2 <= 3/5, with a small slack that admits the trig side's
+# _UPPER_EDGE in quartic_constants and (as p * p) in CoefficientSeq
 _C_MAX = 0.6 * (1.0 + 1e-12)
 
 # _make, which _replace calls, of a record that validates: through __new__, as pickle and copy are
@@ -499,10 +501,10 @@ def member(name: str, p=None, label=None):
     return f"{name}({format(p, '.9g') if label is None else label})", partial(fn, p)
 
 
-# (label, p) rows shared by the chains: the five members up to sqrt(15)/5,
-# and the two above sinhc and the log mean
+# (label, p) rows shared by the chains: the five members below sinhc and the log
+# mean, the last at _EDGE_BELOW, and the two above them
 _LOW = (("1/sqrt3", 1.0 / math.sqrt(3.0)), ("2/3", 2.0 / 3.0), ("1/sqrt2", 1.0 / math.sqrt(2.0)),
-        ("3/4", 0.75), ("sqrt15/5", _UPPER_EDGE))
+        ("3/4", 0.75), ("sqrt15/5", _EDGE_BELOW))
 _HIGH = (("1", 1.0), ("2/sqrt3", 2.0 / math.sqrt(3.0)))
 
 
@@ -517,7 +519,7 @@ def _chain(family, rows, target, at: int) -> list[tuple[str, object]]:
 def cos_chain_members() -> list[tuple[str, object]]:
     """The nine-member trig chain on (0, pi/2), increasing order."""
     above = (("sqrt(2/3)", math.sqrt(2.0 / 3.0)), ("sqrt3/2", math.sqrt(3.0) / 2.0), ("1", 1.0))
-    return _chain("cos_bound", _LOW + above, "sinc", 4)
+    return _chain("cos_bound", (*_LOW[:-1], ("sqrt15/5", _UPPER_EDGE), *above), "sinc", 4)
 
 
 def cosh_chain_members() -> list[tuple[str, object]]:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core, constants, integrals, means
-from .core import _HALF_PI, _UPPER_EDGE, CHAINS, HYP_DOMAIN, TRIG_DOMAIN, member
+from .core import _EDGE_BELOW, _HALF_PI, _UPPER_EDGE, CHAINS, HYP_DOMAIN, TRIG_DOMAIN, member
 from .verifier import (
     InequalityCase,
     SharpnessFamily,
@@ -86,7 +86,7 @@ def _suite_theorem1(points: int, seed: int) -> list[CheckResult]:
 
 
 def _suite_theorem2(points: int, seed: int) -> list[CheckResult]:
-    return _theorem("theorem2", (0.3, 0.6, _UPPER_EDGE), (1.0, 1.2, 2.0),
+    return _theorem("theorem2", (0.3, 0.6, _EDGE_BELOW), (1.0, 1.2, 2.0),
                     SharpnessFamily.SINHC_LOWER, SharpnessFamily.SINHC_UPPER, points)
 
 

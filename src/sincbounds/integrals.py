@@ -234,8 +234,9 @@ def sh_enclosure(t: float) -> Enclosure:
     sqrt3 log1p((r - 1) d/(1 + r(1 - d))), d = -expm1(-t), and hi =
     2 sqrt15 (atan((5 e^{at} + 4)/3) - atan 3), a = sqrt(15)/5, as
     2 sqrt15 atan(tanh(at/2)/3).  Each is within 3 ulps of its exact value
-    for t from 1e-300 to inf and is widened outward by 4 ulps.  t = inf gives
-    half of trigamma(1/2).
+    for t from 1e-300 to inf and is widened outward by 4 ulps, which also
+    covers hi's integrand erring by ~1e-47 relative near 0 (a = _UPPER_EDGE
+    lies just above sqrt(15)/5).  t = inf gives half of trigamma(1/2).
     """
     t = float(t)
     if not t > 0.0:

@@ -44,8 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (_LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _checked_make, _cosh_family, _count,
-                   _is_number, _no_overflow, cosh_bound)
+from .core import (_EDGE_BELOW, _LIMIT_FAMILY_CUTOFF, _UPPER_EDGE, _check, _checked_make, _cosh_family,
+                   _count, _is_number, _no_overflow, cosh_bound)
 from .integrals import Enclosure
 
 _INV_SQRT5 = 1.0 / math.sqrt(5.0)
@@ -221,7 +221,7 @@ def _log_mean_sandwich(a: float, b: float) -> Enclosure:
         return Enclosure(a, a)
     g = _geo(a, b)
     x = abs(_half_log_ratio(a, b))
-    lo = _family_times(g, _UPPER_EDGE, x)
+    lo = _family_times(g, _EDGE_BELOW, x)
     hi = _family_times(g, 1.0, x)
     return Enclosure(lo - 16.0 * math.ulp(lo), hi + 16.0 * math.ulp(hi))
 
@@ -301,7 +301,7 @@ def _mean_family_arrays(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
 def _log_mean_sandwich_arrays(a: np.ndarray, b: np.ndarray) -> Enclosure:
     g = _geo_arrays(a, b)
     x = np.abs(_half_log_ratio_arrays(a, b))
-    lo = _family_times_arrays(g, _UPPER_EDGE, x)
+    lo = _family_times_arrays(g, _EDGE_BELOW, x)
     hi = _family_times_arrays(g, 1.0, x)
     # both ends lie in [G, max(a, b)], so their spacing is finite
     lo = lo - 16.0 * np.spacing(lo)
@@ -380,7 +380,7 @@ def _mean_family_rows(p_grid, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_mean_sandwich(m) -> Enclosure:
-    """[mean_family(sqrt(15)/5), mean_family(1)], widened by a 16-ulp
+    """[mean_family(p), mean_family(1)], p the double below sqrt(15)/5, widened by a 16-ulp
     certification slack so it contains log_mean under double rounding.
 
     Degenerate pairs give the point enclosure [a, a].

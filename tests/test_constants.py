@@ -1,21 +1,21 @@
 import math
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from mpmath import iv
 
+from sincbounds import core, corpus, means
 from sincbounds.constants import (
-    Side,
-    quartic_bound_eval,
     quartic_constants,
     sinc_gap_at_half_pi,
     sinc_upper_edge,
     sinhc_upper_edge,
     solve_sinc_lower_edge,
 )
-from sincbounds.core import cos_bound, sinc
+from sincbounds.core import cos_bound, cosh_bound, sinc
 
 # independent high-precision bisection oracle, frozen:
 #   root of 2/pi - 1 + (2/(3p^2)) sin(p pi/4)^2 on (1/2, 1) at 40 digits
@@ -102,6 +102,42 @@ def test_upper_edge():
     assert sinhc_upper_edge().value == 1.0
 
 
+def test_lower_side_hyperbolic_members_take_the_double_below_the_edge(monkeypatch):
+    # cosh_bound(p) < sinhc on all of (0, inf) needs p^2 <= 3/5 exactly; the
+    # nearest double to sqrt(15)/5 squares to 3/5 + 4.2e-17, so every
+    # lower-side member at the edge takes the double below it
+    def lower_side(p):
+        return Fraction(p) ** 2 <= Fraction(3, 5)
+
+    edge, below = core._UPPER_EDGE, core._EDGE_BELOW
+    assert lower_side(below) and not lower_side(edge)
+    assert below == math.nextafter(edge, 0.0) and format(below, ".9g") == format(edge, ".9g")
+    # m2c and the mean chain bound sinhc and the log mean from below; m1c's
+    # member bounds sinc from above and keeps the double above
+    assert dict(core.cosh_chain_members())["cosh_bound(sqrt15/5)"].args == (below,)
+    assert dict(core.mean_chain_members())["mean_family(0.774597)"].args == (below,)
+    assert dict(core.cos_chain_members())["cos_bound(sqrt15/5)"].args == (edge,)
+    # both kernels of the sandwich's lower end, at pairs where the doubles differ
+    pair = (1.0, 1e6)
+    lo = means.mean_family(below, pair)
+    assert lo != means.mean_family(edge, pair)
+    assert means.log_mean_sandwich(pair).lo == lo - 16.0 * math.ulp(lo)
+    arrays = (np.array([1.0, 3.0]), np.array([1e6, 0.5]))
+    lo = means.mean_family(below, arrays)
+    assert lo[0] != means.mean_family(edge, arrays)[0]
+    assert np.array_equal(means.log_mean_sandwich(arrays).lo, lo - 16.0 * np.spacing(lo))
+    # theorem2's lower list: no cosh_bound call at the double above
+    seen = set()
+
+    def traced(p, x):
+        seen.add(p)
+        return cosh_bound(p, x)
+
+    monkeypatch.setattr(core, "cosh_bound", traced)
+    corpus.run_suite("theorem2", points=64)
+    assert below in seen and edge not in seen
+
+
 def test_quartic_constants_at_edges():
     upper = quartic_constants(sinc_upper_edge().value)
     assert abs(upper.c_hi) < 1e-16
@@ -135,8 +171,8 @@ def test_quartic_bound_eval_sandwich():
     p = math.sqrt(15.0) / 5.0
     q = quartic_constants(p)
     xs = np.linspace(0.0, math.pi / 2, 10_002)[1:-1]
-    lower = quartic_bound_eval(q, xs, Side.LOWER)
-    upper = quartic_bound_eval(q, xs, Side.UPPER)
+    lower = cos_bound(q.p, xs) + q.c_lo * xs ** 4
+    upper = cos_bound(q.p, xs) + q.c_hi * xs ** 4
     s = sinc(xs)
     assert float(np.min(s - lower)) >= -1e-12
     assert float(np.min(upper - s)) >= -1e-12
@@ -150,12 +186,6 @@ def test_quartic_lower_bound_at_right_end_equals_family():
     edge = solve_sinc_lower_edge(1e-12)
     q = quartic_constants(edge.value)
     x = math.pi / 2
-    lower = quartic_bound_eval(q, x, Side.LOWER)
+    lower = cos_bound(q.p, x) + q.c_lo * x ** 4
     assert lower == pytest.approx(cos_bound(edge.value, x), abs=1e-12)
     assert lower == pytest.approx(2.0 / math.pi, abs=1e-11)
-
-
-def test_quartic_bound_eval_near_zero():
-    q = quartic_constants(0.5)
-    for side in (Side.LOWER, Side.UPPER):
-        assert quartic_bound_eval(q, 1e-9, side) == pytest.approx(1.0, abs=1e-12)

@@ -187,8 +187,6 @@ def case_domain(lo):
     (got,) = {verifier.InequalityCase("c", core.sinc, core.sinc, (lo, hi)).domain for hi in HIGH_ENDPOINTS}
     assert [type(v) for v in got] == [float, float], got
     return got
-QUARTIC = constants.quartic_constants(0.5)
-QUARTIC_0 = constants.quartic_constants(0.0)
 LOWER = verifier.SharpnessFamily.SINC_LOWER, verifier.ThresholdSide.ABOVE
 RECORD = Row("")  # fields as given, or an enum's member values
 
@@ -223,13 +221,6 @@ TABLE = {
     # constants
     "sinc_gap_at_half_pi": Row("p", constants.sinc_gap_at_half_pi, trig),
     "quartic_constants": Row("p", constants.quartic_constants, certified),
-    "quartic_bound_eval": Row("x", lambda x: constants.quartic_bound_eval(QUARTIC, x, constants.Side.LOWER),
-                              partial(finite_x, "quartic_bound_eval"), ("quartic_bound_eval overflows",),
-                              arrays=True),
-    # at p = 0, x = +-inf would be -inf + inf
-    "quartic_bound_eval p=0": Row("x", lambda x: constants.quartic_bound_eval(QUARTIC_0, x, constants.Side.UPPER),
-                                  partial(finite_x, "quartic_bound_eval"), ("quartic_bound_eval overflows",),
-                                  arrays=True),
     "solve_sinc_lower_edge": Row("t", constants.solve_sinc_lower_edge, lambda t: None if t >= 1e-15 else
                                  ValueError("tolerance must be >= 1e-15")),
     "sinc_upper_edge": Row("", constants.sinc_upper_edge),
@@ -272,7 +263,7 @@ TABLE = {
     # 2 increasing orders and pairs 1 pair, run_suite one of its suites
     **{name: RECORD for name in ("verify_chain", "verify_param_monotone", "expected_sharpness_verdict",
                                  "run_suite", "GapEvaluation", "GapMethod", "QuarticBound", "SharpConstant",
-                                 "Side", "QuadratureResult", "CheckResult", "SharpnessFamily",
+                                 "QuadratureResult", "CheckResult", "SharpnessFamily",
                                  "ThresholdSide", "Verdict", "VerificationReport", "Violation")},
     # the CLI: eval is its library function, --x finite; special exits 0, 1 or 2
     **{f"eval --fn {fn}": Row("cli", fn) for fn in cli._EVAL_FNS},

@@ -409,6 +409,13 @@ def test_gap_series_coeff_basics():
     assert ratio == pytest.approx(11.0 / 5.0, rel=1e-13)
 
 
+def test_gap_series_coeff_power_overflow():
+    # c^(n-1) itself overflows (1e1990), not the product with 2n+1
+    message = r"gap_series_coeff overflows the double range at c=10000000000\.0$"
+    with pytest.raises(OverflowError, match=message):
+        gap_series_coeff(200, 1e10)
+
+
 # each count's function and least value
 COUNTS = {
     "gap_series_coeff": (lambda n: gap_series_coeff(n, 0.5), 1),

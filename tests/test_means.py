@@ -350,7 +350,8 @@ def test_log_mean_sandwich_survives_factor_overflow():
 
 
 def test_log_mean_sandwich_unchanged_where_products_are_finite():
-    # wherever G * family factor is finite, the ends are that product widened
+    # wherever G * family factor is finite, the ends are that product widened;
+    # the lower end's p is the double below sqrt(15)/5
     pairs = [(m.a, m.b) for m in _points(500, seed=3)] + _branch_edge_pairs()
     pairs += [(a, b) for _, a, b in _overflow_rescue_cases()]
     for a, b in pairs:
@@ -359,7 +360,7 @@ def test_log_mean_sandwich_unchanged_where_products_are_finite():
         g = geometric_mean((a, b))
         x = abs(half_log_ratio((a, b)))
         enc = log_mean_sandwich((a, b))
-        for end, p, sign in ((enc.lo, UPPER_EDGE, -1.0), (enc.hi, 1.0, 1.0)):
+        for end, p, sign in ((enc.lo, math.nextafter(UPPER_EDGE, 0.0), -1.0), (enc.hi, 1.0, 1.0)):
             v = g * means._cosh_family(p, x)
             if math.isfinite(v):
                 assert end == v + sign * 16.0 * math.ulp(v), (a, b, p)

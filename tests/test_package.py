@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib
 import math
@@ -17,12 +18,12 @@ from sincbounds import cli
 PUBLIC = [
     "CheckResult", "CoefficientSeq", "Enclosure", "GapEvaluation", "GapMethod", "InequalityCase",
     "MeanPoint", "QuadratureResult", "QuarticBound", "SERIES_SWITCH", "SharpConstant",
-    "SharpnessFamily", "Side", "ThresholdSide", "Verdict", "VerificationReport", "Violation",
+    "SharpnessFamily", "ThresholdSide", "Verdict", "VerificationReport", "Violation",
     "catalan_enclosure", "catalan_reference", "comparison_coeff",
     "constants", "core", "corpus", "cos_bound", "cos_power_bound", "cosh_bound",
     "cosh_power_bound", "expected_sharpness_verdict", "gap_series_coeff", "geometric_mean",
     "half_log_ratio", "integrals", "log_mean", "log_mean_sandwich", "lower_bound_comparison",
-    "mean_family", "means", "quartic_bound_eval", "quartic_constants", "quartic_gap_coeff",
+    "mean_family", "means", "quartic_constants", "quartic_gap_coeff",
     "random_pairs", "run_suite", "sb_lower_bound", "sb_mean", "sh_enclosure", "sh_reference",
     "si_enclosure", "si_reference", "sinc", "sinc_gap", "sinc_gap_at_half_pi", "sinc_upper_edge",
     "sinhc", "sinhc_gap", "sinhc_gap_scaled", "sinhc_upper_edge", "solve_sinc_lower_edge",
@@ -33,7 +34,7 @@ SUBMODULES = ("core", "constants", "integrals", "means", "verifier", "corpus")
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 64
+    assert len(PUBLIC) == 62
     assert sincbounds.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(sincbounds))
 
@@ -71,6 +72,27 @@ def test_the_console_script_runs_what_python_m_runs(monkeypatch):
     # __main__.py's globals, run under its own name so that it does not call main()
     ran = runpy.run_module("sincbounds")["main"]
     assert getattr(importlib.import_module(module), attr) is ran is cli.main
+
+
+def test_every_imported_name_is_read():
+    # no linter runs here, so this is the dead-import check: a name a module
+    # imports is read in that module, save the future import and the
+    # package's re-exports of its submodules' names
+    unread = []
+    for path in sorted(Path(sincbounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or (path.name == "__init__.py"
+                                                                 and getattr(node, "level", 0)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
 
 
 # every record of the package, each with its repr (the defaults of
